@@ -12,6 +12,7 @@ from aslattice.errors import (
     DimensionMismatch,
     DuplicateLabel,
     InvalidCertificate,
+    MalformedPoset,
     MissingRelation,
     NonTermination,
     NotAntichain,

@@ -177,6 +177,8 @@ def cmd_validate_cert(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.max_degree < 2:
+        raise SystemExit("error: --max-degree must be at least 2")
     p = _load(args.poset)
     lat = enumerate_ideals(p)
     systems = uniqueness.search_compatible_asls(lat, max_degree=args.max_degree)

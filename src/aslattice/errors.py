@@ -17,6 +17,10 @@ class CycleDetected(AslatticeError):
     pass
 
 
+class MalformedPoset(AslatticeError):
+    """A poset document whose fields have the wrong shape or type."""
+
+
 class CapacityExceeded(AslatticeError):
     pass
 

@@ -57,14 +57,32 @@ class IdealLattice:
         """
         out = []
         for a in self.ideals:
-            for i in iter_bits(max_elements(self.poset, a)):
+            for i in iter_bits(self.max_table[a]):
                 out.append((a & ~(1 << i), a))
         out.sort(key=lambda e: (self.position[e[0]], self.position[e[1]]))
         return tuple(out)
 
+    @cached_property
+    def max_table(self) -> dict[int, int]:
+        """``max_elements(a)`` for every ideal ``a``."""
+        return {a: max_elements(self.poset, a) for a in self.ideals}
+
+    @cached_property
+    def complement_min_table(self) -> dict[int, int]:
+        """``min_elements`` of the complement filter of every ideal ``a``."""
+        p = self.poset
+        return {a: min_elements(p, p.full_mask & ~a) for a in self.ideals}
+
+    @cached_property
+    def induction_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Incomparable pairs by nondecreasing induction parameter, ties in
+        position order: the order of certificate steps and of search."""
+        p = self.poset
+        return tuple(sorted(self.incomparable_pairs, key=lambda ab: induction_parameter(p, *ab)))
+
     def join_irreducibles(self) -> list[int]:
         """Ideals covering exactly one ideal; these recover the poset."""
-        return [a for a in self.ideals if max_elements(self.poset, a).bit_count() == 1]
+        return [a for a in self.ideals if self.max_table[a].bit_count() == 1]
 
 
 def is_ideal(p: Poset, mask: int) -> bool:
@@ -96,6 +114,13 @@ def meet(a: int, b: int) -> int:
 
 def join(a: int, b: int) -> int:
     return a | b
+
+
+def induction_parameter(p: Poset, a: int, b: int) -> int:
+    """Distance of an ideal pair from spanning the whole ground set:
+    n - (|a ∪ b| - |a ∩ b|).  Zero exactly when the union is everything
+    and the intersection empty."""
+    return p.n - ((a | b).bit_count() - (a & b).bit_count())
 
 
 def rank(mask: int) -> int:
@@ -174,16 +199,6 @@ def circ(p: Poset, a: int, b: int) -> int:
     fb = complement_filter(p, b)
     gen = min_elements(p, fa & fb) & (min_elements(p, fa) | min_elements(p, fb))
     return p.full_mask & ~up_closure(p, gen)
-
-
-def ideals_below(lat: IdealLattice, mask: int) -> list[int]:
-    """Ideals ⊆ mask, in lattice order."""
-    return [a for a in lat.ideals if a & ~mask == 0]
-
-
-def ideals_above(lat: IdealLattice, mask: int) -> list[int]:
-    """Ideals ⊇ mask, in lattice order."""
-    return [a for a in lat.ideals if mask & ~a == 0]
 
 
 def lattice_to_json(lat: IdealLattice) -> dict:

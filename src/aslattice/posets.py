@@ -8,12 +8,17 @@ so subsets of the ground set are plain machine-word bitmasks.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 from aslattice import _kernels
-from aslattice.errors import CapacityExceeded, CycleDetected, DuplicateLabel, UnknownLabel
+from aslattice.errors import (
+    CapacityExceeded,
+    CycleDetected,
+    DuplicateLabel,
+    MalformedPoset,
+    UnknownLabel,
+)
 
 MAX_ELEMENTS = 64
 
@@ -248,10 +253,23 @@ def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
 
 
 def poset_from_json(doc) -> Poset:
-    """Build from the ``{"elements": [...], "covers": [[a,b],...]}`` schema."""
+    """Build from the ``{"elements": [...], "covers": [[a,b],...]}`` schema.
+
+    Elements must be a list of strings and covers a list of two-string
+    pairs; anything else raises MalformedPoset before the order is built.
+    """
     if not isinstance(doc, dict) or "elements" not in doc:
         raise UnknownLabel("poset document must contain an 'elements' list")
-    return build_poset(doc["elements"], [tuple(c) for c in doc.get("covers", [])])
+    elements = doc["elements"]
+    if not isinstance(elements, (list, tuple)) or not all(isinstance(x, str) for x in elements):
+        raise MalformedPoset("'elements' must be a list of string labels")
+    covers = doc.get("covers", [])
+    if not isinstance(covers, (list, tuple)) or not all(
+        isinstance(c, (list, tuple)) and len(c) == 2 and all(isinstance(x, str) for x in c)
+        for c in covers
+    ):
+        raise MalformedPoset("'covers' must be a list of [lower, upper] label pairs")
+    return build_poset(elements, [tuple(c) for c in covers])
 
 
 def poset_to_json(p: Poset) -> dict:
@@ -259,11 +277,6 @@ def poset_to_json(p: Poset) -> dict:
         "elements": list(p.labels),
         "covers": [[p.labels[i], p.labels[j]] for i, j in p.covers],
     }
-
-
-def load_poset(path) -> Poset:
-    with open(path) as fh:
-        return poset_from_json(json.load(fh))
 
 
 def dot_quote(name: str) -> str:

@@ -148,28 +148,44 @@ class PairMap:
         ]
 
 
+def _relation_rhs(p: Poset, kind: RealizationKind, a: int, b: int) -> tuple[int, int]:
+    """Right-hand side of the pair (a, b) in the system of the given kind."""
+    if kind is RealizationKind.ORDER:
+        return a & b, a | b
+    if kind is RealizationKind.CHAIN:
+        return star(p, a, b), a | b
+    return a & b, circ(p, a, b)
+
+
 def straightening_relations(lat: IdealLattice, kind: RealizationKind) -> PairMap:
     """The relation system realized by the given kind."""
     p = lat.poset
-    rhs = {}
-    for a, b in lat.incomparable_pairs:
-        if kind is RealizationKind.ORDER:
-            rhs[(a, b)] = (a & b, a | b)
-        elif kind is RealizationKind.CHAIN:
-            rhs[(a, b)] = (star(p, a, b), a | b)
-        else:
-            rhs[(a, b)] = (a & b, circ(p, a, b))
+    rhs = {(a, b): _relation_rhs(p, kind, a, b) for a, b in lat.incomparable_pairs}
     return PairMap(lattice=lat, rhs=rhs)
 
 
 def relations_equal(lat: IdealLattice, kind_a: RealizationKind, kind_b: RealizationKind):
     """Compare two canonical systems; on inequality return the first
-    differing pair with both right-hand sides."""
-    pa = straightening_relations(lat, kind_a)
-    pb = straightening_relations(lat, kind_b)
-    for pair in lat.incomparable_pairs:
-        if pa.rhs[pair] != pb.rhs[pair]:
-            return False, (pair, pa.rhs[pair], pb.rhs[pair])
+    differing pair with both right-hand sides.
+
+    CHAIN deviates from ORDER on (a, b) only on the lower side, exactly
+    when some maximal element of a∩b is maximal in neither a nor b (else
+    star(a, b) = a∩b); CHAIN_DUAL deviates only on the upper side, by the
+    complement-dual test.  Two distinct kinds therefore differ on a pair
+    iff one of the deviations they involve occurs there, so the scan stops
+    at the first such pair and builds right-hand sides for it alone.
+    """
+    kinds = {kind_a, kind_b}
+    if len(kinds) == 1:
+        return True, None
+    lower = RealizationKind.CHAIN in kinds
+    upper = RealizationKind.CHAIN_DUAL in kinds
+    mx = lat.max_table
+    mn = lat.complement_min_table
+    for a, b in lat.incomparable_pairs:
+        if (lower and mx[a & b] & ~(mx[a] | mx[b])) or (upper and mn[a | b] & ~(mn[a] | mn[b])):
+            p = lat.poset
+            return False, ((a, b), _relation_rhs(p, kind_a, a, b), _relation_rhs(p, kind_b, a, b))
     return True, None
 
 
@@ -264,6 +280,13 @@ def multichains(lat: IdealLattice, length: int) -> list[tuple[int, ...]]:
     return out
 
 
+def check_degree(max_degree: int):
+    """Reject degree bounds below 2: such a check looks at no product of
+    generators, so its verdict says nothing about the relations."""
+    if max_degree < 2:
+        raise ValueError("max_degree must be at least 2")
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     kind: RealizationKind
@@ -282,8 +305,7 @@ def verify_asl_axioms(lat: IdealLattice, kind: RealizationKind, max_degree: int)
     of an incomparable product lies below both original factors.  Raises
     AxiomViolation with the offending data, otherwise returns the counts.
     """
-    if max_degree < 2:
-        raise ValueError("max_degree must be at least 2")
+    check_degree(max_degree)
     table = realization_table(lat, kind)
     pm = straightening_relations(lat, kind)
     labs = lat.poset.labels_of

@@ -25,7 +25,6 @@ products coincide under the hypothetical system.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -35,32 +34,21 @@ from aslattice.errors import (
     InvalidCertificate,
     PreconditionViolated,
 )
-from aslattice.ideals import (
-    IdealLattice,
-    is_filter,
-    is_ideal,
-    max_elements,
-    min_elements,
-)
-from aslattice.posets import Poset, is_direct_sum_of_chains, iter_bits
+from aslattice.ideals import IdealLattice, induction_parameter
+from aslattice.posets import Poset, is_direct_sum_of_chains
 from aslattice.straightening import (
     _CONDITION_ORDER,
     Monomial,
     PairMap,
     RealizationKind,
+    check_degree,
     multichains,
     relations_equal,
+    straightening_relations,
 )
 
 DEFAULT_MAX_DEGREE = 3
 DEFAULT_NODE_BUDGET = 500_000
-
-
-def induction_parameter(p: Poset, a: int, b: int) -> int:
-    """Distance of an ideal pair from spanning the whole ground set:
-    n - (|a ∪ b| - |a ∩ b|).  Zero exactly when the union is everything
-    and the intersection empty."""
-    return p.n - ((a | b).bit_count() - (a & b).bit_count())
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +222,7 @@ def is_realizable(
     and the bounded checks; a None is conclusive only for the bounded
     degree tested.
     """
+    check_degree(max_degree)
     ech = _Echelon(len(lat))
     for (a, b), (lo, hi) in pm.entries():
         ech.push(_pair_row(lat.position, len(lat), a, b, lo, hi))
@@ -249,11 +238,13 @@ def is_realizable(
     real = MonomialRealization(lattice=lat, num_vars=len(basis), exponents=exps)
     # Soundness gate: re-verify the constraints and the bounded basis
     # property directly on the produced vectors.
-    assert real.satisfies(pm)
+    if not real.satisfies(pm):
+        raise AssertionError("kernel basis violates the relation constraints")
     produced = {}
     for ch, _ in chains:
         s = tuple(sum(exps[m][i] for m in ch) for i in range(len(basis) + 1))
-        assert s not in produced, "kernel signature check missed a collision"
+        if s in produced:
+            raise AssertionError("kernel signature check missed a collision")
         produced[s] = ch
     return real
 
@@ -282,15 +273,8 @@ def search_compatible_asls(
     exhaustive for the bounded degree.  Raises BudgetExceeded when the tree
     outgrows ``node_budget`` nodes.
     """
-    p = lat.poset
-    pairs = sorted(
-        lat.incomparable_pairs,
-        key=lambda ab: (
-            induction_parameter(p, *ab),
-            lat.position[ab[0]],
-            lat.position[ab[1]],
-        ),
-    )
+    check_degree(max_degree)
+    pairs = lat.induction_pairs
     cands = [_candidate_rhs(lat, a, b) for a, b in pairs]
     chains = _chain_vectors(lat, max_degree)
     ech = _Echelon(len(lat))
@@ -396,72 +380,77 @@ class UniquenessCertificate:
 class _Side:
     """Primal or complement view used when building and replaying
     refutations; the complement view works with filters under the reversed
-    order, so the same upper-alternative argument covers lower ones."""
+    order, so the same upper-alternative argument covers lower ones.  All
+    per-set data comes from the lattice's tables: a filter's side-maximal
+    elements are its minimal ones, the complement-minimum of its ideal."""
 
     def __init__(self, lat: IdealLattice, dual: bool):
-        self.lat = lat
-        self.poset = lat.poset
+        p = lat.poset
         self.dual = dual
-        full = lat.poset.full_mask
+        self.full = full = p.full_mask
         if dual:
-            masks = sorted(
-                (full & ~a for a in lat.ideals), key=lambda m: (m.bit_count(), m)
-            )
+            self._maxels = {full & ~a: m for a, m in lat.complement_min_table.items()}
+            masks = sorted(self._maxels, key=lambda m: (m.bit_count(), m))
+            covers, below = p.lower_cover, p.up
         else:
+            self._maxels = lat.max_table
             masks = list(lat.ideals)
+            covers, below = p.upper_cover, p.down
         self.ideals = masks
         self.position = {m: i for i, m in enumerate(masks)}
         self.name = "meet" if dual else "join"
+        # side-upper covers of each element, and the side-minimal elements
+        self.cover_mask = tuple(sum(1 << y for y in ys) for ys in covers)
+        self.minimal_mask = sum(1 << x for x in range(p.n) if below[x] == 1 << x)
+        self._above: dict[int, list[int]] = {}
 
     def to_side(self, ideal_mask: int) -> int:
-        return self.poset.full_mask & ~ideal_mask if self.dual else ideal_mask
+        return self.full & ~ideal_mask if self.dual else ideal_mask
 
     def to_primal(self, side_mask: int) -> int:
-        return self.poset.full_mask & ~side_mask if self.dual else side_mask
+        return self.full & ~side_mask if self.dual else side_mask
 
     def is_closed(self, m: int) -> bool:
-        return is_filter(self.poset, m) if self.dual else is_ideal(self.poset, m)
+        return m in self.position
 
     def maxels(self, m: int) -> int:
-        return min_elements(self.poset, m) if self.dual else max_elements(self.poset, m)
+        """Side-maximal elements of a closed set."""
+        return self._maxels[m]
 
-    def upper_covers(self, x: int):
-        return self.poset.lower_cover[x] if self.dual else self.poset.upper_cover[x]
-
-    def minimal(self, x: int) -> bool:
-        if self.dual:
-            return self.poset.up[x] == 1 << x
-        return self.poset.down[x] == 1 << x
+    def strictly_above(self, m: int) -> list[int]:
+        """Closed sets strictly containing ``m``, in side order: the
+        alternatives to a pair whose union is ``m``."""
+        alts = self._above.get(m)
+        if alts is None:
+            alts = self._above[m] = [x for x in self.ideals if m & ~x == 0 and x != m]
+        return alts
 
     def sort_chain(self, masks) -> tuple[int, ...]:
-        return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+        """Closed sets in side order (cardinality, then mask value)."""
+        return tuple(sorted(masks, key=self.position.__getitem__))
 
 
 def _select_extension(side: _Side, a_side: int, b_side: int, alt: int):
     """The deterministic witness choice for one alternative: the covered
     element p (largest index in the side-maximal set of the union that has
-    an upper cover inside the alternative), the adjoined element q, and the
-    role assignment.  When no covered element exists every usable q is
-    side-minimal; the smallest-index one is adjoined to the second
-    component."""
+    an upper cover inside the alternative), the adjoined element q (its
+    largest such cover), and the role assignment.  When no covered element
+    exists every usable q is side-minimal; the smallest-index one is
+    adjoined to the second component."""
     j = a_side | b_side
     outside = alt & ~j
-    p_elem = None
-    q_elem = None
-    for x in iter_bits(side.maxels(j)):
-        for y in side.upper_covers(x):
-            if outside >> y & 1:
-                p_elem, q_elem = x, y
-    if p_elem is None:
-        for y in iter_bits(outside):
-            if side.minimal(y):
-                q_elem = y
-                break
-        if q_elem is None:
-            raise PreconditionViolated("no admissible adjoined element; poset is not a sum of chains")
-        return None, q_elem, False
-    swapped = not (b_side >> p_elem & 1)
-    return p_elem, q_elem, swapped
+    top = side.maxels(j)
+    while top:
+        x = top.bit_length() - 1
+        top ^= 1 << x
+        hit = side.cover_mask[x] & outside
+        if hit:
+            swapped = not (b_side >> x & 1)
+            return x, hit.bit_length() - 1, swapped
+    usable = outside & side.minimal_mask
+    if not usable:
+        raise PreconditionViolated("no admissible adjoined element; poset is not a sum of chains")
+    return None, (usable & -usable).bit_length() - 1, False
 
 
 def _build_refutation(side: _Side, a_side: int, b_side: int, alt: int) -> Refutation:
@@ -495,30 +484,20 @@ def uniqueness_certificate(lat: IdealLattice) -> UniquenessCertificate:
     p = lat.poset
     if not is_direct_sum_of_chains(p):
         raise PreconditionViolated("certificate exists only for direct sums of chains")
-    primal = _Side(lat, dual=False)
-    dualside = _Side(lat, dual=True)
-    pairs = sorted(
-        lat.incomparable_pairs,
-        key=lambda ab: (
-            induction_parameter(p, *ab),
-            lat.position[ab[0]],
-            lat.position[ab[1]],
-        ),
-    )
+    canonical = straightening_relations(lat, RealizationKind.ORDER)  # the system proved unique
+    sides = (_Side(lat, dual=False), _Side(lat, dual=True))
     steps = []
-    for a, b in pairs:
+    for a, b in lat.induction_pairs:
         refs = []
-        for side in (primal, dualside):
+        for side in sides:
             sa, sb = side.to_side(a), side.to_side(b)
-            sj = sa | sb
-            for alt in side.ideals:
-                if sj & ~alt == 0 and alt != sj:
-                    refs.append(_build_refutation(side, sa, sb, alt))
+            for alt in side.strictly_above(sa | sb):
+                refs.append(_build_refutation(side, sa, sb, alt))
         steps.append(
             CertificateStep(
                 pair=(a, b),
                 k=induction_parameter(p, a, b),
-                rhs=(a & b, a | b),
+                rhs=canonical.rhs[(a, b)],
                 refutations=tuple(refs),
             )
         )
@@ -555,18 +534,8 @@ def _validate(p: Poset, cert: UniquenessCertificate):
     if not is_direct_sum_of_chains(p):
         _fail("poset is not a direct sum of chains")
     lat = enumerate_ideals(p)
-    primal = _Side(lat, dual=False)
-    dualside = _Side(lat, dual=True)
-
-    expected_pairs = sorted(
-        lat.incomparable_pairs,
-        key=lambda ab: (
-            induction_parameter(p, *ab),
-            lat.position[ab[0]],
-            lat.position[ab[1]],
-        ),
-    )
-    if [s.pair for s in cert.steps] != expected_pairs:
+    sides = (_Side(lat, dual=False), _Side(lat, dual=True))
+    if [s.pair for s in cert.steps] != list(lat.induction_pairs):
         _fail("steps do not list the incomparable pairs in certificate order")
     index_of_pair = {s.pair: i for i, s in enumerate(cert.steps)}
 
@@ -578,12 +547,9 @@ def _validate(p: Poset, cert: UniquenessCertificate):
         if step.rhs != (a & b, a | b):
             _fail(f"step {idx}: right-hand side is not the canonical one")
         expected_alts = []
-        for side in (primal, dualside):
+        for side in sides:
             sa, sb = side.to_side(a), side.to_side(b)
-            sj = sa | sb
-            for alt in side.ideals:
-                if sj & ~alt == 0 and alt != sj:
-                    expected_alts.append((side, alt))
+            expected_alts.extend((side, alt) for alt in side.strictly_above(sa | sb))
         if len(step.refutations) != len(expected_alts):
             _fail(f"step {idx}: expected {len(expected_alts)} refutations, found {len(step.refutations)}")
         for ref, (side, alt) in zip(step.refutations, expected_alts):
@@ -610,12 +576,12 @@ def _validate_refutation(p, lat, cert, index_of_pair, idx, step, ref, side: _Sid
     if not outside >> ref.q & 1:
         _fail(f"{where}: adjoined element is not strictly inside the alternative")
     if ref.p is None:
-        if not side.minimal(ref.q):
+        if not side.minimal_mask >> ref.q & 1:
             _fail(f"{where}: adjoined element without covered element must be minimal")
         if ref.swapped:
             _fail(f"{where}: swap is meaningless without a covered element")
     else:
-        if ref.q not in side.upper_covers(ref.p):
+        if not side.cover_mask[ref.p] >> ref.q & 1:
             _fail(f"{where}: q does not cover p")
         if not side.maxels(sj) >> ref.p & 1:
             _fail(f"{where}: p is not maximal in the union")
@@ -657,18 +623,17 @@ def _validate_refutation(p, lat, cert, index_of_pair, idx, step, ref, side: _Sid
         for m in chain:
             if not side.is_closed(m):
                 _fail(f"{where}: collision entry contains a non-closed set")
-    if Counter(left) == Counter(right):
+    # left and right are sorted, so tuple equality is multiset equality
+    if left == right:
         _fail(f"{where}: collision monomials are not distinct")
     # Derivation replay: both collision monomials arise from the product
     # base·ext·alpha1, one via the hypothetical relation (base,ext) ->
     # (meet, alternative), the other via the certified canonical relation
-    # (base, alpha1) -> (meet, base ∪ alpha1).
-    start = Counter((base, ext, ref.alpha1))
-    via_hyp = start - Counter((base, ext)) + Counter((sm, alt))
-    via_prior = start - Counter((base, ref.alpha1)) + Counter(
-        (base & ref.alpha1, base | ref.alpha1)
-    )
-    if via_hyp != Counter(right) or via_prior != Counter(left):
+    # (base, alpha1) -> (meet, base ∪ alpha1).  Replacing two of the three
+    # factors keeps the third: alpha1 in the first case, ext in the second.
+    via_hyp = side.sort_chain((ref.alpha1, sm, alt))
+    via_prior = side.sort_chain((ext, base & ref.alpha1, base | ref.alpha1))
+    if via_hyp != right or via_prior != left:
         _fail(f"{where}: collision monomials are not derivable from the two relations")
 
 
@@ -724,10 +689,16 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
     """Parse a certificate against a poset; structural problems raise
     InvalidCertificate."""
 
+    masks: dict[tuple, int] = {}  # a certificate repeats few label arrays
+
     def mask(labels) -> int:
-        m = p.mask_of(labels)
-        if p.labels_of(m) != list(labels):
-            _fail(f"label array {labels!r} is not in canonical index order")
+        key = tuple(labels)
+        m = masks.get(key)
+        if m is None:
+            m = p.mask_of(key)
+            if p.labels_of(m) != list(key):
+                _fail(f"label array {labels!r} is not in canonical index order")
+            masks[key] = m
         return m
 
     try:

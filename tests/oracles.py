@@ -7,6 +7,8 @@ the two is meaningful evidence.
 
 from itertools import combinations, permutations
 
+from aslattice import RealizationKind, straightening_relations
+
 
 def ideal_sets(p):
     """All down-closed label sets, by filtering the full power set."""
@@ -111,6 +113,33 @@ def multichain_count(p, ideals, d):
         return sum(count(s, remaining - 1) for s in ideals if prev <= s)
 
     return sum(count(s, d - 1) for s in ideals)
+
+
+# --- condition (ii) from full relation tables ---
+# Unlike the rest of this module this reuses the library: it builds all
+# three systems with straightening_relations (per-pair star/circ calls) and
+# compares them in full, without the lattice's max/min tables or any early
+# exit.
+
+CONDITION_ORDER = (
+    (RealizationKind.ORDER, RealizationKind.CHAIN),
+    (RealizationKind.ORDER, RealizationKind.CHAIN_DUAL),
+    (RealizationKind.CHAIN, RealizationKind.CHAIN_DUAL),
+)
+
+
+def condition_ii_witnesses(lat):
+    """Per failed comparison, in condition order: (kind pair, first
+    differing ideal pair, rhs_a, rhs_b)."""
+    tables = {kind: straightening_relations(lat, kind).rhs for kind in RealizationKind}
+    out = []
+    for ka, kb in CONDITION_ORDER:
+        for pair in lat.incomparable_pairs:
+            ra, rb = tables[ka][pair], tables[kb][pair]
+            if ra != rb:
+                out.append(((ka, kb), pair, ra, rb))
+                break
+    return tuple(out)
 
 
 # --- labeled poset generation + isomorphism, independent of the library ---

@@ -152,6 +152,16 @@ class TestSearch:
         assert doc["count"] == 2
         assert doc["exhausted"] is True
 
+    @pytest.mark.parametrize("degree", ["0", "1", "-3"])
+    def test_degree_below_two_rejected(self, capsys, tmp_path, degree):
+        # a degree-0 search once reported 64 systems on the 3-antichain
+        f = tmp_path / "anti.json"
+        f.write_text(json.dumps({"elements": ["a", "b", "c"], "covers": []}))
+        code, out, err = run(capsys, "search", str(f), "--max-degree", degree)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--max-degree" in err
+
 
 class TestCorpus:
     def test_small(self, capsys):
@@ -188,6 +198,26 @@ class TestErrorsAndDeterminism:
         f.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}))
         code, _, err = run(capsys, "analyze", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"elements": "abc"},
+            {"elements": ["a", "b", "c"], "covers": [["a", "b", "c"]]},
+            {"elements": ["a", "b"], "covers": [["a"]]},
+            {"elements": ["a", "b"], "covers": "ab"},
+            {"elements": [1, 2], "covers": [[1, 2]]},
+            {"elements": ["a", None]},
+            {"elements": ["a", "b"], "covers": [[["a"], "b"]]},
+        ],
+    )
+    def test_malformed_poset_one_line(self, capsys, tmp_path, doc):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_usage_error(self, capsys, v_file):
         with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,8 @@ except ImportError:
 
 needs_compiled = pytest.mark.skipif(_fast is None, reason="compiled kernels not built")
 
+ANTICHAIN_DOWN = [1 << i for i in range(8)]  # 256 ideals
+
 
 def random_strict_order(rng, n):
     """Random transitively closed strict upper-triangular relation."""
@@ -64,11 +66,8 @@ class TestBackendsAgree:
             )
 
     def test_enumerate_capacity(self):
-        down = [1 << i for i in range(8)]  # antichain: 256 ideals
         with pytest.raises(ValueError):
-            pure.enumerate_ideal_masks(down, 100)
-        with pytest.raises(ValueError):
-            _fast.enumerate_ideal_masks(down, 100)
+            _fast.enumerate_ideal_masks(ANTICHAIN_DOWN, 100)
 
     def test_canonical_key(self):
         rng = random.Random(13)
@@ -79,27 +78,42 @@ class TestBackendsAgree:
             assert pure.canonical_key(n, lt, pred) == _fast.canonical_key(n, lt, pred)
 
     def test_canonical_key_label_invariance(self):
-        # keys must not depend on which linear extension the input uses
-        rng = random.Random(17)
-        for _ in range(100):
-            n = rng.randint(2, 7)
-            lt = random_strict_order(rng, n)
+        for n, lt, key in _relabelled_cases():
             _, _, pred = masks_from_lt(lt)
-            key = pure.canonical_key(n, lt, pred)
-            # relabel by a random order-compatible permutation: build from
-            # a topological shuffle
-            perm = _random_linear_extension(rng, n, lt)
-            inv = [0] * n
-            for new, old in enumerate(perm):
-                inv[old] = new
-            lt2 = [0] * n
-            for i in range(n):
-                for j in range(n):
-                    if lt[i] >> j & 1:
-                        lt2[inv[i]] |= 1 << inv[j]
-            _, _, pred2 = masks_from_lt(lt2)
-            assert pure.canonical_key(n, lt2, pred2) == key
-            assert _fast.canonical_key(n, lt2, pred2) == key
+            assert _fast.canonical_key(n, lt, pred) == key
+
+
+def test_pure_enumerate_capacity():
+    with pytest.raises(ValueError):
+        pure.enumerate_ideal_masks(ANTICHAIN_DOWN, 100)
+
+
+def test_pure_canonical_key_label_invariance():
+    for n, lt, key in _relabelled_cases():
+        _, _, pred = masks_from_lt(lt)
+        assert pure.canonical_key(n, lt, pred) == key
+
+
+def _relabelled_cases():
+    """Random orders relabelled along a random linear extension, each with
+    the pure key of the original labelling: keys must not depend on which
+    linear extension the input uses."""
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        lt = random_strict_order(rng, n)
+        _, _, pred = masks_from_lt(lt)
+        key = pure.canonical_key(n, lt, pred)
+        perm = _random_linear_extension(rng, n, lt)
+        inv = [0] * n
+        for new, old in enumerate(perm):
+            inv[old] = new
+        lt2 = [0] * n
+        for i in range(n):
+            for j in range(n):
+                if lt[i] >> j & 1:
+                    lt2[inv[i]] |= 1 << inv[j]
+        yield n, lt2, key
 
 
 def _random_linear_extension(rng, n, lt):

@@ -19,7 +19,7 @@ from aslattice import (
     star,
 )
 from aslattice.genposets import canonical_form
-from aslattice.ideals import is_antichain, lattice_dot, lattice_to_json
+from aslattice.ideals import induction_parameter, is_antichain, lattice_dot, lattice_to_json
 from conftest import antichain, chain, corpus
 
 
@@ -68,6 +68,26 @@ class TestEnumeration:
         for p in corpus(4):
             ids = enumerate_ideals(p).ideals
             assert list(ids) == sorted(ids, key=lambda m: (m.bit_count(), m))
+
+
+class TestTables:
+    def test_tables_match_per_call(self):
+        for p in corpus(5):
+            lat = enumerate_ideals(p)
+            assert list(lat.max_table) == list(lat.ideals)
+            for a in lat.ideals:
+                assert lat.max_table[a] == max_elements(p, a)
+                assert lat.complement_min_table[a] == min_elements(p, complement_filter(p, a))
+
+    def test_induction_pairs_order(self):
+        for p in corpus(5):
+            lat = enumerate_ideals(p)
+            pos = lat.position
+            expected = sorted(
+                lat.incomparable_pairs,
+                key=lambda ab: (induction_parameter(p, *ab), pos[ab[0]], pos[ab[1]]),
+            )
+            assert list(lat.induction_pairs) == expected
 
 
 class TestBasicOps:

@@ -174,6 +174,21 @@ class TestRelationsEqual:
         assert not rep.equal
         assert rep.witnesses[0][0] == (ORDER, CHAIN_DUAL)
 
+    def test_table_scan_matches_full_table_oracle(self):
+        # the early-exit scan over max/min tables against a comparison of
+        # the full relation tables, on every class with n <= 6
+        for p in corpus(6):
+            lat = enumerate_ideals(p)
+            expected = oracles.condition_ii_witnesses(lat)
+            rep = check_condition_ii(lat)
+            assert rep.equal == (not expected), p
+            assert rep.witnesses == expected, p
+
+    def test_same_kind_is_equal(self, v_poset):
+        lat = enumerate_ideals(v_poset)
+        for kind in RealizationKind:
+            assert relations_equal(lat, kind, kind) == (True, None)
+
 
 class TestRewrite:
     def test_singleton(self, v_poset):

@@ -1,9 +1,15 @@
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aslattice
+import oracles
 from aslattice import (
     BudgetExceeded,
     InvalidCertificate,
@@ -87,6 +93,53 @@ class TestRealizability:
                     )
 
 
+SOUNDNESS_GATE_SCRIPT = """
+import sys
+from aslattice import RealizationKind, build_poset, enumerate_ideals, is_realizable
+from aslattice import straightening_relations, uniqueness
+from aslattice.straightening import PairMap
+
+if not sys.flags.optimize:
+    raise SystemExit("run with python -O")
+p = build_poset(["a", "b", "c"], [("a", "b")])
+lat = enumerate_ideals(p)
+
+# gate 1: the realization must satisfy the relations
+pm = straightening_relations(lat, RealizationKind.ORDER)
+satisfies = uniqueness.MonomialRealization.satisfies
+uniqueness.MonomialRealization.satisfies = lambda self, pm: False
+try:
+    is_realizable(lat, pm)
+except AssertionError as exc:
+    print("gate1:", exc)
+uniqueness.MonomialRealization.satisfies = satisfies
+
+# gate 2: a system with a collision must not slip past a broken detector
+a, b = p.mask_of(["a"]), p.mask_of(["c"])
+rhs = dict(pm.rhs)
+rhs[pm.key(a, b)] = (0, p.full_mask)
+uniqueness._find_collision = lambda chains, sigs: None
+try:
+    is_realizable(lat, PairMap(lattice=lat, rhs=rhs))
+except AssertionError as exc:
+    print("gate2:", exc)
+"""
+
+
+def test_soundness_gates_survive_optimize():
+    src = Path(aslattice.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SOUNDNESS_GATE_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "gate1: kernel basis violates the relation constraints",
+        "gate2: kernel signature check missed a collision",
+    ]
+
+
 class TestSearch:
     def test_v_exactly_two(self, v_poset):
         p = v_poset
@@ -142,6 +195,14 @@ class TestSearch:
         with pytest.raises(BudgetExceeded):
             search_compatible_asls(lat, node_budget=1)
 
+    @pytest.mark.parametrize("degree", [-1, 0, 1])
+    def test_degree_below_two_rejected(self, degree):
+        lat = enumerate_ideals(antichain(3))
+        with pytest.raises(ValueError, match="at least 2"):
+            search_compatible_asls(lat, max_degree=degree)
+        with pytest.raises(ValueError, match="at least 2"):
+            is_realizable(lat, canonical_pm(lat), max_degree=degree)
+
 
 class TestCheckUnique:
     def test_sum_of_chains_unique(self):
@@ -165,6 +226,19 @@ class TestCheckUnique:
         for p in corpus(5):
             lat = enumerate_ideals(p)
             assert check_unique(lat).unique == is_direct_sum_of_chains(p)
+
+    def test_witness_matches_full_table_oracle(self):
+        # NOT_UNIQUE reports the first failed comparison of condition (ii)
+        for p in corpus(6):
+            lat = enumerate_ideals(p)
+            res = check_unique(lat)
+            expected = oracles.condition_ii_witnesses(lat)
+            if is_direct_sum_of_chains(p):
+                assert res.unique and expected == ()
+                continue
+            kinds, pair, ra, rb = expected[0]
+            assert not res.unique
+            assert (res.witness_kinds, res.witness_pair, res.witness_rhs) == (kinds, pair, (ra, rb))
 
     def test_witness_systems_distinct_and_realizable(self):
         for p in corpus(4):
@@ -296,8 +370,10 @@ class TestCertificates:
 
 def mutate_once(doc: dict, rng: random.Random) -> dict:
     """Return a deep copy of a certificate document with one field changed
-    to a different value of the same shape."""
-    doc = copy.deepcopy(doc)
+    to a different value of the same shape.  The copy is a JSON round trip
+    (the document is plain JSON), several times cheaper than
+    ``copy.deepcopy`` on large certificates; it draws nothing from ``rng``."""
+    doc = json.loads(json.dumps(doc))
     labels = list(doc["elements"])
 
     def other_subset(current):
@@ -360,7 +436,40 @@ def mutate_once(doc: dict, rng: random.Random) -> dict:
     return doc
 
 
+def changed_paths(a, b, path=()):
+    """Paths of the leaves (or resized lists) where two documents differ."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [q for k in a for q in changed_paths(a[k], b[k], path + (k,))]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [q for i, (x, y) in enumerate(zip(a, b)) for q in changed_paths(x, y, path + (i,))]
+    return [] if a == b else [path]
+
+
 class TestMutationRejection:
+    def test_mutation_sequence_is_fixed(self):
+        # the fields the acceptance suite's seed mutates, as drawn when the
+        # copy was copy.deepcopy: a cheaper copy must not change them
+        p = sum_of_chains(2, 2)
+        doc = certificate_to_json(uniqueness_certificate(enumerate_ideals(p)))
+        pristine = json.dumps(doc)
+        rng = random.Random(65537)
+        seq = [changed_paths(doc, mutate_once(doc, rng)) for _ in range(12)]
+        assert json.dumps(doc) == pristine
+        assert seq == [
+            [("steps", 6, "refutations", 1, "alternative")],
+            [("steps", 3, "refutations", 0, "alpha1")],
+            [("steps", 7, "refutations", 1, "swapped")],
+            [("elements", 0)],
+            [("steps", 7, "refutations", 0, "side")],
+            [("steps", 1, "refutations", 0, "prior_pair", 1)],
+            [("steps", 1, "refutations", 0, "side")],
+            [("steps", 6, "refutations", 1, "alternative")],
+            [("steps", 2, "refutations", 0, "swapped")],
+            [("steps", 7, "refutations", 1, "side")],
+            [("steps", 5, "refutations", 2, "alternative")],
+            [("steps", 5, "refutations", 1, "collision", 0, 2)],
+        ]
+
     def test_random_mutations_rejected(self):
         rng = random.Random(20240817)
         for lengths in [(2, 1), (1, 1, 1), (2, 2)]:
