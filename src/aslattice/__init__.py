@@ -55,6 +55,7 @@ from aslattice.posets import (
     Poset,
     build_poset,
     connected_components,
+    count_maximal_chains,
     dual,
     is_direct_sum_of_chains,
     maximal_chains,

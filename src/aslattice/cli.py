@@ -50,7 +50,7 @@ def cmd_analyze(args) -> int:
         "ideals": len(lat),
         "covers": len(p.covers),
         "components": len(comps),
-        "maximal_chains": len(posets.maximal_chains(p)),
+        "maximal_chains": posets.count_maximal_chains(p),
         "incomparable_ideal_pairs": len(lat.incomparable_pairs),
         "sum_of_chains": soc,
     }

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from aslattice.errors import DimensionMismatch
 from aslattice.ideals import IdealLattice, max_elements
-from aslattice.posets import Poset, maximal_chains
+from aslattice.posets import Poset
 
 Point = tuple[Fraction, ...]
 
@@ -54,14 +54,17 @@ def point_in_order_polytope(p: Poset, x) -> bool:
 
 
 def point_in_chain_polytope(p: Poset, x) -> bool:
-    """Nonnegative coordinates with sum at most 1 along every maximal chain."""
+    """Nonnegative coordinates with sum at most 1 along every maximal chain
+    (Stanley, "Two poset polytopes", 1986).  With x >= 0 that is the sum
+    along a heaviest chain, found by a pass over the covers in index order
+    (a linear extension) rather than by listing the chains."""
     x = _check_dim(p, x)
     if any(c < 0 for c in x):
         return False
-    for chain in maximal_chains(p):
-        if sum(x[i] for i in chain) > 1:
-            return False
-    return True
+    heaviest: list[Fraction] = []  # heaviest chain ending at each element
+    for j in range(p.n):
+        heaviest.append(x[j] + max((heaviest[i] for i in p.lower_cover[j]), default=0))
+    return max(heaviest, default=0) <= 1
 
 
 def parse_point(coords) -> Point:

@@ -252,6 +252,16 @@ def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
     return out
 
 
+def count_maximal_chains(p: Poset) -> int:
+    """Number of maximal chains, without listing them: a maximal chain is
+    a path of covers from a minimal to a maximal element, and indices are
+    a linear extension, so paths are counted in index order."""
+    paths: list[int] = []
+    for j in range(p.n):
+        paths.append(sum(paths[i] for i in p.lower_cover[j]) if p.lower_cover[j] else 1)
+    return sum(paths[j] for j in range(p.n) if not p.upper_cover[j])
+
+
 def poset_from_json(doc) -> Poset:
     """Build from the ``{"elements": [...], "covers": [[a,b],...]}`` schema.
 

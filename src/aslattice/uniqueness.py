@@ -3,7 +3,8 @@
 Two complementary mechanisms live here:
 
 * an exhaustive search over all compatible relation systems, filtered by a
-  bounded-degree realizability test over exact integer linear algebra, and
+  bounded-degree realizability test (linear algebra modulo a prime large
+  enough to be exact; integer linear algebra for single systems), and
 
 * for posets whose components are all chains, a replayable certificate that
   the canonical system is the only one: for every incomparable ideal pair
@@ -28,9 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, itemgetter
 
 from aslattice.errors import (
     BudgetExceeded,
+    CapacityExceeded,
     InvalidCertificate,
     PreconditionViolated,
 )
@@ -56,20 +59,17 @@ DEFAULT_NODE_BUDGET = 500_000
 
 
 class _Echelon:
-    """Integer row echelon (rows sorted by pivot) with O(1) undo.
+    """Integer row echelon, rows sorted by pivot.
 
-    Rows are only ever appended, never mutated, so removing the inserted
-    row restores the previous state exactly.  ``reduce`` eliminates pivot
-    columns in ascending order, which leaves untouched every pivot column
-    already cleared because each row starts with zeros before its own
-    pivot.
+    ``reduce`` eliminates pivot columns in ascending order, which leaves
+    untouched every pivot column already cleared because each row starts
+    with zeros before its own pivot.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-        self._undo: list[int] = []  # inserted index, or -1 for a dependent row
 
     def residual(self, vec) -> list[int]:
         """Eliminate pivot columns; zero exactly on the row space.  No
@@ -93,13 +93,11 @@ class _Echelon:
         return v
 
     def push(self, vec):
-        """Insert a row; returns the reduced row (with pivot data) when it
-        increased the rank, otherwise None."""
+        """Insert a row unless it lies in the row space already."""
         v = self.reduce(vec)
         pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
-            self._undo.append(-1)
-            return None
+            return
         if v[pivot] < 0:
             v = [-x for x in v]
         idx = 0
@@ -107,14 +105,6 @@ class _Echelon:
             idx += 1
         self.rows.insert(idx, v)
         self.pivots.insert(idx, pivot)
-        self._undo.append(idx)
-        return v, pivot
-
-    def pop(self):
-        idx = self._undo.pop()
-        if idx >= 0:
-            self.rows.pop(idx)
-            self.pivots.pop(idx)
 
     def kernel_basis(self) -> list[list[int]]:
         """Integer basis of the solution space of rows·w = 0, one vector
@@ -168,18 +158,6 @@ def _chain_vectors(lat: IdealLattice, max_degree: int) -> list[tuple[tuple[int, 
             for m in ch:
                 vec[pos[m]] += 1
             out.append((ch, vec))
-    return out
-
-
-def _transform_sigs(sigs, row, pivot):
-    """Apply the linear residual step of one new echelon row to every
-    signature; signatures remain equal exactly when the difference of the
-    underlying vectors lies in the enlarged row space."""
-    pv = row[pivot]
-    out = []
-    for s in sigs:
-        coef = s[pivot]
-        out.append(tuple(x * pv - r * coef for x, r in zip(s, row)))
     return out
 
 
@@ -258,6 +236,60 @@ def _candidate_rhs(lat: IdealLattice, a: int, b: int) -> list[tuple[int, int]]:
     return [(lo, hi) for hi in his for lo in los]
 
 
+_MERSENNE_EXPONENTS = (31, 61, 89, 107, 127)  # of the primes search may use
+
+
+def _search_prime(ncols: int, max_degree: int) -> int:
+    """Smallest tabled Mersenne prime above 2^ncols · max_degree."""
+    for e in _MERSENNE_EXPONENTS:
+        if (1 << e) - 1 > (1 << ncols) * max_degree:
+            return (1 << e) - 1
+    raise CapacityExceeded(f"no tabled prime exceeds 2^{ncols} * {max_degree}")
+
+
+def _null_push(basis, w, cols, prime):
+    """Null space mod ``prime`` after one more pair row (+1 at cols[0:2], -1
+    at cols[2:4]): eliminate against the first basis vector k0 not
+    orthogonal to the row and drop it; ``w`` is projected the same way.
+    None when the row is orthogonal to the basis, i.e. dependent."""
+    a, b, lo, hi = cols
+    for i, k0 in enumerate(basis):
+        d0 = (k0[a] + k0[b] - k0[lo] - k0[hi]) % prime
+        if d0:
+            break
+    else:
+        return None
+    inv = pow(d0, -1, prime)
+    out = basis[:i]
+    for k in basis[i + 1:] + [w]:
+        t = (k[a] + k[b] - k[lo] - k[hi]) * inv % prime
+        out.append([(x - t * y) % prime for x, y in zip(k, k0)] if t else k)
+    return out[:-1], out[-1]
+
+
+def _collides(chains, gather, basis, w, prime) -> bool:
+    """Whether two multichains (position tuples of one degree) differ by a
+    vector orthogonal to the null space.  Such chains have equal hashes
+    under ``w``, a vector of that space; a duplicate hash counts only once
+    confirmed on every basis vector.  ``gather`` concatenates the chains'
+    entries of a vector."""
+    vals, d = gather(w), len(chains[0])
+    sums = vals[0::d]
+    for t in range(1, d):
+        sums = map(add, sums, vals[t::d])
+    hashes = [x % prime for x in sums]
+    if len(set(hashes)) == len(hashes):
+        return False
+    seen: dict[int, list[tuple[int, ...]]] = {}
+    for ch, h in zip(chains, hashes):
+        for other in seen.setdefault(h, []):
+            if all((sum([k[i] for i in ch]) - sum([k[i] for i in other])) % prime == 0
+                   for k in basis):
+                return True
+        seen[h].append(ch)
+    return False
+
+
 def search_compatible_asls(
     lat: IdealLattice,
     max_degree: int = DEFAULT_MAX_DEGREE,
@@ -272,46 +304,49 @@ def search_compatible_asls(
     candidate product without materializing it, and the returned list is
     exhaustive for the bounded degree.  Raises BudgetExceeded when the tree
     outgrows ``node_budget`` nodes.
+
+    The test is exact.  It compares multichains of degree d = ``max_degree``
+    only (padding with the top ideal lifts any collision to degree d), modulo
+    the smallest tabled Mersenne prime p > 2^len(lat)·d (CapacityExceeded if
+    none).  Pair rows have norm 2 and a difference of two such chains norm
+    at most d·√2, so by Hadamard's bound every nonzero minor of the rows and
+    one difference is below 2^len(lat)·d: ranks mod p are those over Q.
     """
     check_degree(max_degree)
+    pos, ncols = lat.position, len(lat)
+    prime = _search_prime(ncols, max_degree)
     pairs = lat.induction_pairs
-    cands = [_candidate_rhs(lat, a, b) for a, b in pairs]
-    chains = _chain_vectors(lat, max_degree)
-    ech = _Echelon(len(lat))
-    sig_stack = [[tuple(vec) for _, vec in chains]]
+    cands = [
+        [((lo, hi), (pos[a], pos[b], pos[lo], pos[hi])) for lo, hi in _candidate_rhs(lat, a, b)]
+        for a, b in pairs
+    ]
+    chains = [tuple(pos[m] for m in ch) for ch in multichains(lat, max_degree)]
+    gather = itemgetter(*(i for ch in chains for i in ch))
+    identity = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     assignment: dict[tuple[int, int], tuple[int, int]] = {}
     results: list[PairMap] = []
     nodes = 0
 
-    def dfs(i: int):
+    def dfs(i: int, basis, w):
         nonlocal nodes
         if i == len(pairs):
             results.append(PairMap(lattice=lat, rhs=dict(assignment)))
             return
-        a, b = pairs[i]
-        for lo, hi in cands[i]:
+        for rhs, cols in cands[i]:
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded(
                     f"search tree exceeded {node_budget} nodes; raise the budget"
                 )
-            pushed = ech.push(_pair_row(lat.position, len(lat), a, b, lo, hi))
-            if pushed is None:
-                assignment[(a, b)] = (lo, hi)
-                dfs(i + 1)
-                del assignment[(a, b)]
-            else:
-                row, pivot = pushed
-                sigs = _transform_sigs(sig_stack[-1], row, pivot)
-                if _find_collision(chains, sigs) is None:
-                    sig_stack.append(sigs)
-                    assignment[(a, b)] = (lo, hi)
-                    dfs(i + 1)
-                    del assignment[(a, b)]
-                    sig_stack.pop()
-            ech.pop()
+            pushed = _null_push(basis, w, cols, prime)
+            if pushed is None or not _collides(chains, gather, *pushed, prime):
+                assignment[pairs[i]] = rhs
+                dfs(i + 1, *(pushed or (basis, w)))
+                del assignment[pairs[i]]
 
-    dfs(0)
+    # hash vector: the Park-Miller sequence; it decides speed only, as
+    # every duplicate hash is confirmed
+    dfs(0, identity, [pow(16807, j + 1, prime) for j in range(ncols)])
     return results
 
 
@@ -692,20 +727,31 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
     masks: dict[tuple, int] = {}  # a certificate repeats few label arrays
 
     def mask(labels) -> int:
+        if not isinstance(labels, list):
+            _fail(f"label array {labels!r} is not a list")
         key = tuple(labels)
         m = masks.get(key)
         if m is None:
+            if not all(isinstance(x, str) for x in key):
+                _fail(f"label array {labels!r} holds a non-string")
             m = p.mask_of(key)
             if p.labels_of(m) != list(key):
                 _fail(f"label array {labels!r} is not in canonical index order")
             masks[key] = m
         return m
 
+    def typed(value, kind, what):
+        if type(value) is not kind:  # exact: bool is a subclass of int
+            _fail(f"{what} {value!r} has type {type(value).__name__}, not {kind.__name__}")
+        return value
+
     try:
         if doc.get("format") != CERT_FORMAT:
             _fail("unrecognized certificate format")
-        if list(doc["elements"]) != list(p.labels):
+        if doc["elements"] != list(p.labels):
             _fail("certificate elements do not match the poset")
+        if not all(isinstance(c, list) for c in doc["covers"]):
+            _fail("certificate covers are not label pairs")
         covers = {(p.index_of(a), p.index_of(b)) for a, b in doc["covers"]}
         if covers != set(p.covers):
             _fail("certificate covers do not match the poset")
@@ -717,9 +763,9 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
                     Refutation(
                         side=r["side"],
                         alternative=mask(r["alternative"]),
-                        swapped=bool(r["swapped"]),
-                        p=None if r["p"] is None else p.index_of(r["p"]),
-                        q=p.index_of(r["q"]),
+                        swapped=typed(r["swapped"], bool, "swapped flag"),
+                        p=None if r["p"] is None else p.index_of(typed(r["p"], str, "element")),
+                        q=p.index_of(typed(r["q"], str, "element")),
                         alpha1=mask(r["alpha1"]),
                         prior_pair=(
                             mask(r["prior_pair"][0]),
@@ -734,7 +780,7 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
             steps.append(
                 CertificateStep(
                     pair=(mask(s["pair"][0]), mask(s["pair"][1])),
-                    k=int(s["k"]),
+                    k=typed(s["k"], int, "step parameter"),
                     rhs=(mask(s["rhs"][0]), mask(s["rhs"][1])),
                     refutations=tuple(refs),
                 )

@@ -27,6 +27,14 @@ def sum_of_chains(*lengths):
     return build_poset(labels, covers)
 
 
+def ladder(k):
+    """k levels of two elements, each covered by both elements of the next
+    level: 2**k maximal chains on 2k points."""
+    levels = [(f"a{i}", f"b{i}") for i in range(k)]
+    covers = [(x, y) for lo, hi in zip(levels, levels[1:]) for x in lo for y in hi]
+    return build_poset([x for lv in levels for x in lv], covers)
+
+
 @pytest.fixture
 def v_poset():
     """p < q > p': two incomparable elements under a common top."""

@@ -6,6 +6,7 @@ the two is meaningful evidence.
 """
 
 from itertools import combinations, permutations
+from math import gcd
 
 from aslattice import RealizationKind, straightening_relations
 
@@ -191,3 +192,92 @@ def partition_count(n):
         for total in range(part, n + 1):
             table[total] += table[total - part]
     return table[n]
+
+
+# --- exhaustive search by exact integer residuals ---
+# The search as it stood before the modular null-space layer, kept only as
+# a reference: the same depth-first tree over lat.induction_pairs and the
+# library's candidate order, but with an undoable integer echelon, every
+# multichain of degree 1..max_degree carried as a residual signature, and
+# every signature rewritten at every node.
+
+
+class _UndoEchelon:
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows, self.pivots, self.undo = [], [], []
+
+    def push(self, vec):
+        v = list(vec)
+        for row, c in zip(self.rows, self.pivots):
+            pv, coef = row[c], v[c]
+            v = [x * pv - r * coef for x, r in zip(v, row)]
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        if g > 1:
+            v = [x // g for x in v]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            self.undo.append(-1)
+            return None
+        if v[pivot] < 0:
+            v = [-x for x in v]
+        idx = sum(1 for c in self.pivots if c < pivot)
+        self.rows.insert(idx, v)
+        self.pivots.insert(idx, pivot)
+        self.undo.append(idx)
+        return v, pivot
+
+    def pop(self):
+        idx = self.undo.pop()
+        if idx >= 0:
+            del self.rows[idx], self.pivots[idx]
+
+
+def search_by_residuals(lat, max_degree=3):
+    """Realizable systems (as rhs dicts, in search order) and the node
+    count of the search tree."""
+    from aslattice.straightening import multichains
+    from aslattice.uniqueness import _candidate_rhs
+
+    pos, n = lat.position, len(lat)
+    pairs = lat.induction_pairs
+    chains = []
+    for d in range(1, max_degree + 1):
+        for ch in multichains(lat, d):
+            vec = [0] * n
+            for m in ch:
+                vec[pos[m]] += 1
+            chains.append(tuple(vec))
+    ech = _UndoEchelon(n)
+    sig_stack = [chains]
+    assignment, results, nodes = {}, [], 0
+
+    def dfs(i):
+        nonlocal nodes
+        if i == len(pairs):
+            results.append(dict(assignment))
+            return
+        a, b = pairs[i]
+        for lo, hi in _candidate_rhs(lat, a, b):
+            nodes += 1
+            row = [0] * n
+            for m, s in ((a, 1), (b, 1), (lo, -1), (hi, -1)):
+                row[pos[m]] += s
+            pushed = ech.push(row)
+            if pushed is None:
+                sigs = sig_stack[-1]
+            else:
+                r, c = pushed
+                sigs = [tuple(x * r[c] - y * s[c] for x, y in zip(s, r)) for s in sig_stack[-1]]
+            if pushed is None or len(set(sigs)) == len(sigs):
+                sig_stack.append(sigs)
+                assignment[(a, b)] = (lo, hi)
+                dfs(i + 1)
+                del assignment[(a, b)]
+                sig_stack.pop()
+            ech.pop()
+
+    dfs(0)
+    return results, nodes

@@ -46,6 +46,16 @@ class TestAnalyze:
         assert doc["sum_of_chains"] is False
         assert "generated_at" not in doc
 
+    def test_maximal_chains_counted_not_listed(self, capsys, tmp_path):
+        # 30 levels of two points, each below both points of the next
+        levels = [[f"a{i}", f"b{i}"] for i in range(30)]
+        covers = [[x, y] for lo, hi in zip(levels, levels[1:]) for x in lo for y in hi]
+        f = tmp_path / "ladder.json"
+        f.write_text(json.dumps({"elements": sum(levels, []), "covers": covers}))
+        code, out, _ = run(capsys, "--json", "--no-timestamp", "analyze", str(f))
+        assert code == 0
+        assert json.loads(out)["maximal_chains"] == 2**30
+
     def test_timestamp_present_by_default(self, capsys, v_file):
         _, out, _ = run(capsys, "--json", "analyze", v_file)
         assert "generated_at" in json.loads(out)
@@ -142,6 +152,19 @@ class TestUnique:
         code, out, _ = run(capsys, "validate-cert", str(cert_path), soc_file)
         assert code == 1
         assert "REJECTED" in out
+
+
+    def test_validate_rejects_mistyped_field(self, capsys, soc_file, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        run(capsys, "unique", soc_file, "--certificate", str(cert_path))
+        doc = json.loads(cert_path.read_text())
+        doc["steps"][-1]["k"] = str(doc["steps"][-1]["k"])
+        cert_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate-cert", str(cert_path), soc_file)
+        assert code == 1
+        assert err == ""
+        assert out.count("\n") == 1 and out.startswith("REJECTED:")
+        assert "step parameter" in out
 
 
 class TestSearch:

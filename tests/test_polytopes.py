@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,14 @@ from aslattice import (
     DimensionMismatch,
     chain_polytope_vertices,
     enumerate_ideals,
+    maximal_chains,
     order_polytope_vertices,
     parse_point,
     point_in_chain_polytope,
     point_in_order_polytope,
 )
 from aslattice.polytopes import format_point
-from conftest import antichain, chain, corpus
+from conftest import antichain, chain, corpus, ladder
 
 
 def F(*xs):
@@ -91,6 +93,27 @@ class TestMembership:
                 assert point_in_order_polytope(p, v)
             for v in chain_polytope_vertices(lat):
                 assert point_in_chain_polytope(p, v)
+
+    def test_chain_membership_matches_chain_enumeration(self):
+        # the heaviest-chain pass against a sum over every listed chain,
+        # with points drawn near the facets sum == 1
+        rng = random.Random(1986)
+        for p in list(corpus(5)) + [ladder(3)]:
+            chains = maximal_chains(p)
+            for _ in range(30):
+                x = [Fraction(rng.randint(0, 4), rng.randint(2, 6)) for _ in range(p.n)]
+                if rng.random() < 0.2:
+                    x[rng.randrange(p.n)] = Fraction(-1, 7)
+                want = min(x) >= 0 and all(sum(x[i] for i in ch) <= 1 for ch in chains)
+                assert point_in_chain_polytope(p, x) == want, (p, x)
+
+    def test_ladder_membership_without_listing_chains(self):
+        # 2**32 maximal chains, each of 32 points
+        p = ladder(32)
+        x = [Fraction(1, 32)] * p.n
+        assert point_in_chain_polytope(p, x)
+        x[p.index_of("b17")] = Fraction(2, 32)
+        assert not point_in_chain_polytope(p, x)
 
     def test_midpoint_convexity(self):
         for p in corpus(4):

@@ -11,6 +11,7 @@ from aslattice import (
     UnknownLabel,
     build_poset,
     connected_components,
+    count_maximal_chains,
     dual,
     is_direct_sum_of_chains,
     maximal_chains,
@@ -19,7 +20,7 @@ from aslattice import (
 )
 from aslattice.genposets import canonical_form
 from aslattice.posets import hasse_dot
-from conftest import antichain, chain, corpus, sum_of_chains
+from conftest import antichain, chain, corpus, ladder, sum_of_chains
 
 
 def random_poset_strategy(max_n=5):
@@ -187,6 +188,14 @@ class TestMaximalChains:
         for p in corpus(5):
             got = {tuple(p.labels[i] for i in ch) for ch in maximal_chains(p)}
             assert got == oracles.maximal_chain_sets(p)
+
+    def test_count_matches_enumeration(self):
+        for p in list(corpus(5)) + [ladder(k) for k in range(1, 6)]:
+            assert count_maximal_chains(p) == len(maximal_chains(p)), p
+
+    def test_ladder_count_is_exponential(self):
+        assert count_maximal_chains(ladder(5)) == 2**5
+        assert count_maximal_chains(ladder(30)) == 2**30  # never listed
 
 
 class TestIO:

@@ -12,6 +12,7 @@ import aslattice
 import oracles
 from aslattice import (
     BudgetExceeded,
+    CapacityExceeded,
     InvalidCertificate,
     PreconditionViolated,
     RealizationKind,
@@ -27,8 +28,14 @@ from aslattice import (
     uniqueness_certificate,
     validate_certificate,
 )
-from aslattice.straightening import PairMap
-from aslattice.uniqueness import induction_parameter
+from aslattice.straightening import PairMap, multichains
+from aslattice.uniqueness import (
+    _candidate_rhs,
+    _Echelon,
+    _null_push,
+    _search_prime,
+    induction_parameter,
+)
 from conftest import antichain, chain, corpus, sum_of_chains
 
 
@@ -195,6 +202,93 @@ class TestSearch:
         with pytest.raises(BudgetExceeded):
             search_compatible_asls(lat, node_budget=1)
 
+    def test_matches_residual_oracle(self, v_poset, lam_poset, n_poset):
+        # same systems in the same order as the exact integer search
+        posets = [v_poset, lam_poset, *corpus(4)]
+        for p in posets:
+            lat = enumerate_ideals(p)
+            want, _ = oracles.search_by_residuals(lat)
+            assert [s.rhs for s in search_compatible_asls(lat)] == want, p
+        for p in [v_poset, lam_poset, n_poset, antichain(3), sum_of_chains(2, 1)]:
+            lat = enumerate_ideals(p)
+            for degree in (2, 4):
+                want, _ = oracles.search_by_residuals(lat, degree)
+                got = search_compatible_asls(lat, max_degree=degree)
+                assert [s.rhs for s in got] == want, (p, degree)
+
+    @pytest.mark.parametrize(
+        "elements, covers, nodes",
+        [
+            (["p", "p'", "q"], [("p", "q"), ("p'", "q")], 2),
+            (["q", "p", "p'"], [("q", "p"), ("q", "p'")], 2),
+            # the two 5-element lattices with 11 ideals and 20 systems
+            (["p0", "p1", "p2", "p3", "p4"],
+             [("p0", "p3"), ("p0", "p4"), ("p1", "p3"), ("p1", "p4"), ("p2", "p3"), ("p2", "p4")],
+             932),
+            (["p0", "p1", "p2", "p3", "p4"],
+             [("p0", "p2"), ("p0", "p3"), ("p0", "p4"), ("p1", "p2"), ("p1", "p3"), ("p1", "p4")],
+             16544),
+        ],
+    )
+    def test_node_count_pinned(self, elements, covers, nodes):
+        # node counts of the integer-residual search: the tree is unchanged
+        lat = enumerate_ideals(build_poset(elements, covers))
+        with pytest.raises(BudgetExceeded):
+            search_compatible_asls(lat, node_budget=nodes - 1)
+        search_compatible_asls(lat, node_budget=nodes)
+
+    def test_modular_membership_matches_residual(self, lam_poset):
+        # row-space membership through the mod-p null space agrees with the
+        # exact integer echelon on random subsets of candidate rows
+        rng = random.Random(271828)
+        for p in [sum_of_chains(2, 1), lam_poset, antichain(3), sum_of_chains(2, 2)]:
+            lat = enumerate_ideals(p)
+            n, pos = len(lat), lat.position
+            prime = _search_prime(n, 3)
+            rows = [
+                (pos[a], pos[b], pos[lo], pos[hi])
+                for a, b in lat.incomparable_pairs
+                for lo, hi in _candidate_rhs(lat, a, b)
+            ]
+            chains = [
+                [sum(1 for m in ch if pos[m] == j) for j in range(n)]
+                for ch in multichains(lat, 3)
+            ]
+            for _ in range(25):
+                ech = _Echelon(n)
+                basis = [[int(i == j) for j in range(n)] for i in range(n)]
+                w = [0] * n
+                pushed = []
+                for cols in rng.sample(rows, rng.randint(1, min(len(rows), n))):
+                    vec = [0] * n
+                    for c, s in zip(cols, (1, 1, -1, -1)):
+                        vec[c] += s
+                    rank = len(ech.rows)
+                    ech.push(vec)
+                    nxt = _null_push(basis, w, cols, prime)
+                    assert (nxt is None) == (len(ech.rows) == rank)
+                    if nxt is not None:
+                        basis, w = nxt
+                    pushed.append(vec)
+                coefs = [rng.randint(-3, 3) for _ in pushed]
+                combo = [sum(c * r[j] for c, r in zip(coefs, pushed)) for j in range(n)]
+                probes = [combo] + [
+                    [x - y for x, y in zip(*rng.sample(chains, 2))] for _ in range(20)
+                ]
+                for v in probes:
+                    in_space = not any(ech.residual(v))
+                    orthogonal = all(sum(x * y for x, y in zip(v, k)) % prime == 0 for k in basis)
+                    assert orthogonal == in_space
+                assert not any(ech.residual(combo))
+
+    def test_search_prime(self):
+        assert _search_prime(12, 3) == (1 << 31) - 1
+        assert _search_prime(31, 2) == (1 << 61) - 1
+        with pytest.raises(CapacityExceeded):
+            _search_prime(126, 3)
+        with pytest.raises(CapacityExceeded):  # 128 ideals, raised before searching
+            search_compatible_asls(enumerate_ideals(antichain(7)))
+
     @pytest.mark.parametrize("degree", [-1, 0, 1])
     def test_degree_below_two_rejected(self, degree):
         lat = enumerate_ideals(antichain(3))
@@ -359,6 +453,40 @@ class TestCertificates:
         again = certificate_from_json(doc, p)
         assert again == cert
         assert validate_certificate(p, again)[0]
+
+    @pytest.mark.parametrize(
+        "field, old, new",
+        [
+            ("alternative", ["a", "b", "c"], "abc"),  # iterates like the labels
+            ("alternative", ["a", "b", "c"], ["a", "b", 3]),
+            ("swapped", False, "no"),  # truthy
+            ("swapped", False, 0),
+            ("k", 1, "1"),
+            ("k", 1, 1.9),
+            ("k", 1, True),
+            ("k", 0, None),
+            ("p", None, ["a"]),
+            ("p", None, 0),
+            ("q", "c", ["c"]),
+            ("elements", None, "abc"),
+            ("covers", None, ["ab"]),
+        ],
+    )
+    def test_field_types_strict(self, field, old, new):
+        # no coercion: a string iterates like a label list, bool() and
+        # int() accept strings, numbers and floats
+        p = build_poset(["a", "b", "c"], [] if field != "covers" else [("a", "b")])
+        doc = certificate_to_json(uniqueness_certificate(enumerate_ideals(p)))
+        if field in ("elements", "covers"):
+            doc[field] = new
+        else:
+            sites = [s for s in doc["steps"] if field == "k"] or [
+                r for s in doc["steps"] for r in s["refutations"]
+            ]
+            site = next(x for x in sites if x[field] == old)
+            site[field] = new
+        with pytest.raises(InvalidCertificate):
+            certificate_from_json(doc, p)
 
     def test_malformed_json(self):
         p = sum_of_chains(2, 1)
