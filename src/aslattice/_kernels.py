@@ -1,11 +1,11 @@
-"""Pure-Python bitmask kernels.
+"""Bitmask kernels.
 
 The three functions here are the hot inner loops of the whole package:
-relation closure, order-ideal enumeration, and canonical-key search.  A
-compiled twin with identical semantics lives in ``_fast.pyx``; both operate
-on plain integer bitmasks so results are interchangeable.
+relation closure, order-ideal enumeration, and canonical-key search.  All
+of them operate on plain integer bitmasks.
 """
 
+# The only implementation; kept as a constant for code that records it.
 BACKEND = "pure"
 
 

@@ -198,7 +198,12 @@ def _verify_parallel(posets, unique_bound):
     try:
         with concurrent.futures.ProcessPoolExecutor() as pool:
             return list(pool.map(_verify_worker, [(p, unique_bound) for p in posets]))
-    except (OSError, PermissionError, NotImplementedError):
+    except (OSError, NotImplementedError) as exc:
+        import logging
+
+        logging.getLogger("aslattice").warning(
+            "corpus --parallel: no process pool (%s); verifying serially", exc
+        )
         return [_verify_one(p, unique_bound) for p in posets]
 
 

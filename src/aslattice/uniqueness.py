@@ -425,7 +425,9 @@ class _Side:
         self.full = full = p.full_mask
         if dual:
             self._maxels = {full & ~a: m for a, m in lat.complement_min_table.items()}
-            masks = sorted(self._maxels, key=lambda m: (m.bit_count(), m))
+            # Complementing reverses both the cardinality and, within one
+            # cardinality, the mask value, so this is ideal order again.
+            masks = [full & ~a for a in reversed(lat.ideals)]
             covers, below = p.lower_cover, p.up
         else:
             self._maxels = lat.max_table
@@ -745,6 +747,11 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
             _fail(f"{what} {value!r} has type {type(value).__name__}, not {kind.__name__}")
         return value
 
+    def two(value, what):
+        if not isinstance(value, list) or len(value) != 2:
+            _fail(f"{what} {value!r} is not a list of exactly two entries")
+        return value
+
     try:
         if doc.get("format") != CERT_FORMAT:
             _fail("unrecognized certificate format")
@@ -767,21 +774,18 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
                         p=None if r["p"] is None else p.index_of(typed(r["p"], str, "element")),
                         q=p.index_of(typed(r["q"], str, "element")),
                         alpha1=mask(r["alpha1"]),
-                        prior_pair=(
-                            mask(r["prior_pair"][0]),
-                            mask(r["prior_pair"][1]),
-                        ),
-                        collision=(
-                            tuple(mask(m) for m in r["collision"][0]),
-                            tuple(mask(m) for m in r["collision"][1]),
+                        prior_pair=tuple(map(mask, two(r["prior_pair"], "prior pair"))),
+                        collision=tuple(
+                            tuple(mask(m) for m in chain)
+                            for chain in two(r["collision"], "collision")
                         ),
                     )
                 )
             steps.append(
                 CertificateStep(
-                    pair=(mask(s["pair"][0]), mask(s["pair"][1])),
+                    pair=tuple(map(mask, two(s["pair"], "step pair"))),
                     k=typed(s["k"], int, "step parameter"),
-                    rhs=(mask(s["rhs"][0]), mask(s["rhs"][1])),
+                    rhs=tuple(map(mask, two(s["rhs"], "step right-hand side"))),
                     refutations=tuple(refs),
                 )
             )

@@ -281,3 +281,27 @@ def search_by_residuals(lat, max_degree=3):
 
     dfs(0)
     return results, nodes
+
+
+def brute_canonical_key(p):
+    """Reference key: explicit minimum over every linear extension."""
+    n = p.n
+    best = None
+    for perm in permutations(range(n)):
+        pos = {e: t for t, e in enumerate(perm)}
+        if any(
+            p.leq(i, j) and i != j and pos[i] > pos[j]
+            for i in range(n)
+            for j in range(n)
+        ):
+            continue
+        cols = []
+        for t, e in enumerate(perm):
+            code = 0
+            for s in range(t):
+                if perm[s] != e and p.leq(perm[s], e):
+                    code |= 1 << s
+            cols.append(code)
+        if best is None or cols < best:
+            best = cols
+    return bytes(best)

@@ -166,6 +166,18 @@ class TestUnique:
         assert out.count("\n") == 1 and out.startswith("REJECTED:")
         assert "step parameter" in out
 
+    def test_validate_rejects_extra_pair_entry(self, capsys, soc_file, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        run(capsys, "unique", soc_file, "--certificate", str(cert_path))
+        doc = json.loads(cert_path.read_text())
+        doc["steps"][0]["pair"].append(["a"])
+        cert_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate-cert", str(cert_path), soc_file)
+        assert code == 1
+        assert err == ""
+        assert out.count("\n") == 1 and out.startswith("REJECTED:")
+        assert "step pair" in out
+
 
 class TestSearch:
     def test_v(self, capsys, v_file):

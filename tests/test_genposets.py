@@ -1,4 +1,4 @@
-from itertools import permutations
+import logging
 
 import pytest
 
@@ -15,30 +15,6 @@ from aslattice import (
 from conftest import antichain, chain, corpus
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
-
-
-def brute_canonical_key(p):
-    """Reference key: explicit minimum over every linear extension."""
-    n = p.n
-    best = None
-    for perm in permutations(range(n)):
-        pos = {e: t for t, e in enumerate(perm)}
-        if any(
-            p.leq(i, j) and i != j and pos[i] > pos[j]
-            for i in range(n)
-            for j in range(n)
-        ):
-            continue
-        cols = []
-        for t, e in enumerate(perm):
-            code = 0
-            for s in range(t):
-                if perm[s] != e and p.leq(perm[s], e):
-                    code |= 1 << s
-            cols.append(code)
-        if best is None or cols < best:
-            best = cols
-    return bytes(best)
 
 
 class TestCanonicalForm:
@@ -72,7 +48,7 @@ class TestCanonicalForm:
     def test_key_is_minimum_over_linear_extensions(self):
         # the branch-and-bound key must equal the brute-force minimum
         for p in corpus(5):
-            assert canonical_form(p).canonical_key == brute_canonical_key(p)
+            assert canonical_form(p).canonical_key == oracles.brute_canonical_key(p)
 
 
 class TestGeneration:
@@ -152,6 +128,23 @@ class TestCorpus:
         for doc in (serial, parallel):
             doc.pop("elapsed_s")
         assert serial == parallel
+
+    def test_parallel_fallback_is_logged(self, monkeypatch, caplog):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        serial = corpus_verify(max_n=3).to_json()
+        with caplog.at_level(logging.WARNING, logger="aslattice"):
+            fallback = corpus_verify(max_n=3, parallel=True).to_json()
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 3  # one per size n=1..3
+        assert all(r.name == "aslattice" and "serially" in r.getMessage() for r in warnings)
+        for doc in (serial, fallback):
+            doc.pop("elapsed_s")
+        assert serial == fallback
 
     def test_capped_at_seven(self):
         with pytest.raises(CapacityExceeded):

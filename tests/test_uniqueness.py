@@ -488,6 +488,32 @@ class TestCertificates:
         with pytest.raises(InvalidCertificate):
             certificate_from_json(doc, p)
 
+    @pytest.mark.parametrize("extra", [True, False], ids=["three", "one"])
+    @pytest.mark.parametrize(
+        "field, where, entry",
+        [
+            ("pair", "step", ["a0"]),
+            ("rhs", "step", ["a0"]),
+            ("prior_pair", "refutation", 42),
+            ("collision", "refutation", [["a0"]]),
+        ],
+        ids=["pair", "rhs", "prior_pair", "collision"],
+    )
+    def test_pair_arities_strict(self, field, where, entry, extra):
+        # each of these fields holds exactly two entries; a third one (or a
+        # missing second one) must not be ignored by the parser
+        p = antichain(3)
+        doc = certificate_to_json(uniqueness_certificate(enumerate_ideals(p)))
+        sites = doc["steps"] if where == "step" else [
+            r for s in doc["steps"] for r in s["refutations"]
+        ]
+        if extra:
+            sites[0][field].append(entry)
+        else:
+            del sites[0][field][1]
+        with pytest.raises(InvalidCertificate, match="exactly two"):
+            certificate_from_json(doc, p)
+
     def test_malformed_json(self):
         p = sum_of_chains(2, 1)
         with pytest.raises(InvalidCertificate):
