@@ -9,6 +9,8 @@ Exit status: 0 success, 1 verification failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import sys
 from datetime import datetime, timezone
@@ -31,13 +33,32 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _load(path: str) -> posets.Poset:
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read poset file {path}: {exc}") from exc
-    return posets.poset_from_json(doc)
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SystemExit(f"error: cannot read {what} {path}: {exc}") from exc
+
+
+def _load(path: str) -> posets.Poset:
+    return posets.poset_from_json(_read_json(path, "poset file"))
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic collector while certificates are built, encoded,
+    decoded, parsed and replayed.  Their documents and dataclass trees hold
+    no reference cycles, so reference counting frees them all the same;
+    with the collector on, the millions of containers they allocate set off
+    full passes that find nothing."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def cmd_analyze(args) -> int:
@@ -126,6 +147,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@_gc_paused()
 def cmd_unique(args) -> int:
     p = _load(args.poset)
     lat = enumerate_ideals(p)
@@ -134,8 +156,16 @@ def cmd_unique(args) -> int:
     if res.unique:
         cert_doc = uniqueness.certificate_to_json(res.certificate)
         if args.certificate:
-            with open(args.certificate, "w") as fh:
-                json.dump(cert_doc, fh, indent=2)
+            # one-shot compact dumps runs the C encoder; json.dump and
+            # any indent run the pure-Python one
+            text = json.dumps(cert_doc, separators=(",", ":"))
+            try:
+                with open(args.certificate, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise SystemExit(
+                    f"error: cannot write certificate {args.certificate}: {exc}"
+                ) from exc
         doc = {"verdict": "UNIQUE", "certificate_steps": len(res.certificate.steps)}
         lines = [f"UNIQUE ({len(res.certificate.steps)} certified pairs)"]
         if args.certificate:
@@ -158,13 +188,10 @@ def cmd_unique(args) -> int:
     return 0
 
 
+@_gc_paused()
 def cmd_validate_cert(args) -> int:
     p = _load(args.poset)
-    try:
-        with open(args.certificate) as fh:
-            cert_doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read certificate {args.certificate}: {exc}") from exc
+    cert_doc = _read_json(args.certificate, "certificate")
     try:
         cert = uniqueness.certificate_from_json(cert_doc, p)
     except AslatticeError as exc:

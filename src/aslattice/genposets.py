@@ -168,8 +168,8 @@ def corpus_verify(
     """Check the equivalence of the three characterizations over every
     isomorphism class up to ``max_n`` elements; counterexamples (there
     should be none) land in the report."""
-    if max_n > MAX_CORPUS_N:
-        raise CapacityExceeded(f"corpus verification is capped at {MAX_CORPUS_N} elements")
+    if not 1 <= max_n <= MAX_CORPUS_N:  # below 1 nothing would be checked
+        raise CapacityExceeded(f"corpus verification supports 1..{MAX_CORPUS_N} elements")
     report = CorpusReport(max_n=max_n)
     start = time.perf_counter()
     for n in range(1, max_n + 1):

@@ -681,8 +681,18 @@ CERT_FORMAT = "uniqueness-certificate/1"
 
 
 def certificate_to_json(cert: UniquenessCertificate) -> dict:
+    """The certificate as a JSON document.  A certificate repeats few
+    masks, so each mask's label array is built once and the same list
+    object stands for every occurrence; change the document by replacing
+    label arrays, never by editing one in place."""
     p = cert.poset
-    labs = p.labels_of
+    arrays: dict[int, list[str]] = {}
+
+    def labs(m: int) -> list[str]:
+        a = arrays.get(m)
+        if a is None:
+            a = arrays[m] = p.labels_of(m)
+        return a
 
     def elem(i):
         return None if i is None else p.labels[i]

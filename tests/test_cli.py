@@ -1,8 +1,10 @@
 import copy
+import gc
 import json
 
 import pytest
 
+from aslattice import build_poset, certificate_to_json, enumerate_ideals, uniqueness_certificate
 from aslattice.cli import main
 
 V_DOC = {"elements": ["p", "p'", "q"], "covers": [["p", "q"], ["p'", "q"]]}
@@ -178,6 +180,63 @@ class TestUnique:
         assert out.count("\n") == 1 and out.startswith("REJECTED:")
         assert "step pair" in out
 
+    def test_certificate_file_is_the_document(self, capsys, soc_file, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "unique", soc_file, "--certificate", str(cert_path))
+        assert code == 0
+        p = build_poset(SOC_DOC["elements"], [tuple(c) for c in SOC_DOC["covers"]])
+        want = certificate_to_json(uniqueness_certificate(enumerate_ideals(p)))
+        text = cert_path.read_text()
+        assert json.loads(text) == want
+        assert "\n" not in text and ": " not in text and ", " not in text  # compact
+
+    def test_indented_certificate_still_validates(self, capsys, soc_file, tmp_path):
+        # the layout written before certificate files became compact
+        cert_path = tmp_path / "cert.json"
+        run(capsys, "unique", soc_file, "--certificate", str(cert_path))
+        cert_path.write_text(json.dumps(json.loads(cert_path.read_text()), indent=2))
+        code, out, _ = run(capsys, "validate-cert", str(cert_path), soc_file)
+        assert code == 0
+        assert out == "ACCEPTED\n"
+
+    def test_unwritable_certificate_path(self, capsys, soc_file, tmp_path):
+        cert_path = str(tmp_path / "missing-dir" / "cert.json")
+        code, out, err = run(capsys, "unique", soc_file, "--certificate", cert_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write certificate ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def gc_state():
+    was_enabled = gc.isenabled()
+    yield
+    gc.enable() if was_enabled else gc.disable()
+
+
+class TestCollectorRestored:
+    """``unique`` and ``validate-cert`` pause the cyclic collector; every
+    way out of them leaves it as the caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_restored(self, capsys, soc_file, tmp_path, gc_state, enabled):
+        gc.enable() if enabled else gc.disable()
+        cert_path = tmp_path / "cert.json"
+        cert, missing = str(cert_path), str(tmp_path / "missing.json")
+
+        def check(want, *argv):
+            assert run(capsys, *argv)[0] == want, argv
+            assert gc.isenabled() is enabled, argv
+
+        check(0, "unique", soc_file, "--certificate", cert)
+        check(0, "validate-cert", cert, soc_file)
+        check(2, "unique", missing)
+        check(2, "validate-cert", missing, soc_file)
+        doc = json.loads(cert_path.read_text())
+        doc["steps"][0]["k"] += 1
+        cert_path.write_text(json.dumps(doc))
+        check(1, "validate-cert", cert, soc_file)
+
 
 class TestSearch:
     def test_v(self, capsys, v_file):
@@ -205,6 +264,13 @@ class TestCorpus:
         assert code == 0
         assert doc["ok"] is True
         assert [t["posets"] for t in doc["per_n"]] == [1, 2, 5]
+
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_max_n_below_one_rejected(self, capsys, max_n):
+        code, out, err = run(capsys, "corpus", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestHasse:
@@ -253,6 +319,18 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, what", [("unique", "poset file"), ("validate-cert", "certificate")]
+    )
+    def test_non_utf8_input(self, capsys, soc_file, tmp_path, command, what):
+        f = tmp_path / "bad.json"
+        f.write_bytes(b"\xff\xfe")
+        argv = [str(f)] if command == "unique" else [str(f), soc_file]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {what} ") and err.count("\n") == 1
 
     def test_usage_error(self, capsys, v_file):
         with pytest.raises(SystemExit) as exc:

@@ -149,3 +149,9 @@ class TestCorpus:
     def test_capped_at_seven(self):
         with pytest.raises(CapacityExceeded):
             corpus_verify(max_n=8)
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_max_n_below_one_rejected(self, max_n):
+        # nothing would be checked, yet the report would read ok
+        with pytest.raises(CapacityExceeded):
+            corpus_verify(max_n=max_n)

@@ -523,11 +523,11 @@ class TestCertificates:
 
 
 def mutate_once(doc: dict, rng: random.Random) -> dict:
-    """Return a deep copy of a certificate document with one field changed
-    to a different value of the same shape.  The copy is a JSON round trip
-    (the document is plain JSON), several times cheaper than
-    ``copy.deepcopy`` on large certificates; it draws nothing from ``rng``."""
-    doc = json.loads(json.dumps(doc))
+    """Return a copy of a certificate document with one field changed to a
+    different value of the same shape.  Only the containers on the path to
+    that field are copied (the rest, label arrays included, is shared with
+    ``doc``, which stays unchanged), after the site is drawn; copying draws
+    nothing from ``rng``."""
     labels = list(doc["elements"])
 
     def other_subset(current):
@@ -553,10 +553,13 @@ def mutate_once(doc: dict, rng: random.Random) -> dict:
             sites.append(("collision", si, ri, rng.randint(0, 1), rng.randint(0, 2)))
     site = sites[rng.randrange(len(sites))]
     kind = site[0]
+    doc = dict(doc)
     if kind == "elements":
+        doc["elements"] = list(doc["elements"])
         doc["elements"][site[1]] = doc["elements"][site[1]] + "_mut"
         return doc
     if kind == "covers":
+        doc["covers"] = list(doc["covers"])
         if doc["covers"] and rng.random() < 0.5:
             doc["covers"].pop(rng.randrange(len(doc["covers"])))
         else:
@@ -567,13 +570,16 @@ def mutate_once(doc: dict, rng: random.Random) -> dict:
                     break
         return doc
     si = site[1]
-    step = doc["steps"][si]
+    doc["steps"] = list(doc["steps"])
+    step = doc["steps"][si] = dict(doc["steps"][si])
     if kind == "k":
         step["k"] += rng.choice([-1, 1, 2])
     elif kind in ("pair", "rhs"):
+        step[kind] = list(step[kind])
         step[kind][site[2]] = other_subset(step[kind][site[2]])
     else:
-        ref = step["refutations"][site[2]]
+        step["refutations"] = list(step["refutations"])
+        ref = step["refutations"][site[2]] = dict(step["refutations"][site[2]])
         if kind == "side":
             ref["side"] = "meet" if ref["side"] == "join" else "join"
         elif kind == "swapped":
@@ -584,9 +590,12 @@ def mutate_once(doc: dict, rng: random.Random) -> dict:
             cands = [x for x in labels + ([None] if kind == "p" else []) if x != ref[kind]]
             ref[kind] = rng.choice(cands)
         elif kind == "prior_pair":
+            ref["prior_pair"] = list(ref["prior_pair"])
             ref["prior_pair"][site[3]] = other_subset(ref["prior_pair"][site[3]])
         else:
-            ref["collision"][site[3]][site[4]] = other_subset(ref["collision"][site[3]][site[4]])
+            ref["collision"] = list(ref["collision"])
+            chain = ref["collision"][site[3]] = list(ref["collision"][site[3]])
+            chain[site[4]] = other_subset(chain[site[4]])
     return doc
 
 
