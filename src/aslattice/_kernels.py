@@ -33,8 +33,8 @@ def enumerate_ideal_masks(down, cap):
     ``down[j]`` is the bitmask of elements i with i <= j, including j.
     Element indices must form a linear extension (predecessors of j sit
     below j), which lets membership be decided in index order.  Raises
-    ValueError when more than ``cap`` ideals exist.  Output is sorted by
-    (cardinality, mask value).
+    ValueError, naming the bound, when more than ``cap`` ideals exist.
+    Output is sorted by (cardinality, mask value).
     """
     n = len(down)
     out = []
@@ -43,7 +43,7 @@ def enumerate_ideal_masks(down, cap):
         if j == n:
             out.append(cur)
             if len(out) > cap:
-                raise ValueError("ideal count exceeds capacity bound")
+                raise ValueError(f"ideal count exceeds capacity bound of {cap:,} ideals")
             return
         rec(j + 1, cur)
         if down[j] & ~(cur | (1 << j)) == 0:

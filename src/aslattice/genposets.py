@@ -1,11 +1,32 @@
 """Isomorph-free exhaustive generation of small posets and corpus-level
 verification of the uniqueness equivalence.
 
-Generation extends each (n-1)-element class by one new maximal element
-whose strict lower set runs over the parent's ideals, rejecting duplicates
+Generation extends each (n-1)-element class by one new maximal element v
+whose strict down-set runs over the parent's ideals D, rejecting duplicates
 through a canonical key: the minimal upper-triangular adjacency encoding
-over all linear extensions.  The naive labeled generator used to validate
-this lives with the tests, as an independent oracle.
+over all linear extensions.  Two isomorphism-safe rules skip most children
+before their key is computed:
+
+* Deletion rule.  Skip the child when some maximal element x of the parent
+  with x not in D has a strict down-set larger than D.  Those x are the
+  child's other maximal elements, so the child is kept exactly when v has
+  a largest strict down-set among its maximal elements.  The rule is
+  complete: every n-element class C has a maximal element x with a largest
+  down-set; C - x is isomorphic to a class of the previous level, and that
+  class extended by the image of x's down-set is C and passes the rule.
+* Twin rule.  Parent elements i < j are twins when they have equal strict
+  up- and down-sets; swapping them is an automorphism, so D and D with j
+  replaced by i give isomorphic children.  Within each twin class only
+  ideals that hold a lowest-index prefix are keyed.  The deletion rule is
+  an isomorphism invariant of (child, v), so the prefix representative of
+  any child that passes it passes it too, and both rules together stay
+  complete.
+
+Neither rule decides that two kept children are isomorphic, so the
+per-level dict of keys stays the only judge of isomorphism and the output
+is the same set of classes, yielded in key order.  The naive labeled
+generator used to validate this lives with the tests, as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -60,24 +81,69 @@ def _poset_from_key(key: bytes) -> Poset:
     return build_poset(labels, pairs)
 
 
+def _deletion_table(lt: list[int], pred: list[int]) -> list[int]:
+    """``need[s]``: the parent's maximal elements whose strict down-set has
+    more than ``s`` elements.  An ideal D passes the deletion rule exactly
+    when it contains ``need[|D|]``."""
+    need = [0] * (len(lt) + 1)
+    for x, succ in enumerate(lt):
+        if not succ:
+            for s in range(pred[x].bit_count()):
+                need[s] |= 1 << x
+    return need
+
+
+def _twin_steps(lt: list[int], pred: list[int]) -> list[tuple[int, int]]:
+    """``(bit of i, bit of j)`` for each twin j and the twin i just before
+    it; an ideal holds a lowest-index prefix of every twin class exactly
+    when it contains i wherever it contains j."""
+    last: dict[tuple[int, int], int] = {}
+    steps = []
+    for j, sig in enumerate(zip(lt, pred)):
+        i = last.get(sig)
+        if i is not None:
+            steps.append((1 << i, 1 << j))
+        last[sig] = j
+    return steps
+
+
 def generate_posets(n: int):
     """Yield every isomorphism class of n-element posets exactly once, as
     canonically labeled posets in key order."""
     if not 1 <= n <= MAX_CANONICAL_N:
         raise CapacityExceeded(f"generation supports 1..{MAX_CANONICAL_N} elements")
+    import logging  # here, not at the top: it adds about 5 ms to importing the package
+
+    log = logging.getLogger("aslattice")
     level: dict[bytes, Poset] = {b"\x00": build_poset(["p0"], [])}
     for size in range(2, n + 1):
         nxt: dict[bytes, Poset] = {}
+        new_bit = 1 << (size - 1)
+        considered = by_deletion = by_twins = 0
         for parent in level.values():
             lt, pred = _strict_masks(parent)
-            lat = enumerate_ideals(parent)
-            for down_set in lat.ideals:
-                new_lt = [m | (1 << (size - 1)) if down_set >> i & 1 else m for i, m in enumerate(lt)]
+            need = _deletion_table(lt, pred)
+            twins = _twin_steps(lt, pred)
+            ideals = enumerate_ideals(parent).ideals
+            considered += len(ideals)
+            for down_set in ideals:
+                if need[down_set.bit_count()] & ~down_set:
+                    by_deletion += 1
+                    continue
+                if twins and any(down_set & j and not down_set & i for i, j in twins):
+                    by_twins += 1
+                    continue
+                new_lt = [m | new_bit if down_set >> i & 1 else m for i, m in enumerate(lt)]
                 new_lt.append(0)
-                new_pred = list(pred) + [down_set]
-                key = _kernels.canonical_key(size, new_lt, new_pred)
+                key = _kernels.canonical_key(size, new_lt, pred + [down_set])
                 if key not in nxt:
                     nxt[key] = _poset_from_key(key)
+        log.debug(
+            "generate size %d: %d extensions, %d skipped by the deletion rule, "
+            "%d by the twin rule, %d keyed, %d classes",
+            size, considered, by_deletion, by_twins,
+            considered - by_deletion - by_twins, len(nxt),
+        )
         level = nxt
     for key in sorted(level):
         yield CanonicalPoset(poset=level[key], canonical_key=key)

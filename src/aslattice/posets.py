@@ -171,27 +171,24 @@ def build_poset(labels, covers) -> Poset:
 
 
 def _reduction(up) -> tuple[tuple[int, int], ...]:
-    """Transitive reduction (cover pairs) of a closed order given as rows."""
-    n = len(up)
+    """Transitive reduction (cover pairs) of a closed order given as rows:
+    the covers of i are its strict successors lying above none of the
+    others.  Pairs come out in ascending (i, j) order."""
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
     covers = []
-    for i in range(n):
-        strict = up[i] & ~(1 << i)
-        m = strict
+    for i, succ in enumerate(strict):
+        above = 0
+        m = succ
         while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            between = strict & (_down_mask(up, j) & ~(1 << j))
-            if between == 0:
-                covers.append((i, j))
-    return tuple(sorted(covers))
-
-
-def _down_mask(up, j) -> int:
-    m = 0
-    for i in range(len(up)):
-        if up[i] >> j & 1:
-            m |= 1 << i
-    return m
+            low = m & -m
+            above |= strict[low.bit_length() - 1]
+            m ^= low
+        m = succ & ~above
+        while m:
+            low = m & -m
+            covers.append((i, low.bit_length() - 1))
+            m ^= low
+    return tuple(covers)
 
 
 def dual(p: Poset) -> Poset:

@@ -8,7 +8,16 @@ the two is meaningful evidence.
 from itertools import combinations, permutations
 from math import gcd
 
-from aslattice import RealizationKind, straightening_relations
+from aslattice import (
+    CapacityExceeded,
+    Poset,
+    RealizationKind,
+    _kernels,
+    build_poset,
+    enumerate_ideals,
+    straightening_relations,
+)
+from aslattice.genposets import MAX_CANONICAL_N, CanonicalPoset, _poset_from_key, _strict_masks
 
 
 def ideal_sets(p):
@@ -183,6 +192,33 @@ def iso_classes(n):
         if not any(order_iso(n, rel, c) for c in classes):
             classes.append(rel)
     return classes
+
+
+# --- generation keying every one-point extension ---
+# The generator as it stood before the deletion and twin rules, kept only as
+# a reference: it reuses the library's canonical key and poset builder, and
+# keys every ideal of every parent class.
+
+
+def exhaustive_generate(n: int):
+    if not 1 <= n <= MAX_CANONICAL_N:
+        raise CapacityExceeded(f"generation supports 1..{MAX_CANONICAL_N} elements")
+    level: dict[bytes, Poset] = {b"\x00": build_poset(["p0"], [])}
+    for size in range(2, n + 1):
+        nxt: dict[bytes, Poset] = {}
+        for parent in level.values():
+            lt, pred = _strict_masks(parent)
+            lat = enumerate_ideals(parent)
+            for down_set in lat.ideals:
+                new_lt = [m | (1 << (size - 1)) if down_set >> i & 1 else m for i, m in enumerate(lt)]
+                new_lt.append(0)
+                new_pred = list(pred) + [down_set]
+                key = _kernels.canonical_key(size, new_lt, new_pred)
+                if key not in nxt:
+                    nxt[key] = _poset_from_key(key)
+        level = nxt
+    for key in sorted(level):
+        yield CanonicalPoset(poset=level[key], canonical_key=key)
 
 
 def partition_count(n):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from aslattice import build_poset, certificate_to_json, enumerate_ideals, uniqueness_certificate
+from aslattice import cli
 from aslattice.cli import main
 
 V_DOC = {"elements": ["p", "p'", "q"], "covers": [["p", "q"], ["p'", "q"]]}
@@ -293,6 +294,14 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "analyze", str(f))
         assert code == 2
         assert "error" in err
+
+    def test_ideal_capacity_one_line(self, capsys, monkeypatch, v_file):
+        # the V has 5 ideals; lower the bound the CLI enumerates under to 4
+        monkeypatch.setattr(cli, "enumerate_ideals", lambda p: enumerate_ideals(p, cap=4))
+        code, out, err = run(capsys, "analyze", v_file)
+        assert code == 2
+        assert out == ""
+        assert err == "error: ideal count exceeds capacity bound of 4 ideals\n"
 
     def test_cycle_rejected(self, capsys, tmp_path):
         f = tmp_path / "cyc.json"

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from aslattice import (
     CapacityExceeded,
+    _kernels,
     build_poset,
     canonical_form,
     corpus_verify,
@@ -99,6 +100,50 @@ class TestGeneration:
             list(generate_posets(0))
         with pytest.raises(CapacityExceeded):
             list(generate_posets(9))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_exhaustive_keying(self, n):
+        # the deletion and twin rules skip keys, never classes or labels
+        got = [(cp.canonical_key, cp.poset) for cp in generate_posets(n)]
+        want = [(cp.canonical_key, cp.poset) for cp in oracles.exhaustive_generate(n)]
+        assert got == want
+
+    def test_keys_computed_at_seven(self, monkeypatch):
+        calls = 0
+        key = _kernels.canonical_key
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return key(*args)
+
+        monkeypatch.setattr(_kernels, "canonical_key", counting)
+        assert sum(1 for _ in generate_posets(7)) == 2045
+        # keying every extension of every parent makes 6,377 calls
+        assert calls == 2774
+
+    def test_eight_points(self):
+        classes = sums_of_chains = 0
+        for cp in generate_posets(8):
+            classes += 1
+            sums_of_chains += is_direct_sum_of_chains(cp.poset)
+        assert classes == 16999  # OEIS A000112
+        assert sums_of_chains == oracles.partition_count(8) == 22
+
+    def test_one_debug_record_per_level(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            assert sum(1 for _ in generate_posets(5)) == 63
+        records = [r for r in caplog.records if r.name == "aslattice"]
+        assert [r.args[0] for r in records] == [2, 3, 4, 5]
+        for r in records:
+            size, considered, by_deletion, by_twins, keyed, classes = r.args
+            assert considered == by_deletion + by_twins + keyed
+            assert 0 < classes <= keyed
+            assert classes == KNOWN_CLASS_COUNTS[size]
+        # the single point has the ideals {} and {p0}, and neither is skipped
+        assert records[0].args == (2, 2, 0, 0, 2, 2)
+        assert records[-1].args == (5, 135, 44, 23, 68, 63)
+        assert "deletion rule" in records[-1].getMessage()
 
 
 class TestCorpus:

@@ -64,6 +64,10 @@ class TestEnumeration:
         with pytest.raises(CapacityExceeded):
             enumerate_ideals(antichain(10), cap=100)
 
+    def test_capacity_error_names_its_bound(self):
+        with pytest.raises(CapacityExceeded, match=r"capacity bound of 1,000 ideals$"):
+            enumerate_ideals(antichain(10), cap=1000)
+
     def test_deterministic_order(self):
         for p in corpus(4):
             ids = enumerate_ideals(p).ideals

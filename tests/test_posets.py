@@ -63,6 +63,18 @@ class TestBuild:
         labels = [(p.labels[i], p.labels[j]) for i, j in p.covers]
         assert labels == [("a", "b"), ("b", "c")]
 
+    def test_covers_are_pairs_with_nothing_between(self):
+        for p in corpus(6):
+            n = p.n
+            want = [
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if i != j and p.leq(i, j)
+                and not any(k not in (i, j) and p.leq(i, k) and p.leq(k, j) for k in range(n))
+            ]
+            assert list(p.covers) == want  # ascending (i, j)
+
     def test_cycle(self):
         with pytest.raises(CycleDetected):
             build_poset(["a", "b"], [("a", "b"), ("b", "a")])
