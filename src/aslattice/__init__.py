@@ -79,6 +79,7 @@ from aslattice.uniqueness import (
     UniquenessCertificate,
     UniquenessResult,
     certificate_from_json,
+    certificate_size,
     certificate_to_json,
     check_unique,
     is_realizable,

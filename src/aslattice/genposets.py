@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from aslattice import _kernels
 from aslattice.errors import CapacityExceeded
 from aslattice.ideals import enumerate_ideals
-from aslattice.posets import Poset, build_poset, is_direct_sum_of_chains
+from aslattice.posets import Poset, _reduction, build_poset, is_direct_sum_of_chains
 from aslattice.straightening import check_condition_ii
 from aslattice.uniqueness import check_unique, validate_certificate
 
@@ -68,17 +68,22 @@ def canonical_form(p: Poset, max_n: int = MAX_CANONICAL_N) -> CanonicalPoset:
     return CanonicalPoset(poset=p, canonical_key=key)
 
 
+# one label tuple per size, shared by every generated poset of that size
+_LABELS = tuple(tuple(f"p{i}" for i in range(n)) for n in range(MAX_CANONICAL_N + 1))
+
+
 def _poset_from_key(key: bytes) -> Poset:
-    """Rebuild the canonically labeled poset from its key (covers are
-    recovered by transitive reduction inside build_poset)."""
+    """The canonically labeled poset of a key.  A key lists, for each j,
+    the i < j below it: a closed order whose indices are already a linear
+    extension, so the rows are read off and only the covers computed."""
     n = len(key)
-    labels = [f"p{i}" for i in range(n)]
-    pairs = []
+    up = [1 << i for i in range(n)]
     for j, code in enumerate(key):
-        for i in range(j):
-            if code >> i & 1:
-                pairs.append((labels[i], labels[j]))
-    return build_poset(labels, pairs)
+        while code:
+            low = code & -code
+            up[low.bit_length() - 1] |= 1 << j
+            code ^= low
+    return Poset(labels=_LABELS[n], up=tuple(up), covers=_reduction(up))
 
 
 def _deletion_table(lt: list[int], pred: list[int]) -> list[int]:

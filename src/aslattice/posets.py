@@ -30,7 +30,9 @@ class Poset:
     ``up[i]`` is the bitmask of indices j with p_i <= p_j (reflexive), and
     ``covers`` is the transitive reduction of that order.  Instances are
     produced by :func:`build_poset`, which validates acyclicity and fixes the
-    linear-extension indexing; all operations may assume a valid order.
+    linear-extension indexing (generation reads already closed and indexed
+    orders off canonical keys directly); all operations may assume a valid
+    order.
     """
 
     labels: tuple[str, ...]

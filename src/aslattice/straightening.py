@@ -21,7 +21,7 @@ from enum import Enum
 from itertools import combinations_with_replacement
 from math import comb
 
-from aslattice.errors import AxiomViolation, MissingRelation, NonTermination
+from aslattice.errors import AxiomViolation, CapacityExceeded, MissingRelation, NonTermination
 from aslattice.ideals import (
     IdealLattice,
     circ,
@@ -157,8 +157,19 @@ def _relation_rhs(p: Poset, kind: RealizationKind, a: int, b: int) -> tuple[int,
     return a & b, circ(p, a, b)
 
 
+MAX_RELATION_PAIRS = 1_000_000
+
+
 def straightening_relations(lat: IdealLattice, kind: RealizationKind) -> PairMap:
-    """The relation system realized by the given kind."""
+    """The relation system realized by the given kind.  Raises
+    CapacityExceeded, before any pair is listed, when the L ideals have more
+    than MAX_RELATION_PAIRS pairs L(L-1)/2."""
+    pairs = len(lat) * (len(lat) - 1) // 2
+    if pairs > MAX_RELATION_PAIRS:
+        raise CapacityExceeded(
+            f"relation table over {len(lat):,} ideals has {pairs:,} pairs, "
+            f"over the bound of {MAX_RELATION_PAIRS:,}"
+        )
     p = lat.poset
     rhs = {(a, b): _relation_rhs(p, kind, a, b) for a, b in lat.incomparable_pairs}
     return PairMap(lattice=lat, rhs=rhs)

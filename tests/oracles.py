@@ -10,14 +10,19 @@ from math import gcd
 
 from aslattice import (
     CapacityExceeded,
+    InvalidCertificate,
     Poset,
+    PreconditionViolated,
     RealizationKind,
     _kernels,
     build_poset,
     enumerate_ideals,
+    is_direct_sum_of_chains,
     straightening_relations,
 )
-from aslattice.genposets import MAX_CANONICAL_N, CanonicalPoset, _poset_from_key, _strict_masks
+from aslattice.genposets import MAX_CANONICAL_N, CanonicalPoset, _strict_masks
+from aslattice.ideals import induction_parameter
+from aslattice.uniqueness import _Side
 
 
 def ideal_sets(p):
@@ -197,7 +202,15 @@ def iso_classes(n):
 # --- generation keying every one-point extension ---
 # The generator as it stood before the deletion and twin rules, kept only as
 # a reference: it reuses the library's canonical key and poset builder, and
-# keys every ideal of every parent class.
+# keys every ideal of every parent class.  Each class is rebuilt from its
+# key through build_poset (topological sort and closure of every relation
+# of the key), independently of the library's direct construction.
+
+
+def poset_from_key_by_build(key: bytes) -> Poset:
+    labels = [f"p{i}" for i in range(len(key))]
+    pairs = [(labels[i], labels[j]) for j, code in enumerate(key) for i in range(j) if code >> i & 1]
+    return build_poset(labels, pairs)
 
 
 def exhaustive_generate(n: int):
@@ -215,7 +228,7 @@ def exhaustive_generate(n: int):
                 new_pred = list(pred) + [down_set]
                 key = _kernels.canonical_key(size, new_lt, new_pred)
                 if key not in nxt:
-                    nxt[key] = _poset_from_key(key)
+                    nxt[key] = poset_from_key_by_build(key)
         level = nxt
     for key in sorted(level):
         yield CanonicalPoset(poset=level[key], canonical_key=key)
@@ -341,3 +354,151 @@ def brute_canonical_key(p):
         if best is None or cols < best:
             best = cols
     return bytes(best)
+
+
+# --- certificate replay, one refutation at a time ---
+# The validator as it stood before replay was organized per (step, side):
+# every refutation recomputes the pair's union and meet, the witness choice
+# and both sorted collision chains.  Kept only as a reference for
+# validate_certificate's (ok, reason); it shares the library's lattice view
+# (_Side) for the per-set tables and nothing else.
+
+
+def _select_extension(side, a_side, b_side, alt):
+    j = a_side | b_side
+    outside = alt & ~j
+    top = side.maxels(j)
+    while top:
+        x = top.bit_length() - 1
+        top ^= 1 << x
+        hit = side.cover_mask[x] & outside
+        if hit:
+            swapped = not (b_side >> x & 1)
+            return x, hit.bit_length() - 1, swapped
+    usable = outside & side.minimal_mask
+    if not usable:
+        raise PreconditionViolated("no admissible adjoined element; poset is not a sum of chains")
+    return None, (usable & -usable).bit_length() - 1, False
+
+
+def _sort_chain(side, masks):
+    return tuple(sorted(masks, key=side.position.__getitem__))
+
+
+def _is_closed(side, m):
+    return m in side.position
+
+
+def _fail(msg):
+    raise InvalidCertificate(msg)
+
+
+def validate_certificate_reference(p, cert):
+    try:
+        _validate_reference(p, cert)
+    except InvalidCertificate as exc:
+        return False, str(exc)
+    return True, "ok"
+
+
+def _validate_reference(p, cert):
+    if cert.poset != p:
+        _fail("certificate was issued for a different poset")
+    if not is_direct_sum_of_chains(p):
+        _fail("poset is not a direct sum of chains")
+    lat = enumerate_ideals(p)
+    sides = (_Side(lat, dual=False), _Side(lat, dual=True))
+    if [s.pair for s in cert.steps] != list(lat.induction_pairs):
+        _fail("steps do not list the incomparable pairs in certificate order")
+    index_of_pair = {s.pair: i for i, s in enumerate(cert.steps)}
+
+    for idx, step in enumerate(cert.steps):
+        a, b = step.pair
+        k = induction_parameter(p, a, b)
+        if step.k != k:
+            _fail(f"step {idx}: stored parameter {step.k} differs from {k}")
+        if step.rhs != (a & b, a | b):
+            _fail(f"step {idx}: right-hand side is not the canonical one")
+        expected_alts = []
+        for side in sides:
+            sa, sb = side.to_side(a), side.to_side(b)
+            expected_alts.extend((side, alt) for alt in side.strictly_above(sa | sb))
+        if len(step.refutations) != len(expected_alts):
+            _fail(f"step {idx}: expected {len(expected_alts)} refutations, found {len(step.refutations)}")
+        for ref, (side, alt) in zip(step.refutations, expected_alts):
+            _validate_refutation_reference(p, lat, index_of_pair, idx, step, ref, side, alt)
+
+
+def _validate_refutation_reference(p, lat, index_of_pair, idx, step, ref, side, alt):
+    where = f"step {idx} ({ref.side} side)"
+    if ref.side != side.name or ref.alternative != alt:
+        _fail(f"{where}: refutation list does not match the enumerated alternatives")
+    a, b = step.pair
+    sa, sb = side.to_side(a), side.to_side(b)
+    sj, sm = sa | sb, sa & sb
+    if not _is_closed(side, alt) or sj & ~alt or alt == sj:
+        _fail(f"{where}: alternative is not a closed strict superset of the union")
+    try:
+        p_exp, q_exp, sw_exp = _select_extension(side, sa, sb, alt)
+    except PreconditionViolated:
+        _fail(f"{where}: no admissible witness elements exist")
+    if (ref.p, ref.q, ref.swapped) != (p_exp, q_exp, sw_exp):
+        _fail(f"{where}: witness elements differ from the deterministic choice")
+    base, ext = (sb, sa) if ref.swapped else (sa, sb)
+    outside = alt & ~sj
+    if not outside >> ref.q & 1:
+        _fail(f"{where}: adjoined element is not strictly inside the alternative")
+    if ref.p is None:
+        if not side.minimal_mask >> ref.q & 1:
+            _fail(f"{where}: adjoined element without covered element must be minimal")
+        if ref.swapped:
+            _fail(f"{where}: swap is meaningless without a covered element")
+    else:
+        if not side.cover_mask[ref.p] >> ref.q & 1:
+            _fail(f"{where}: q does not cover p")
+        if not side.maxels(sj) >> ref.p & 1:
+            _fail(f"{where}: p is not maximal in the union")
+        if not ext >> ref.p & 1:
+            _fail(f"{where}: p does not lie in the extended component")
+    if ref.alpha1 != ext | (1 << ref.q):
+        _fail(f"{where}: alpha1 is not the extended component plus q")
+    if not _is_closed(side, ref.alpha1):
+        _fail(f"{where}: alpha1 is not closed")
+    if ref.alpha1 & ~alt:
+        _fail(f"{where}: alpha1 is not contained in the alternative")
+    if base & ref.alpha1 != sm:
+        _fail(f"{where}: adjoining q must not change the intersection")
+    if (base | ref.alpha1).bit_count() != sj.bit_count() + 1:
+        _fail(f"{where}: adjoining q must grow the union by exactly one element")
+    if base & ~ref.alpha1 == 0 or ref.alpha1 & ~base == 0:
+        _fail(f"{where}: prior pair is not incomparable")
+    if ref.prior_pair != (base, ref.alpha1):
+        _fail(f"{where}: stored prior pair mismatch")
+    prior_primal = tuple(
+        sorted(
+            (side.to_primal(base), side.to_primal(ref.alpha1)),
+            key=lat.position.__getitem__,
+        )
+    )
+    prior_idx = index_of_pair.get(prior_primal)
+    if prior_idx is None or prior_idx >= idx:
+        _fail(f"{where}: prior pair is not certified earlier")
+    if induction_parameter(p, *prior_primal) != step.k - 1:
+        _fail(f"{where}: prior pair parameter is not one less")
+    left = _sort_chain(side, (sm, ext, base | ref.alpha1))
+    right = _sort_chain(side, (sm, ref.alpha1, alt))
+    if ref.collision != (left, right):
+        _fail(f"{where}: collision monomials differ from the replayed ones")
+    for chain in ref.collision:
+        for x, y in zip(chain, chain[1:]):
+            if x & ~y:
+                _fail(f"{where}: collision entry is not a multichain")
+        for m in chain:
+            if not _is_closed(side, m):
+                _fail(f"{where}: collision entry contains a non-closed set")
+    if left == right:
+        _fail(f"{where}: collision monomials are not distinct")
+    via_hyp = _sort_chain(side, (ref.alpha1, sm, alt))
+    via_prior = _sort_chain(side, (ext, base & ref.alpha1, base | ref.alpha1))
+    if via_hyp != right or via_prior != left:
+        _fail(f"{where}: collision monomials are not derivable from the two relations")

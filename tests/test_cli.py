@@ -303,6 +303,30 @@ class TestErrorsAndDeterminism:
         assert out == ""
         assert err == "error: ideal count exceeds capacity bound of 4 ideals\n"
 
+    def test_certificate_budget_one_line(self, capsys, tmp_path):
+        # antichain(10): 6,796,020 refutations, refused before any is built
+        f = tmp_path / "a10.json"
+        f.write_text(json.dumps({"elements": [f"a{i}" for i in range(10)], "covers": []}))
+        code, out, err = run(capsys, "unique", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: uniqueness certificate would hold 6,796,020 refutations, "
+            "over the budget of 500,000\n"
+        )
+
+    def test_relation_pair_bound_one_line(self, capsys, tmp_path):
+        # antichain(12): 4,096 ideals, refused before the pair table is listed
+        f = tmp_path / "a12.json"
+        f.write_text(json.dumps({"elements": [f"a{i}" for i in range(12)], "covers": []}))
+        code, out, err = run(capsys, "relations", str(f), "--kind", "order")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: relation table over 4,096 ideals has 8,386,560 pairs, "
+            "over the bound of 1,000,000\n"
+        )
+
     def test_cycle_rejected(self, capsys, tmp_path):
         f = tmp_path / "cyc.json"
         f.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}))

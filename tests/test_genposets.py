@@ -13,6 +13,7 @@ from aslattice import (
     generate_posets,
     is_direct_sum_of_chains,
 )
+from aslattice.genposets import _poset_from_key
 from conftest import antichain, chain, corpus
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
@@ -107,6 +108,14 @@ class TestGeneration:
         got = [(cp.canonical_key, cp.poset) for cp in generate_posets(n)]
         want = [(cp.canonical_key, cp.poset) for cp in oracles.exhaustive_generate(n)]
         assert got == want
+
+    def test_poset_from_key_matches_build_poset(self):
+        # a key is read off directly; build_poset sorts and closes its relations
+        for n in range(1, 8):
+            for cp in generate_posets(n):
+                assert _poset_from_key(cp.canonical_key) == oracles.poset_from_key_by_build(
+                    cp.canonical_key
+                )
 
     def test_keys_computed_at_seven(self, monkeypatch):
         calls = 0

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import random
@@ -16,11 +17,14 @@ from aslattice import (
     InvalidCertificate,
     PreconditionViolated,
     RealizationKind,
+    UniquenessCertificate,
     build_poset,
     certificate_from_json,
+    certificate_size,
     certificate_to_json,
     check_unique,
     enumerate_ideals,
+    generate_posets,
     is_direct_sum_of_chains,
     is_realizable,
     search_compatible_asls,
@@ -30,6 +34,7 @@ from aslattice import (
 )
 from aslattice.straightening import PairMap, multichains
 from aslattice.uniqueness import (
+    MAX_CERTIFICATE_REFUTATIONS,
     _candidate_rhs,
     _Echelon,
     _null_push,
@@ -520,6 +525,142 @@ class TestCertificates:
             certificate_from_json({"format": "bogus"}, p)
         with pytest.raises(InvalidCertificate):
             certificate_from_json({"format": "uniqueness-certificate/1", "elements": ["zz"]}, p)
+
+
+def partitions(n: int, top: int | None = None):
+    """Partitions of n as nonincreasing tuples, in reverse lexicographic order."""
+    top = n if top is None else top
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, top), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+# the 44 shapes of sums of chains with at most 7 points
+SHAPES = [parts for n in range(1, 8) for parts in partitions(n)]
+
+
+@pytest.fixture(scope="module")
+def shape_certificates():
+    return [
+        (parts, p, uniqueness_certificate(enumerate_ideals(p)))
+        for parts in SHAPES
+        for p in [sum_of_chains(*parts)]
+    ]
+
+
+class TestCertificateShapes:
+    def test_certificates_pinned(self, shape_certificates):
+        # SHA-256 over the compact JSON of every shape's certificate, one
+        # line each: certificates stay byte-identical across rewrites of
+        # uniqueness_certificate
+        digest = hashlib.sha256()
+        for _, _, cert in shape_certificates:
+            digest.update(json.dumps(certificate_to_json(cert), separators=(",", ":")).encode())
+            digest.update(b"\n")
+        assert len(shape_certificates) == 44
+        assert digest.hexdigest() == (
+            "aaf09b818c695551fee69e4f99ca1f3aa6f165a190006688ee5ec8499ae3ef89"
+        )
+
+    def test_size_matches_built_certificates(self, shape_certificates):
+        for parts, p, cert in shape_certificates:
+            built = (len(cert.steps), sum(len(s.refutations) for s in cert.steps))
+            assert certificate_size(p) == built, parts
+
+    def test_size_of_antichains(self):
+        for n in range(1, 13):
+            assert certificate_size(antichain(n)) == (
+                (4**n - 2 * 3**n + 2**n) // 2,
+                5**n - 3 * 4**n + 3 * 3**n - 2**n,
+            )
+        assert certificate_size(antichain(8)) == (26_335, 213_444)
+        assert certificate_size(antichain(9)) == (111_645, 1_225_230)
+
+    def test_size_needs_sum_of_chains(self, v_poset):
+        with pytest.raises(PreconditionViolated):
+            certificate_size(v_poset)
+
+    def test_budget(self):
+        assert certificate_size(antichain(8))[1] <= MAX_CERTIFICATE_REFUTATIONS
+        with pytest.raises(CapacityExceeded, match="1,225,230 refutations.*500,000"):
+            uniqueness_certificate(enumerate_ideals(antichain(9)))
+
+    def test_replay_matches_reference_on_mutant_stream(self):
+        # criterion 5's seed and draw order over its certificates with n <= 5:
+        # the same verdict and reason as the per-refutation validator
+        rng = random.Random(65537)
+        replayed = 0
+        for n in range(1, 6):
+            for cp in generate_posets(n):
+                p = cp.poset
+                if not is_direct_sum_of_chains(p):
+                    continue
+                cert = uniqueness_certificate(enumerate_ideals(p))
+                assert validate_certificate(p, cert) == (True, "ok")
+                assert oracles.validate_certificate_reference(p, cert) == (True, "ok")
+                doc = certificate_to_json(cert)
+                for _ in range(100):
+                    try:
+                        bad = certificate_from_json(mutate_once(doc, rng), p)
+                    except InvalidCertificate:
+                        continue
+                    got = validate_certificate(p, bad)
+                    assert got == oracles.validate_certificate_reference(p, bad)
+                    replayed += 1
+        assert replayed == 1228  # the other 572 mutants fail to parse
+
+    @pytest.mark.parametrize("lengths", [(2, 1), (1, 1, 1), (3, 1)])
+    def test_replay_matches_reference_on_every_field_change(self, lengths):
+        # every refutation field set to every other value of its kind, in
+        # memory (no parser in between): the same verdict and reason as the
+        # per-refutation validator
+        p = sum_of_chains(*lengths)
+        lat = enumerate_ideals(p)
+        cert = uniqueness_certificate(lat)
+        closed = sorted(set(lat.ideals) | {p.full_mask & ~m for m in lat.ideals})
+        reasons = set()
+        for si, step in enumerate(cert.steps):
+            for ri, ref in enumerate(step.refutations):
+                changes = [{"side": "meet" if ref.side == "join" else "join"},
+                           {"swapped": not ref.swapped}]
+                changes += [{"p": x} for x in [None, *range(p.n)] if x != ref.p]
+                changes += [{"q": x} for x in range(p.n) if x != ref.q]
+                for m in closed:
+                    changes += [{"alternative": m}, {"alpha1": m},
+                                {"prior_pair": (m, ref.prior_pair[1])},
+                                {"prior_pair": (ref.prior_pair[0], m)}]
+                    for c in range(2):
+                        for i in range(3):
+                            chain = list(ref.collision[c])
+                            chain[i] = m
+                            collision = list(ref.collision)
+                            collision[c] = tuple(chain)
+                            changes.append({"collision": tuple(collision)})
+                for change in changes:
+                    bad_ref = ref._replace(**change)
+                    if bad_ref == ref:
+                        continue
+                    refs = list(step.refutations)
+                    refs[ri] = bad_ref
+                    steps = list(cert.steps)
+                    steps[si] = step._replace(refutations=tuple(refs))
+                    bad = UniquenessCertificate(poset=p, steps=tuple(steps))
+                    got = validate_certificate(p, bad)
+                    assert got == oracles.validate_certificate_reference(p, bad), change
+                    assert not got[0]
+                    reasons.add(got[1].split(": ")[-1])
+        # the deterministic witness fixes every other field, so a single
+        # change is caught by one of these
+        assert reasons == {
+            "refutation list does not match the enumerated alternatives",
+            "witness elements differ from the deterministic choice",
+            "alpha1 is not the extended component plus q",
+            "stored prior pair mismatch",
+            "collision monomials differ from the replayed ones",
+        }
 
 
 def mutate_once(doc: dict, rng: random.Random) -> dict:
