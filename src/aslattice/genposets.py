@@ -44,7 +44,6 @@ from aslattice.uniqueness import check_unique, validate_certificate
 MAX_CANONICAL_N = 8
 DEFAULT_CORPUS_MAX_N = 6
 MAX_CORPUS_N = 7  # full relation-system runs beyond this are out of scope
-DEFAULT_UNIQUE_BOUND = 1024  # skip the uniqueness verdict above this many ideals
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,10 @@ def _strict_masks(p: Poset) -> tuple[list[int], list[int]]:
     return lt, pred
 
 
-def canonical_form(p: Poset, max_n: int = MAX_CANONICAL_N) -> CanonicalPoset:
+def canonical_form(p: Poset) -> CanonicalPoset:
     """Canonical key of a poset; equal keys characterize isomorphism."""
-    if p.n > max_n:
-        raise CapacityExceeded(f"canonical form limited to {max_n} elements")
+    if p.n > MAX_CANONICAL_N:
+        raise CapacityExceeded(f"canonical form limited to {MAX_CANONICAL_N} elements")
     lt, pred = _strict_masks(p)
     key = _kernels.canonical_key(p.n, lt, pred)
     return CanonicalPoset(poset=p, canonical_key=key)
@@ -208,7 +207,7 @@ class CorpusReport:
         }
 
 
-def _verify_one(p: Poset, unique_bound: int) -> tuple[bool, bool, str | None, bool, bool]:
+def _verify_one(p: Poset) -> tuple[bool, bool, str | None, bool, bool]:
     """Per-poset corpus checks; returns (sum_of_chains, condition_ii,
     failure detail, unique_checked, certificate_validated)."""
     lat = enumerate_ideals(p)
@@ -216,24 +215,18 @@ def _verify_one(p: Poset, unique_bound: int) -> tuple[bool, bool, str | None, bo
     cii = check_condition_ii(lat).equal
     if soc != cii:
         return soc, cii, f"condition (ii) {cii} but sum-of-chains {soc}", False, False
-    checked = False
-    validated = False
-    if len(lat) <= unique_bound:
-        res = check_unique(lat)
-        checked = True
-        if res.unique != soc:
-            return soc, cii, f"uniqueness verdict {res.unique} but sum-of-chains {soc}", checked, False
-        if res.unique:
-            ok, reason = validate_certificate(p, res.certificate)
-            if not ok:
-                return soc, cii, f"certificate rejected: {reason}", checked, False
-            validated = True
-    return soc, cii, None, checked, validated
+    res = check_unique(lat)
+    if res.unique != soc:
+        return soc, cii, f"uniqueness verdict {res.unique} but sum-of-chains {soc}", True, False
+    if res.unique:
+        ok, reason = validate_certificate(p, res.certificate)
+        if not ok:
+            return soc, cii, f"certificate rejected: {reason}", True, False
+    return soc, cii, None, True, res.unique
 
 
 def corpus_verify(
     max_n: int = DEFAULT_CORPUS_MAX_N,
-    unique_bound: int = DEFAULT_UNIQUE_BOUND,
     parallel: bool = False,
 ) -> CorpusReport:
     """Check the equivalence of the three characterizations over every
@@ -247,9 +240,9 @@ def corpus_verify(
         tally = CorpusTally(n=n)
         posets = [cp.poset for cp in generate_posets(n)]
         if parallel:
-            results = _verify_parallel(posets, unique_bound)
+            results = _verify_parallel(posets)
         else:
-            results = [_verify_one(p, unique_bound) for p in posets]
+            results = [_verify_one(p) for p in posets]
         for p, (soc, _cii, detail, checked, validated) in zip(posets, results):
             tally.posets += 1
             tally.sums_of_chains += soc
@@ -263,21 +256,16 @@ def corpus_verify(
     return report
 
 
-def _verify_parallel(posets, unique_bound):
+def _verify_parallel(posets):
     import concurrent.futures
 
     try:
         with concurrent.futures.ProcessPoolExecutor() as pool:
-            return list(pool.map(_verify_worker, [(p, unique_bound) for p in posets]))
+            return list(pool.map(_verify_one, posets))
     except (OSError, NotImplementedError) as exc:
         import logging
 
         logging.getLogger("aslattice").warning(
             "corpus --parallel: no process pool (%s); verifying serially", exc
         )
-        return [_verify_one(p, unique_bound) for p in posets]
-
-
-def _verify_worker(args):
-    p, unique_bound = args
-    return _verify_one(p, unique_bound)
+        return [_verify_one(p) for p in posets]

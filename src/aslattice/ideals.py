@@ -16,6 +16,7 @@ from aslattice.errors import CapacityExceeded, NotAntichain
 from aslattice.posets import Poset, dot_quote, iter_bits
 
 DEFAULT_IDEAL_CAP = 1 << 20
+MAX_RELATION_PAIRS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,17 @@ class IdealLattice:
 
     @cached_property
     def incomparable_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Unordered pairs of ⊆-incomparable ideals, ordered by position."""
-        out = []
+        """Unordered pairs of ⊆-incomparable ideals, ordered by position.
+        Raises CapacityExceeded, before any pair is listed, when the L ideals
+        have more than MAX_RELATION_PAIRS pairs L(L-1)/2."""
         ids = self.ideals
+        pairs = len(ids) * (len(ids) - 1) // 2
+        if pairs > MAX_RELATION_PAIRS:
+            raise CapacityExceeded(
+                f"relation table over {len(ids):,} ideals has {pairs:,} pairs, "
+                f"over the bound of {MAX_RELATION_PAIRS:,}"
+            )
+        out = []
         for i in range(len(ids)):
             a = ids[i]
             for j in range(i + 1, len(ids)):

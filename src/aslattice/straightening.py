@@ -21,7 +21,7 @@ from enum import Enum
 from itertools import combinations_with_replacement
 from math import comb
 
-from aslattice.errors import AxiomViolation, CapacityExceeded, MissingRelation, NonTermination
+from aslattice.errors import AxiomViolation, MissingRelation, NonTermination
 from aslattice.ideals import (
     IdealLattice,
     circ,
@@ -56,10 +56,6 @@ def realize(p: Poset, kind: RealizationKind, ideal: int) -> Monomial:
     else:
         support = min_elements(p, complement_filter(p, ideal))
     return tuple(support >> i & 1 for i in range(p.n)) + (1,)
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def monomial_product(ms) -> Monomial:
@@ -157,19 +153,10 @@ def _relation_rhs(p: Poset, kind: RealizationKind, a: int, b: int) -> tuple[int,
     return a & b, circ(p, a, b)
 
 
-MAX_RELATION_PAIRS = 1_000_000
-
-
 def straightening_relations(lat: IdealLattice, kind: RealizationKind) -> PairMap:
     """The relation system realized by the given kind.  Raises
-    CapacityExceeded, before any pair is listed, when the L ideals have more
-    than MAX_RELATION_PAIRS pairs L(L-1)/2."""
-    pairs = len(lat) * (len(lat) - 1) // 2
-    if pairs > MAX_RELATION_PAIRS:
-        raise CapacityExceeded(
-            f"relation table over {len(lat):,} ideals has {pairs:,} pairs, "
-            f"over the bound of {MAX_RELATION_PAIRS:,}"
-        )
+    CapacityExceeded past MAX_RELATION_PAIRS (see
+    ``IdealLattice.incomparable_pairs``)."""
     p = lat.poset
     rhs = {(a, b): _relation_rhs(p, kind, a, b) for a, b in lat.incomparable_pairs}
     return PairMap(lattice=lat, rhs=rhs)
@@ -213,14 +200,21 @@ class ConditionReport:
     witnesses: tuple  # (kind pair, ideal pair, rhs_a, rhs_b) per failed comparison
 
 
-def check_condition_ii(lat: IdealLattice) -> ConditionReport:
-    """Do all three canonical relation systems coincide?"""
-    witnesses = []
+def condition_ii_witnesses(lat: IdealLattice):
+    """Lazily, per failed comparison of the canonical systems in condition
+    order: (kind pair, first differing ideal pair, rhs_a, rhs_b).  Each
+    comparison is one ``relations_equal`` scan, made only when the next
+    witness is asked for."""
     for ka, kb in _CONDITION_ORDER:
         same, w = relations_equal(lat, ka, kb)
         if not same:
-            witnesses.append(((ka, kb),) + w)
-    return ConditionReport(equal=not witnesses, witnesses=tuple(witnesses))
+            yield ((ka, kb),) + w
+
+
+def check_condition_ii(lat: IdealLattice) -> ConditionReport:
+    """Do all three canonical relation systems coincide?"""
+    witnesses = tuple(condition_ii_witnesses(lat))
+    return ConditionReport(equal=not witnesses, witnesses=witnesses)
 
 
 def rewrite_to_standard(lat: IdealLattice, factors, pm: PairMap, max_steps: int | None = None):

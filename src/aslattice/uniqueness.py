@@ -4,7 +4,8 @@ Two complementary mechanisms live here:
 
 * an exhaustive search over all compatible relation systems, filtered by a
   bounded-degree realizability test (linear algebra modulo a prime large
-  enough to be exact; integer linear algebra for single systems), and
+  enough to be exact, the one test of single systems too; integer linear
+  algebra only for the exponents of a realization), and
 
 * for posets whose components are all chains, a replayable certificate that
   the canonical system is the only one: for every incomparable ideal pair
@@ -41,13 +42,12 @@ from aslattice.errors import (
 from aslattice.ideals import IdealLattice, induction_parameter
 from aslattice.posets import Poset, connected_components, is_direct_sum_of_chains
 from aslattice.straightening import (
-    _CONDITION_ORDER,
     Monomial,
     PairMap,
     RealizationKind,
     check_degree,
+    condition_ii_witnesses,
     multichains,
-    relations_equal,
     straightening_relations,
 )
 
@@ -148,30 +148,6 @@ def _pair_row(position, ncols: int, a: int, b: int, lo: int, hi: int) -> list[in
     return row
 
 
-def _chain_vectors(lat: IdealLattice, max_degree: int) -> list[tuple[tuple[int, ...], list[int]]]:
-    """All multichains of length 1..max_degree with their coordinate
-    vectors over lattice positions."""
-    pos = lat.position
-    out = []
-    for d in range(1, max_degree + 1):
-        for ch in multichains(lat, d):
-            vec = [0] * len(lat)
-            for m in ch:
-                vec[pos[m]] += 1
-            out.append((ch, vec))
-    return out
-
-
-def _find_collision(chains, sigs):
-    seen: dict[tuple, int] = {}
-    for i, s in enumerate(sigs):
-        j = seen.get(s)
-        if j is not None:
-            return chains[j][0], chains[i][0]
-        seen[s] = i
-    return None
-
-
 @dataclass(frozen=True)
 class MonomialRealization:
     """Exponent vectors (x-variables then t) realizing a relation system."""
@@ -194,37 +170,43 @@ def is_realizable(
 ) -> MonomialRealization | None:
     """Monomial realization of a relation system, or None.
 
-    Solves the exponent constraints over the rationals, scales and shifts a
-    kernel basis to nonnegative integers, and accepts only if distinct
-    multichains up to ``max_degree`` keep distinct exponent sums under the
-    result.  Any returned realization genuinely satisfies the constraints
-    and the bounded checks; a None is conclusive only for the bounded
-    degree tested.
+    None exactly when the system's relations merge two multichains of
+    degree at most ``max_degree``, decided by the exact modular test that
+    search uses (see ``_collision_root``); CapacityExceeded, before any
+    relation is read, when no tabled prime fits the lattice (more than 125
+    ideals at degree 3).  Otherwise the constraints are solved over the
+    rationals and a kernel basis, scaled and shifted to nonnegative
+    integers, gives the exponents.  Any returned realization genuinely
+    satisfies the constraints and the bounded checks; a None is conclusive
+    only for the bounded degree tested.
     """
-    check_degree(max_degree)
+    prime, chains, gather, basis, w = _collision_root(lat, max_degree)
+    pos = lat.position
+    for (a, b), (lo, hi) in pm.entries():
+        pushed = _null_push(basis, w, (pos[a], pos[b], pos[lo], pos[hi]), prime)
+        if pushed is not None:
+            basis, w = pushed
+    if _collides(chains, gather, basis, w, prime):
+        return None
     ech = _Echelon(len(lat))
     for (a, b), (lo, hi) in pm.entries():
-        ech.push(_pair_row(lat.position, len(lat), a, b, lo, hi))
-    chains = _chain_vectors(lat, max_degree)
-    sigs = [tuple(ech.residual(vec)) for _, vec in chains]
-    if _find_collision(chains, sigs) is not None:
-        return None
-    basis = ech.kernel_basis()
-    pos = lat.position
+        ech.push(_pair_row(pos, len(lat), a, b, lo, hi))
+    kernel = ech.kernel_basis()
     exps = {
-        m: tuple(w[pos[m]] for w in basis) + (1,) for m in lat.ideals
+        m: tuple(k[pos[m]] for k in kernel) + (1,) for m in lat.ideals
     }
-    real = MonomialRealization(lattice=lat, num_vars=len(basis), exponents=exps)
+    real = MonomialRealization(lattice=lat, num_vars=len(kernel), exponents=exps)
     # Soundness gate: re-verify the constraints and the bounded basis
     # property directly on the produced vectors.
     if not real.satisfies(pm):
         raise AssertionError("kernel basis violates the relation constraints")
     produced = {}
-    for ch, _ in chains:
-        s = tuple(sum(exps[m][i] for m in ch) for i in range(len(basis) + 1))
-        if s in produced:
-            raise AssertionError("kernel signature check missed a collision")
-        produced[s] = ch
+    for d in range(1, max_degree + 1):
+        for ch in multichains(lat, d):
+            s = tuple(sum(exps[m][i] for m in ch) for i in range(len(kernel) + 1))
+            if s in produced:
+                raise AssertionError("kernel signature check missed a collision")
+            produced[s] = ch
     return real
 
 
@@ -246,6 +228,36 @@ def _search_prime(ncols: int, max_degree: int) -> int:
         if (1 << e) - 1 > (1 << ncols) * max_degree:
             return (1 << e) - 1
     raise CapacityExceeded(f"no tabled prime exceeds 2^{ncols} * {max_degree}")
+
+
+def _collision_root(lat: IdealLattice, max_degree: int):
+    """Root state ``(prime, chains, gather, basis, w)`` of the exact test of
+    whether relations merge two standard monomials, shared by search and
+    is_realizable.
+
+    Two multichains merge when their difference lies in the span of the
+    pair rows (+1 at a and b, -1 at lo and hi).  Pair rows sum to zero, so
+    only chains of one degree can merge, and padding both with the top
+    ideal lifts a merge below degree d = ``max_degree`` to degree d:
+    comparing the degree-d chains (``chains``, position tuples) decides
+    every degree up to d.  ``gather`` concatenates their entries of a vector.
+
+    Membership in the span is orthogonality to its null space modulo the
+    smallest tabled Mersenne prime p > 2^len(lat)·d (CapacityExceeded if
+    none).  Pair rows have norm 2 and a difference of two degree-d chains
+    norm at most d·√2, so by Hadamard's bound every nonzero minor of the
+    rows and one difference is below 2^len(lat)·d: ranks mod p are those
+    over Q.  The null space starts as the identity ``basis``; the hash vector ``w``
+    in it starts as the Park-Miller sequence and decides speed only, as
+    ``_collides`` confirms every duplicate hash.
+    """
+    check_degree(max_degree)
+    pos, ncols = lat.position, len(lat)
+    prime = _search_prime(ncols, max_degree)
+    chains = [tuple(pos[m] for m in ch) for ch in multichains(lat, max_degree)]
+    gather = itemgetter(*(i for ch in chains for i in ch))
+    identity = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    return prime, chains, gather, identity, [pow(16807, j + 1, prime) for j in range(ncols)]
 
 
 def _null_push(basis, w, cols, prime):
@@ -304,26 +316,16 @@ def search_compatible_asls(
     pruning is conservative).  The traversal therefore filters the full
     candidate product without materializing it, and the returned list is
     exhaustive for the bounded degree.  Raises BudgetExceeded when the tree
-    outgrows ``node_budget`` nodes.
-
-    The test is exact.  It compares multichains of degree d = ``max_degree``
-    only (padding with the top ideal lifts any collision to degree d), modulo
-    the smallest tabled Mersenne prime p > 2^len(lat)·d (CapacityExceeded if
-    none).  Pair rows have norm 2 and a difference of two such chains norm
-    at most d·√2, so by Hadamard's bound every nonzero minor of the rows and
-    one difference is below 2^len(lat)·d: ranks mod p are those over Q.
+    outgrows ``node_budget`` nodes.  The test is exact; see
+    ``_collision_root``.
     """
-    check_degree(max_degree)
-    pos, ncols = lat.position, len(lat)
-    prime = _search_prime(ncols, max_degree)
+    prime, chains, gather, identity, hash_w = _collision_root(lat, max_degree)
+    pos = lat.position
     pairs = lat.induction_pairs
     cands = [
         [((lo, hi), (pos[a], pos[b], pos[lo], pos[hi])) for lo, hi in _candidate_rhs(lat, a, b)]
         for a, b in pairs
     ]
-    chains = [tuple(pos[m] for m in ch) for ch in multichains(lat, max_degree)]
-    gather = itemgetter(*(i for ch in chains for i in ch))
-    identity = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     assignment: dict[tuple[int, int], tuple[int, int]] = {}
     results: list[PairMap] = []
     nodes = 0
@@ -345,9 +347,7 @@ def search_compatible_asls(
                 dfs(i + 1, *(pushed or (basis, w)))
                 del assignment[pairs[i]]
 
-    # hash vector: the Park-Miller sequence; it decides speed only, as
-    # every duplicate hash is confirmed
-    dfs(0, identity, [pow(16807, j + 1, prime) for j in range(ncols)])
+    dfs(0, identity, hash_w)
     return results
 
 
@@ -370,17 +370,16 @@ def check_unique(lat: IdealLattice) -> UniquenessResult:
     canonical relation systems as witness."""
     if is_direct_sum_of_chains(lat.poset):
         return UniquenessResult(unique=True, certificate=uniqueness_certificate(lat))
-    for ka, kb in _CONDITION_ORDER:
-        same, w = relations_equal(lat, ka, kb)
-        if not same:
-            pair, ra, rb = w
-            return UniquenessResult(
-                unique=False,
-                witness_kinds=(ka, kb),
-                witness_pair=pair,
-                witness_rhs=(ra, rb),
-            )
-    raise AssertionError("canonical systems coincide on a poset that is not a sum of chains")
+    witness = next(condition_ii_witnesses(lat), None)
+    if witness is None:
+        raise AssertionError("canonical systems coincide on a poset that is not a sum of chains")
+    kinds, pair, ra, rb = witness
+    return UniquenessResult(
+        unique=False,
+        witness_kinds=kinds,
+        witness_pair=pair,
+        witness_rhs=(ra, rb),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,19 @@ class TestErrorsAndDeterminism:
             "over the bound of 1,000,000\n"
         )
 
+    @pytest.mark.parametrize("command", ["compare", "analyze"])
+    def test_pair_bound_covers_compare_and_analyze(self, capsys, tmp_path, command):
+        # the bound sits on the pair list itself, so these are refused too
+        f = tmp_path / "a12.json"
+        f.write_text(json.dumps({"elements": [f"a{i}" for i in range(12)], "covers": []}))
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: relation table over 4,096 ideals has 8,386,560 pairs, "
+            "over the bound of 1,000,000\n"
+        )
+
     def test_cycle_rejected(self, capsys, tmp_path):
         f = tmp_path / "cyc.json"
         f.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}))

@@ -1,6 +1,8 @@
 import copy
 import hashlib
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -104,6 +106,26 @@ class TestRealizability:
                         cand,
                     )
 
+    def test_matches_residual_oracle_on_every_system(self):
+        # every compatible system of each lattice with at most 3,000 of them
+        # (32 lattices, n <= 5) is realizable iff the integer search keeps it
+        checked = 0
+        for p in corpus(5):
+            lat = enumerate_ideals(p)
+            pairs = lat.incomparable_pairs
+            cands = [_candidate_rhs(lat, a, b) for a, b in pairs]
+            if math.prod(map(len, cands)) > 3000:
+                continue
+            for degree in (2, 3):
+                kept, _ = oracles.search_by_residuals(lat, degree)
+                want = {tuple(sorted(rhs.items())) for rhs in kept}
+                for choice in itertools.product(*cands):
+                    rhs = dict(zip(pairs, choice))
+                    got = is_realizable(lat, PairMap(lattice=lat, rhs=rhs), degree)
+                    assert (got is not None) == (tuple(sorted(rhs.items())) in want), (p, degree)
+                    checked += 1
+        assert checked == 17290
+
 
 SOUNDNESS_GATE_SCRIPT = """
 import sys
@@ -130,7 +152,7 @@ uniqueness.MonomialRealization.satisfies = satisfies
 a, b = p.mask_of(["a"]), p.mask_of(["c"])
 rhs = dict(pm.rhs)
 rhs[pm.key(a, b)] = (0, p.full_mask)
-uniqueness._find_collision = lambda chains, sigs: None
+uniqueness._collides = lambda chains, gather, basis, w, prime: False
 try:
     is_realizable(lat, PairMap(lattice=lat, rhs=rhs))
 except AssertionError as exc:
@@ -291,8 +313,11 @@ class TestSearch:
         assert _search_prime(31, 2) == (1 << 61) - 1
         with pytest.raises(CapacityExceeded):
             _search_prime(126, 3)
-        with pytest.raises(CapacityExceeded):  # 128 ideals, raised before searching
-            search_compatible_asls(enumerate_ideals(antichain(7)))
+        lat = enumerate_ideals(antichain(7))  # 128 ideals, raised before any work
+        with pytest.raises(CapacityExceeded):
+            search_compatible_asls(lat)
+        with pytest.raises(CapacityExceeded, match="no tabled prime"):
+            is_realizable(lat, canonical_pm(lat))
 
     @pytest.mark.parametrize("degree", [-1, 0, 1])
     def test_degree_below_two_rejected(self, degree):
