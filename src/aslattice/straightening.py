@@ -21,7 +21,7 @@ from enum import Enum
 from itertools import combinations_with_replacement
 from math import comb
 
-from aslattice.errors import AxiomViolation, MissingRelation, NonTermination
+from aslattice.errors import AxiomViolation, CapacityExceeded, MissingRelation, NonTermination
 from aslattice.ideals import (
     IdealLattice,
     circ,
@@ -33,6 +33,8 @@ from aslattice.ideals import (
 from aslattice.posets import Poset
 
 Monomial = tuple[int, ...]
+
+MAX_MULTICHAINS = 1_000_000
 
 
 class RealizationKind(str, Enum):
@@ -263,12 +265,22 @@ def rewrite_to_standard(lat: IdealLattice, factors, pm: PairMap, max_steps: int 
 
 def multichains(lat: IdealLattice, length: int) -> list[tuple[int, ...]]:
     """All weakly increasing ⊆-chains of the given length, as mask tuples
-    ascending by lattice position."""
+    ascending by lattice position.  Raises CapacityExceeded, before any
+    chain is listed, when there are more than MAX_MULTICHAINS of them."""
     ids = lat.ideals
     above = [
         [j for j in range(i, len(ids)) if ids[i] & ~ids[j] == 0]
         for i in range(len(ids))
     ]
+    starting = [1] * len(ids)  # chains of the current length starting at each ideal
+    for _ in range(length - 1):
+        starting = [sum(starting[j] for j in up) for up in above]
+    count = sum(starting) if length else 1
+    if count > MAX_MULTICHAINS:
+        raise CapacityExceeded(
+            f"{count:,} multichains of length {length} over {len(ids):,} ideals, "
+            f"over the bound of {MAX_MULTICHAINS:,}"
+        )
     out: list[tuple[int, ...]] = []
     chain: list[int] = []
 

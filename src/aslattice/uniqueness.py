@@ -3,9 +3,9 @@
 Two complementary mechanisms live here:
 
 * an exhaustive search over all compatible relation systems, filtered by a
-  bounded-degree realizability test (linear algebra modulo a prime large
-  enough to be exact, the one test of single systems too; integer linear
-  algebra only for the exponents of a realization), and
+  bounded-degree realizability test (a null-space push modulo a prime large
+  enough to be exact, the one test of single systems too; the exponents of
+  a realization come from an exact integer run of the same push), and
 
 * for posets whose components are all chains, a replayable certificate that
   the canonical system is the only one: for every incomparable ideal pair
@@ -28,7 +28,6 @@ products coincide under the hypothetical system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -47,105 +46,13 @@ from aslattice.straightening import (
     RealizationKind,
     check_degree,
     condition_ii_witnesses,
+    monomial_product,
     multichains,
     straightening_relations,
 )
 
 DEFAULT_MAX_DEGREE = 3
 DEFAULT_NODE_BUDGET = 500_000
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra over the ideal-indexed coordinate space
-
-
-class _Echelon:
-    """Integer row echelon, rows sorted by pivot.
-
-    ``reduce`` eliminates pivot columns in ascending order, which leaves
-    untouched every pivot column already cleared because each row starts
-    with zeros before its own pivot.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def residual(self, vec) -> list[int]:
-        """Eliminate pivot columns; zero exactly on the row space.  No
-        normalization, so the map is linear in ``vec`` and residual
-        equality is equivalence modulo the row space."""
-        v = list(vec)
-        for row, c in zip(self.rows, self.pivots):
-            pv = row[c]
-            coef = v[c]
-            for i in range(self.ncols):
-                v[i] = v[i] * pv - row[i] * coef
-        return v
-
-    def reduce(self, vec) -> list[int]:
-        v = self.residual(vec)
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g > 1:
-            v = [x // g for x in v]
-        return v
-
-    def push(self, vec):
-        """Insert a row unless it lies in the row space already."""
-        v = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
-            return
-        if v[pivot] < 0:
-            v = [-x for x in v]
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < pivot:
-            idx += 1
-        self.rows.insert(idx, v)
-        self.pivots.insert(idx, pivot)
-
-    def kernel_basis(self) -> list[list[int]]:
-        """Integer basis of the solution space of rows·w = 0, one vector
-        per non-pivot column, each shifted to be nonnegative."""
-        pivot_set = set(self.pivots)
-        frees = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        order = sorted(range(len(self.rows)), key=lambda r: -self.pivots[r])
-        for f in frees:
-            w = [Fraction(0)] * self.ncols
-            w[f] = Fraction(1)
-            for r in order:  # back-substitute, deepest pivot first
-                row = self.rows[r]
-                c = self.pivots[r]
-                s = sum(Fraction(row[j]) * w[j] for j in range(c + 1, self.ncols))
-                w[c] = -s / row[c]
-            denom = 1
-            for x in w:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-            iv = [int(x * denom) for x in w]
-            low = min(iv)
-            if low < 0:
-                # the all-ones vector solves every zero-sum row system
-                iv = [x - low for x in iv]
-            g = 0
-            for x in iv:
-                g = gcd(g, x)
-            if g > 1:
-                iv = [x // g for x in iv]
-            basis.append(iv)
-        return basis
-
-
-def _pair_row(position, ncols: int, a: int, b: int, lo: int, hi: int) -> list[int]:
-    row = [0] * ncols
-    row[position[a]] += 1
-    row[position[b]] += 1
-    row[position[lo]] -= 1
-    row[position[hi]] -= 1
-    return row
 
 
 @dataclass(frozen=True)
@@ -157,12 +64,11 @@ class MonomialRealization:
     exponents: dict[int, Monomial]
 
     def satisfies(self, pm: PairMap) -> bool:
-        for (a, b), (lo, hi) in pm.rhs.items():
-            left = tuple(x + y for x, y in zip(self.exponents[a], self.exponents[b]))
-            right = tuple(x + y for x, y in zip(self.exponents[lo], self.exponents[hi]))
-            if left != right:
-                return False
-        return True
+        e = self.exponents
+        return all(
+            monomial_product((e[a], e[b])) == monomial_product((e[lo], e[hi]))
+            for (a, b), (lo, hi) in pm.rhs.items()
+        )
 
 
 def is_realizable(
@@ -174,24 +80,22 @@ def is_realizable(
     degree at most ``max_degree``, decided by the exact modular test that
     search uses (see ``_collision_root``); CapacityExceeded, before any
     relation is read, when no tabled prime fits the lattice (more than 125
-    ideals at degree 3).  Otherwise the constraints are solved over the
-    rationals and a kernel basis, scaled and shifted to nonnegative
-    integers, gives the exponents.  Any returned realization genuinely
+    ideals at degree 3).  Otherwise the exponents come from the null space
+    of the same pair rows over the integers (``_integer_null_space``),
+    shifted to nonnegative vectors.  Any returned realization genuinely
     satisfies the constraints and the bounded checks; a None is conclusive
     only for the bounded degree tested.
     """
     prime, chains, gather, basis, w = _collision_root(lat, max_degree)
     pos = lat.position
-    for (a, b), (lo, hi) in pm.entries():
-        pushed = _null_push(basis, w, (pos[a], pos[b], pos[lo], pos[hi]), prime)
+    rows = [(pos[a], pos[b], pos[lo], pos[hi]) for (a, b), (lo, hi) in pm.entries()]
+    for cols in rows:
+        pushed = _null_push(basis, w, cols, prime)
         if pushed is not None:
             basis, w = pushed
     if _collides(chains, gather, basis, w, prime):
         return None
-    ech = _Echelon(len(lat))
-    for (a, b), (lo, hi) in pm.entries():
-        ech.push(_pair_row(pos, len(lat), a, b, lo, hi))
-    kernel = ech.kernel_basis()
+    kernel = _integer_null_space(len(lat), rows)
     exps = {
         m: tuple(k[pos[m]] for k in kernel) + (1,) for m in lat.ideals
     }
@@ -203,7 +107,7 @@ def is_realizable(
     produced = {}
     for d in range(1, max_degree + 1):
         for ch in multichains(lat, d):
-            s = tuple(sum(exps[m][i] for m in ch) for i in range(len(kernel) + 1))
+            s = monomial_product(exps[m] for m in ch)
             if s in produced:
                 raise AssertionError("kernel signature check missed a collision")
             produced[s] = ch
@@ -278,6 +182,47 @@ def _null_push(basis, w, cols, prime):
         t = (k[a] + k[b] - k[lo] - k[hi]) * inv % prime
         out.append([(x - t * y) % prime for x, y in zip(k, k0)] if t else k)
     return out[:-1], out[-1]
+
+
+def _integer_null_space(ncols: int, rows) -> list[list[int]]:
+    """Integer basis of the null space of the pair rows (column tuples as
+    for ``_null_push``), one vector per free column: ``_null_push`` run over
+    the integers.  Each row eliminates with the first basis vector k0 not
+    orthogonal to it, sign-normalized so d0 = k0·row > 0, as
+    d0·k - (k·row)·k0 reduced by its gcd, and k0 is dropped.  The dropped
+    columns are the pivots of the row echelon, and every vector stays
+    primitive, positive at its own free column and zero at the other free
+    columns: it is the lcm-scaled back-substitution of that column.  Each
+    vector is finally shifted by its minimum when negative (the all-ones
+    vector solves every pair row) and reduced by its gcd."""
+    basis = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    for a, b, lo, hi in rows:
+        for i, k0 in enumerate(basis):
+            d0 = k0[a] + k0[b] - k0[lo] - k0[hi]
+            if d0:
+                break
+        else:
+            continue
+        if d0 < 0:
+            d0, k0 = -d0, [-x for x in k0]
+        out = basis[:i]
+        for k in basis[i + 1:]:
+            t = k[a] + k[b] - k[lo] - k[hi]
+            if t:
+                k = [d0 * x - t * y for x, y in zip(k, k0)]
+                g = gcd(*k)
+                k = [x // g for x in k]
+            out.append(k)
+        basis = out
+    kernel = []
+    for k in basis:
+        low = min(k)
+        if low < 0:
+            k = [x - low for x in k]
+            g = gcd(*k)
+            k = [x // g for x in k]
+        kernel.append(k)
+    return kernel
 
 
 def _collides(chains, gather, basis, w, prime) -> bool:
@@ -826,6 +771,11 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
             _fail(f"{what} {value!r} has type {type(value).__name__}, not {kind.__name__}")
         return value
 
+    def side(value):
+        if value not in ("join", "meet"):
+            _fail(f"refutation side {value!r} is not 'join' or 'meet'")
+        return value
+
     def two(value, what):
         if not isinstance(value, list) or len(value) != 2:
             _fail(f"{what} {value!r} is not a list of exactly two entries")
@@ -847,7 +797,7 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
             for r in s["refutations"]:
                 refs.append(
                     Refutation(
-                        side=r["side"],
+                        side=side(r["side"]),
                         alternative=mask(r["alternative"]),
                         swapped=typed(r["swapped"], bool, "swapped flag"),
                         p=None if r["p"] is None else p.index_of(typed(r["p"], str, "element")),

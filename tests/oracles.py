@@ -5,6 +5,7 @@ deliberately avoiding the library's bitmask machinery, so agreement between
 the two is meaningful evidence.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
@@ -241,6 +242,105 @@ def partition_count(n):
         for total in range(part, n + 1):
             table[total] += table[total - part]
     return table[n]
+
+
+# --- exponents by integer row echelon ---
+# The echelon that computed the exponents of a realization before they
+# came from an integer run of the null-space push, kept as a reference.
+
+
+class _Echelon:
+    """Integer row echelon, rows sorted by pivot.
+
+    ``reduce`` eliminates pivot columns in ascending order, which leaves
+    untouched every pivot column already cleared because each row starts
+    with zeros before its own pivot.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def residual(self, vec) -> list[int]:
+        """Eliminate pivot columns; zero exactly on the row space.  No
+        normalization, so the map is linear in ``vec`` and residual
+        equality is equivalence modulo the row space."""
+        v = list(vec)
+        for row, c in zip(self.rows, self.pivots):
+            pv = row[c]
+            coef = v[c]
+            for i in range(self.ncols):
+                v[i] = v[i] * pv - row[i] * coef
+        return v
+
+    def reduce(self, vec) -> list[int]:
+        v = self.residual(vec)
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        if g > 1:
+            v = [x // g for x in v]
+        return v
+
+    def push(self, vec):
+        """Insert a row unless it lies in the row space already."""
+        v = self.reduce(vec)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return
+        if v[pivot] < 0:
+            v = [-x for x in v]
+        idx = 0
+        while idx < len(self.pivots) and self.pivots[idx] < pivot:
+            idx += 1
+        self.rows.insert(idx, v)
+        self.pivots.insert(idx, pivot)
+
+    def kernel_basis(self) -> list[list[int]]:
+        """Integer basis of the solution space of rows·w = 0, one vector
+        per non-pivot column, each shifted to be nonnegative."""
+        pivot_set = set(self.pivots)
+        frees = [c for c in range(self.ncols) if c not in pivot_set]
+        basis = []
+        order = sorted(range(len(self.rows)), key=lambda r: -self.pivots[r])
+        for f in frees:
+            w = [Fraction(0)] * self.ncols
+            w[f] = Fraction(1)
+            for r in order:  # back-substitute, deepest pivot first
+                row = self.rows[r]
+                c = self.pivots[r]
+                s = sum(Fraction(row[j]) * w[j] for j in range(c + 1, self.ncols))
+                w[c] = -s / row[c]
+            denom = 1
+            for x in w:
+                denom = denom * x.denominator // gcd(denom, x.denominator)
+            iv = [int(x * denom) for x in w]
+            low = min(iv)
+            if low < 0:
+                # the all-ones vector solves every zero-sum row system
+                iv = [x - low for x in iv]
+            g = 0
+            for x in iv:
+                g = gcd(g, x)
+            if g > 1:
+                iv = [x // g for x in iv]
+            basis.append(iv)
+        return basis
+
+
+def reference_exponents(lat, pm):
+    """(kernel basis, exponents) of a realization through the echelon:
+    one pair row per relation, back-substituted in Fraction."""
+    pos, n = lat.position, len(lat)
+    ech = _Echelon(n)
+    for (a, b), (lo, hi) in pm.entries():
+        row = [0] * n
+        for m, s in ((a, 1), (b, 1), (lo, -1), (hi, -1)):
+            row[pos[m]] += s
+        ech.push(row)
+    kernel = ech.kernel_basis()
+    return kernel, {m: tuple(k[pos[m]] for k in kernel) + (1,) for m in lat.ideals}
 
 
 # --- exhaustive search by exact integer residuals ---

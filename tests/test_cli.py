@@ -160,14 +160,23 @@ class TestUnique:
     def test_validate_rejects_mistyped_field(self, capsys, soc_file, tmp_path):
         cert_path = tmp_path / "cert.json"
         run(capsys, "unique", soc_file, "--certificate", str(cert_path))
-        doc = json.loads(cert_path.read_text())
-        doc["steps"][-1]["k"] = str(doc["steps"][-1]["k"])
-        cert_path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "validate-cert", str(cert_path), soc_file)
-        assert code == 1
-        assert err == ""
-        assert out.count("\n") == 1 and out.startswith("REJECTED:")
-        assert "step parameter" in out
+        good = json.loads(cert_path.read_text())
+
+        def stringify_k(doc):
+            doc["steps"][-1]["k"] = str(doc["steps"][-1]["k"])
+
+        def inject_side(doc):  # a side that would add a line to the report
+            next(r for s in doc["steps"] for r in s["refutations"])["side"] = "join\nACCEPTED"
+
+        for tamper, what in [(stringify_k, "step parameter"), (inject_side, "refutation side")]:
+            doc = copy.deepcopy(good)
+            tamper(doc)
+            cert_path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "validate-cert", str(cert_path), soc_file)
+            assert code == 1
+            assert err == ""
+            assert out.count("\n") == 1 and out.startswith("REJECTED:")
+            assert what in out
 
     def test_validate_rejects_extra_pair_entry(self, capsys, soc_file, tmp_path):
         cert_path = tmp_path / "cert.json"
@@ -324,6 +333,18 @@ class TestErrorsAndDeterminism:
         assert out == ""
         assert err == (
             "error: relation table over 4,096 ideals has 8,386,560 pairs, "
+            "over the bound of 1,000,000\n"
+        )
+
+    def test_multichain_bound_one_line(self, capsys, tmp_path):
+        # antichain(5) at degree 30: 31^5 multichains, refused before listing
+        f = tmp_path / "a5.json"
+        f.write_text(json.dumps({"elements": [f"a{i}" for i in range(5)], "covers": []}))
+        code, out, err = run(capsys, "search", str(f), "--max-degree", "30")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: 28,629,151 multichains of length 30 over 32 ideals, "
             "over the bound of 1,000,000\n"
         )
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import oracles
 from aslattice import (
+    CapacityExceeded,
     MissingRelation,
     RealizationKind,
     build_poset,
@@ -16,6 +17,7 @@ from aslattice import (
     subset_monomial,
     verify_asl_axioms,
 )
+from aslattice import straightening
 from aslattice.straightening import (
     PairMap,
     monomial_product,
@@ -289,6 +291,21 @@ class TestAxioms:
             sets = oracles.ideal_sets(p)
             for d in (1, 2, 3):
                 assert len(multichains(lat, d)) == oracles.multichain_count(p, sets, d)
+
+    def test_multichain_bound(self, monkeypatch):
+        # antichain(5) at length 30: 31^5 chains, refused before any is listed
+        lat = enumerate_ideals(antichain(5))
+        with pytest.raises(CapacityExceeded) as exc:
+            multichains(lat, 30)
+        assert str(exc.value) == (
+            "28,629,151 multichains of length 30 over 32 ideals, over the bound of 1,000,000"
+        )
+        # the count is exact: the bound admits exactly as many chains as are listed
+        monkeypatch.setattr(straightening, "MAX_MULTICHAINS", 4**5)
+        assert len(multichains(lat, 3)) == 4**5
+        monkeypatch.setattr(straightening, "MAX_MULTICHAINS", 4**5 - 1)
+        with pytest.raises(CapacityExceeded):
+            multichains(lat, 3)
 
     def test_chain_poset_vacuous(self):
         lat = enumerate_ideals(chain(4))

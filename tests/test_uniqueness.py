@@ -38,16 +38,22 @@ from aslattice.straightening import PairMap, multichains
 from aslattice.uniqueness import (
     MAX_CERTIFICATE_REFUTATIONS,
     _candidate_rhs,
-    _Echelon,
+    _integer_null_space,
     _null_push,
     _search_prime,
     induction_parameter,
 )
 from conftest import antichain, chain, corpus, sum_of_chains
+from oracles import _Echelon
 
 
 def canonical_pm(lat):
     return straightening_relations(lat, RealizationKind.ORDER)
+
+
+def _rows(lat, pm):
+    pos = lat.position
+    return [(pos[a], pos[b], pos[lo], pos[hi]) for (a, b), (lo, hi) in pm.entries()]
 
 
 class TestRealizability:
@@ -125,6 +131,29 @@ class TestRealizability:
                     assert (got is not None) == (tuple(sorted(rhs.items())) in want), (p, degree)
                     checked += 1
         assert checked == 17290
+
+    def test_exponents_match_echelon_oracle(self):
+        # the integer null-space push gives the echelon's kernel vectors and
+        # exponents exactly: the canonical systems of every class with n <= 5
+        # and every system search keeps on lattices with n <= 4, <= 12 ideals
+        systems = []
+        for p in corpus(5):
+            lat = enumerate_ideals(p)
+            systems += [(lat, straightening_relations(lat, kind)) for kind in RealizationKind]
+            if p.n <= 4 and len(lat) <= 12:
+                systems += [(lat, pm) for pm in search_compatible_asls(lat)]
+        assert len(systems) == 312
+        rng = random.Random(314159)
+        for lat, pm in systems:
+            kernel, exps = oracles.reference_exponents(lat, pm)
+            assert _integer_null_space(len(lat), _rows(lat, pm)) == kernel
+            assert is_realizable(lat, pm).exponents == exps
+            # a random compatible system on the same lattice, mostly not
+            # realizable, reaches eliminations whose pivot value is not 1
+            rhs = {pair: rng.choice(_candidate_rhs(lat, *pair)) for pair in pm.rhs}
+            other = PairMap(lattice=lat, rhs=rhs)
+            kernel, _ = oracles.reference_exponents(lat, other)
+            assert _integer_null_space(len(lat), _rows(lat, other)) == kernel
 
 
 SOUNDNESS_GATE_SCRIPT = """
