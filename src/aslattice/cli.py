@@ -154,11 +154,12 @@ def cmd_unique(args) -> int:
     res = uniqueness.check_unique(lat)
     labs = p.labels_of
     if res.unique:
-        cert_doc = uniqueness.certificate_to_json(res.certificate)
         if args.certificate:
             # one-shot compact dumps runs the C encoder; json.dump and
             # any indent run the pure-Python one
-            text = json.dumps(cert_doc, separators=(",", ":"))
+            text = json.dumps(
+                uniqueness.certificate_to_json(res.certificate), separators=(",", ":")
+            )
             try:
                 with open(args.certificate, "w") as fh:
                     fh.write(text)

@@ -219,7 +219,7 @@ def check_condition_ii(lat: IdealLattice) -> ConditionReport:
     return ConditionReport(equal=not witnesses, witnesses=witnesses)
 
 
-def rewrite_to_standard(lat: IdealLattice, factors, pm: PairMap, max_steps: int | None = None):
+def rewrite_to_standard(lat: IdealLattice, factors, pm: PairMap):
     """Normalize a product of generators to a standard monomial.
 
     Factors are kept sorted by lattice position; each step replaces the
@@ -234,9 +234,7 @@ def rewrite_to_standard(lat: IdealLattice, factors, pm: PairMap, max_steps: int 
     work = sorted(factors, key=pos.__getitem__)
     if not work:
         raise MissingRelation("empty product has no standard form")
-    n = lat.poset.n
-    if max_steps is None:
-        max_steps = comb(n + len(work), len(work)) + 1
+    max_steps = comb(lat.poset.n + len(work), len(work)) + 1
     steps = 0
     while True:
         hit = None

@@ -3,9 +3,9 @@
 Two complementary mechanisms live here:
 
 * an exhaustive search over all compatible relation systems, filtered by a
-  bounded-degree realizability test (a null-space push modulo a prime large
-  enough to be exact, the one test of single systems too; the exponents of
-  a realization come from an exact integer run of the same push), and
+  bounded-degree realizability test (an exact integer null-space push, the
+  one test of single systems too, whose basis also gives the exponents of
+  a realization), and
 
 * for posets whose components are all chains, a replayable certificate that
   the canonical system is the only one: for every incomparable ideal pair
@@ -53,6 +53,7 @@ from aslattice.straightening import (
 
 DEFAULT_MAX_DEGREE = 3
 DEFAULT_NODE_BUDGET = 500_000
+MAX_SEARCH_IDEALS = 125
 
 
 @dataclass(frozen=True)
@@ -77,25 +78,24 @@ def is_realizable(
     """Monomial realization of a relation system, or None.
 
     None exactly when the system's relations merge two multichains of
-    degree at most ``max_degree``, decided by the exact modular test that
-    search uses (see ``_collision_root``); CapacityExceeded, before any
-    relation is read, when no tabled prime fits the lattice (more than 125
-    ideals at degree 3).  Otherwise the exponents come from the null space
-    of the same pair rows over the integers (``_integer_null_space``),
-    shifted to nonnegative vectors.  Any returned realization genuinely
-    satisfies the constraints and the bounded checks; a None is conclusive
-    only for the bounded degree tested.
+    degree at most ``max_degree``, decided by the exact test that search
+    uses (see ``_collision_root``); CapacityExceeded, before any relation
+    is read, past MAX_SEARCH_IDEALS ideals.  Each pair row is pushed once
+    into the integer null space (``_null_push``); the same basis gives the
+    verdict and the exponents, each vector shifted to a nonnegative one.
+    Any returned realization genuinely satisfies the constraints and the
+    bounded checks; a None is conclusive only for the bounded degree
+    tested.
     """
-    prime, chains, gather, basis, w = _collision_root(lat, max_degree)
+    chains, gather, basis, w = _collision_root(lat, max_degree)
     pos = lat.position
-    rows = [(pos[a], pos[b], pos[lo], pos[hi]) for (a, b), (lo, hi) in pm.entries()]
-    for cols in rows:
-        pushed = _null_push(basis, w, cols, prime)
+    for (a, b), (lo, hi) in pm.entries():
+        pushed = _null_push(basis, w, (pos[a], pos[b], pos[lo], pos[hi]))
         if pushed is not None:
             basis, w = pushed
-    if _collides(chains, gather, basis, w, prime):
+    if _collides(chains, gather, basis, w):
         return None
-    kernel = _integer_null_space(len(lat), rows)
+    kernel = [_nonnegative(k) for k in basis]
     exps = {
         m: tuple(k[pos[m]] for k in kernel) + (1,) for m in lat.ideals
     }
@@ -123,20 +123,9 @@ def _candidate_rhs(lat: IdealLattice, a: int, b: int) -> list[tuple[int, int]]:
     return [(lo, hi) for hi in his for lo in los]
 
 
-_MERSENNE_EXPONENTS = (31, 61, 89, 107, 127)  # of the primes search may use
-
-
-def _search_prime(ncols: int, max_degree: int) -> int:
-    """Smallest tabled Mersenne prime above 2^ncols · max_degree."""
-    for e in _MERSENNE_EXPONENTS:
-        if (1 << e) - 1 > (1 << ncols) * max_degree:
-            return (1 << e) - 1
-    raise CapacityExceeded(f"no tabled prime exceeds 2^{ncols} * {max_degree}")
-
-
 def _collision_root(lat: IdealLattice, max_degree: int):
-    """Root state ``(prime, chains, gather, basis, w)`` of the exact test of
-    whether relations merge two standard monomials, shared by search and
+    """Root state ``(chains, gather, basis, w)`` of the exact test of whether
+    relations merge two standard monomials, shared by search and
     is_realizable.
 
     Two multichains merge when their difference lies in the span of the
@@ -146,86 +135,67 @@ def _collision_root(lat: IdealLattice, max_degree: int):
     comparing the degree-d chains (``chains``, position tuples) decides
     every degree up to d.  ``gather`` concatenates their entries of a vector.
 
-    Membership in the span is orthogonality to its null space modulo the
-    smallest tabled Mersenne prime p > 2^len(lat)·d (CapacityExceeded if
-    none).  Pair rows have norm 2 and a difference of two degree-d chains
-    norm at most d·√2, so by Hadamard's bound every nonzero minor of the
-    rows and one difference is below 2^len(lat)·d: ranks mod p are those
-    over Q.  The null space starts as the identity ``basis``; the hash vector ``w``
-    in it starts as the Park-Miller sequence and decides speed only, as
-    ``_collides`` confirms every duplicate hash.
+    Membership in the span is orthogonality to its integer null space,
+    which starts as the identity ``basis``.  The hash vector ``w`` in it
+    starts as the Park-Miller sequence and decides speed only, as
+    ``_collides`` confirms every duplicate hash.  Lattices of more than
+    MAX_SEARCH_IDEALS ideals raise CapacityExceeded.
     """
     check_degree(max_degree)
-    pos, ncols = lat.position, len(lat)
-    prime = _search_prime(ncols, max_degree)
+    ncols = len(lat)
+    if ncols > MAX_SEARCH_IDEALS:
+        raise CapacityExceeded(
+            f"lattice has {ncols} ideals, over the search bound of {MAX_SEARCH_IDEALS}"
+        )
+    pos = lat.position
     chains = [tuple(pos[m] for m in ch) for ch in multichains(lat, max_degree)]
     gather = itemgetter(*(i for ch in chains for i in ch))
     identity = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    return prime, chains, gather, identity, [pow(16807, j + 1, prime) for j in range(ncols)]
+    return chains, gather, identity, [pow(16807, j + 1, (1 << 31) - 1) for j in range(ncols)]
 
 
-def _null_push(basis, w, cols, prime):
-    """Null space mod ``prime`` after one more pair row (+1 at cols[0:2], -1
-    at cols[2:4]): eliminate against the first basis vector k0 not
-    orthogonal to the row and drop it; ``w`` is projected the same way.
-    None when the row is orthogonal to the basis, i.e. dependent."""
+def _null_push(basis, w, cols):
+    """Integer null space after one more pair row (+1 at cols[0:2], -1 at
+    cols[2:4]), or None when the row is orthogonal to the basis, i.e.
+    dependent.  The first basis vector k0 not orthogonal to the row,
+    sign-normalized so d0 = k0·row > 0, is dropped; every later vector k
+    and ``w`` become d0·k - (k·row)·k0 reduced by its gcd.  The dropped
+    columns are the pivots of the row echelon, and every vector stays
+    primitive, positive at its own free column and zero at the other free
+    columns: it is the lcm-scaled back-substitution of that column."""
     a, b, lo, hi = cols
     for i, k0 in enumerate(basis):
-        d0 = (k0[a] + k0[b] - k0[lo] - k0[hi]) % prime
+        d0 = k0[a] + k0[b] - k0[lo] - k0[hi]
         if d0:
             break
     else:
         return None
-    inv = pow(d0, -1, prime)
+    if d0 < 0:
+        d0, k0 = -d0, [-x for x in k0]
     out = basis[:i]
     for k in basis[i + 1:] + [w]:
-        t = (k[a] + k[b] - k[lo] - k[hi]) * inv % prime
-        out.append([(x - t * y) % prime for x, y in zip(k, k0)] if t else k)
+        t = k[a] + k[b] - k[lo] - k[hi]
+        if t:
+            k = [d0 * x - t * y for x, y in zip(k, k0)]
+            g = gcd(*k)
+            if g > 1:
+                k = [x // g for x in k]
+        out.append(k)
     return out[:-1], out[-1]
 
 
-def _integer_null_space(ncols: int, rows) -> list[list[int]]:
-    """Integer basis of the null space of the pair rows (column tuples as
-    for ``_null_push``), one vector per free column: ``_null_push`` run over
-    the integers.  Each row eliminates with the first basis vector k0 not
-    orthogonal to it, sign-normalized so d0 = k0·row > 0, as
-    d0·k - (k·row)·k0 reduced by its gcd, and k0 is dropped.  The dropped
-    columns are the pivots of the row echelon, and every vector stays
-    primitive, positive at its own free column and zero at the other free
-    columns: it is the lcm-scaled back-substitution of that column.  Each
-    vector is finally shifted by its minimum when negative (the all-ones
-    vector solves every pair row) and reduced by its gcd."""
-    basis = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    for a, b, lo, hi in rows:
-        for i, k0 in enumerate(basis):
-            d0 = k0[a] + k0[b] - k0[lo] - k0[hi]
-            if d0:
-                break
-        else:
-            continue
-        if d0 < 0:
-            d0, k0 = -d0, [-x for x in k0]
-        out = basis[:i]
-        for k in basis[i + 1:]:
-            t = k[a] + k[b] - k[lo] - k[hi]
-            if t:
-                k = [d0 * x - t * y for x, y in zip(k, k0)]
-                g = gcd(*k)
-                k = [x // g for x in k]
-            out.append(k)
-        basis = out
-    kernel = []
-    for k in basis:
-        low = min(k)
-        if low < 0:
-            k = [x - low for x in k]
-            g = gcd(*k)
-            k = [x // g for x in k]
-        kernel.append(k)
-    return kernel
+def _nonnegative(k: list[int]) -> list[int]:
+    """A null-space vector shifted by its minimum when negative (the
+    all-ones vector solves every pair row) and reduced by its gcd."""
+    low = min(k)
+    if low >= 0:
+        return k
+    k = [x - low for x in k]
+    g = gcd(*k)
+    return [x // g for x in k]
 
 
-def _collides(chains, gather, basis, w, prime) -> bool:
+def _collides(chains, gather, basis, w) -> bool:
     """Whether two multichains (position tuples of one degree) differ by a
     vector orthogonal to the null space.  Such chains have equal hashes
     under ``w``, a vector of that space; a duplicate hash counts only once
@@ -235,14 +205,13 @@ def _collides(chains, gather, basis, w, prime) -> bool:
     sums = vals[0::d]
     for t in range(1, d):
         sums = map(add, sums, vals[t::d])
-    hashes = [x % prime for x in sums]
+    hashes = list(sums)
     if len(set(hashes)) == len(hashes):
         return False
     seen: dict[int, list[tuple[int, ...]]] = {}
     for ch, h in zip(chains, hashes):
         for other in seen.setdefault(h, []):
-            if all((sum([k[i] for i in ch]) - sum([k[i] for i in other])) % prime == 0
-                   for k in basis):
+            if all(sum([k[i] for i in ch]) == sum([k[i] for i in other]) for k in basis):
                 return True
         seen[h].append(ch)
     return False
@@ -264,7 +233,7 @@ def search_compatible_asls(
     outgrows ``node_budget`` nodes.  The test is exact; see
     ``_collision_root``.
     """
-    prime, chains, gather, identity, hash_w = _collision_root(lat, max_degree)
+    chains, gather, identity, hash_w = _collision_root(lat, max_degree)
     pos = lat.position
     pairs = lat.induction_pairs
     cands = [
@@ -286,8 +255,8 @@ def search_compatible_asls(
                 raise BudgetExceeded(
                     f"search tree exceeded {node_budget} nodes; raise the budget"
                 )
-            pushed = _null_push(basis, w, cols, prime)
-            if pushed is None or not _collides(chains, gather, *pushed, prime):
+            pushed = _null_push(basis, w, cols)
+            if pushed is None or not _collides(chains, gather, *pushed):
                 assignment[pairs[i]] = rhs
                 dfs(i + 1, *(pushed or (basis, w)))
                 del assignment[pairs[i]]
@@ -366,8 +335,8 @@ class _Side:
     order, so the same upper-alternative argument covers lower ones.  All
     per-set data comes from the lattice's tables: a filter's side-maximal
     elements are its minimal ones, the complement-minimum of its ideal.
-    The alternatives and witnesses of each union are cached here, so they
-    live as long as the view and are computed once per union."""
+    The alternatives of each union, with their witnesses, are cached here,
+    so they live as long as the view and are computed once per union."""
 
     def __init__(self, lat: IdealLattice, dual: bool):
         p = lat.poset
@@ -389,8 +358,7 @@ class _Side:
         # side-upper covers of each element, and the side-minimal elements
         self.cover_mask = tuple(sum(1 << y for y in ys) for ys in covers)
         self.minimal_mask = sum(1 << x for x in range(p.n) if below[x] == 1 << x)
-        self._above: dict[int, list[int]] = {}
-        self._witnesses: dict[int, list[tuple[int | None, int] | None]] = {}
+        self._alternatives: dict[int, list[tuple[int, tuple[int | None, int] | None]]] = {}
 
     def to_side(self, ideal_mask: int) -> int:
         return self.full & ~ideal_mask if self.dual else ideal_mask
@@ -402,20 +370,16 @@ class _Side:
         """Side-maximal elements of a closed set."""
         return self._maxels[m]
 
-    def strictly_above(self, m: int) -> list[int]:
-        """Closed sets strictly containing ``m``, in side order: the
-        alternatives to a pair whose union is ``m``."""
-        alts = self._above.get(m)
+    def alternatives(self, m: int) -> list[tuple[int, tuple[int | None, int] | None]]:
+        """``(alternative, _witness)`` for each closed set strictly
+        containing ``m``, in side order: the alternatives to a pair whose
+        union is ``m``."""
+        alts = self._alternatives.get(m)
         if alts is None:
-            alts = self._above[m] = [x for x in self.ideals if m & ~x == 0 and x != m]
+            alts = self._alternatives[m] = [
+                (x, _witness(self, m, x)) for x in self.ideals if m & ~x == 0 and x != m
+            ]
         return alts
-
-    def witnesses(self, m: int) -> list[tuple[int | None, int] | None]:
-        """``_witness`` of each alternative in ``strictly_above(m)``."""
-        wits = self._witnesses.get(m)
-        if wits is None:
-            wits = self._witnesses[m] = [_witness(self, m, alt) for alt in self.strictly_above(m)]
-        return wits
 
 
 def _witness(side: _Side, j: int, alt: int) -> tuple[int | None, int] | None:
@@ -504,7 +468,7 @@ def uniqueness_certificate(lat: IdealLattice) -> UniquenessCertificate:
             sa, sb = side.to_side(a), side.to_side(b)
             j, m = sa | sb, sa & sb
             name = side.name
-            for alt, wit in zip(side.strictly_above(j), side.witnesses(j)):
+            for alt, wit in side.alternatives(j):
                 if wit is None:
                     raise PreconditionViolated(
                         "no admissible adjoined element; poset is not a sum of chains"
@@ -583,12 +547,12 @@ def _validate(p: Poset, cert: UniquenessCertificate):
         if step.rhs != (a & b, a | b):
             _fail(f"step {idx}: right-hand side is not the canonical one")
         views = [(side, side.to_side(a), side.to_side(b)) for side in sides]
-        expected = sum(len(side.strictly_above(sa | sb)) for side, sa, sb in views)
+        expected = sum(len(side.alternatives(sa | sb)) for side, sa, sb in views)
         if len(step.refutations) != expected:
             _fail(f"step {idx}: expected {expected} refutations, found {len(step.refutations)}")
         start = 0
         for side, sa, sb in views:
-            stop = start + len(side.strictly_above(sa | sb))
+            stop = start + len(side.alternatives(sa | sb))
             if stop > start:
                 _validate_side(lat, index_of_pair, idx, step, step.refutations[start:stop], side, sa, sb)
             start = stop
@@ -609,7 +573,7 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
     def fail(msg: str):
         _fail(f"step {idx} ({ref.side} side): {msg}")
 
-    for ref, alt, wit in zip(refs, side.strictly_above(sj), side.witnesses(sj)):
+    for ref, (alt, wit) in zip(refs, side.alternatives(sj)):
         if ref.side != name or ref.alternative != alt:
             fail("refutation list does not match the enumerated alternatives")
         if alt not in closed or sj & ~alt or alt == sj:

@@ -522,7 +522,8 @@ def _validate_reference(p, cert):
         expected_alts = []
         for side in sides:
             sa, sb = side.to_side(a), side.to_side(b)
-            expected_alts.extend((side, alt) for alt in side.strictly_above(sa | sb))
+            j = sa | sb
+            expected_alts.extend((side, x) for x in side.ideals if j & ~x == 0 and x != j)
         if len(step.refutations) != len(expected_alts):
             _fail(f"step {idx}: expected {len(expected_alts)} refutations, found {len(step.refutations)}")
         for ref, (side, alt) in zip(step.refutations, expected_alts):

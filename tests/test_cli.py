@@ -5,7 +5,7 @@ import json
 import pytest
 
 from aslattice import build_poset, certificate_to_json, enumerate_ideals, uniqueness_certificate
-from aslattice import cli
+from aslattice import cli, uniqueness
 from aslattice.cli import main
 
 V_DOC = {"elements": ["p", "p'", "q"], "covers": [["p", "q"], ["p'", "q"]]}
@@ -209,6 +209,17 @@ class TestUnique:
         assert code == 0
         assert out == "ACCEPTED\n"
 
+    def test_no_certificate_document_without_file(self, capsys, monkeypatch, soc_file):
+        # without --certificate the JSON document is never built
+        want = run(capsys, "unique", soc_file)
+
+        def refuse(cert):
+            raise AssertionError("certificate document built without --certificate")
+
+        monkeypatch.setattr(uniqueness, "certificate_to_json", refuse)
+        assert run(capsys, "unique", soc_file) == want
+        assert want[0] == 0 and want[1].startswith("UNIQUE (")
+
     def test_unwritable_certificate_path(self, capsys, soc_file, tmp_path):
         cert_path = str(tmp_path / "missing-dir" / "cert.json")
         code, out, err = run(capsys, "unique", soc_file, "--certificate", cert_path)
@@ -347,6 +358,15 @@ class TestErrorsAndDeterminism:
             "error: 28,629,151 multichains of length 30 over 32 ideals, "
             "over the bound of 1,000,000\n"
         )
+
+    def test_search_ideal_bound_one_line(self, capsys, tmp_path):
+        # antichain(7): 128 ideals, refused before any multichain is listed
+        f = tmp_path / "a7.json"
+        f.write_text(json.dumps({"elements": [f"a{i}" for i in range(7)], "covers": []}))
+        code, out, err = run(capsys, "search", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == "error: lattice has 128 ideals, over the search bound of 125\n"
 
     @pytest.mark.parametrize("command", ["compare", "analyze"])
     def test_pair_bound_covers_compare_and_analyze(self, capsys, tmp_path, command):

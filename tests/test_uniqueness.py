@@ -38,9 +38,8 @@ from aslattice.straightening import PairMap, multichains
 from aslattice.uniqueness import (
     MAX_CERTIFICATE_REFUTATIONS,
     _candidate_rhs,
-    _integer_null_space,
+    _nonnegative,
     _null_push,
-    _search_prime,
     induction_parameter,
 )
 from conftest import antichain, chain, corpus, sum_of_chains
@@ -143,17 +142,28 @@ class TestRealizability:
             if p.n <= 4 and len(lat) <= 12:
                 systems += [(lat, pm) for pm in search_compatible_asls(lat)]
         assert len(systems) == 312
+
+        def kernel_of(lat, pm):
+            n = len(lat)
+            basis = [[int(i == j) for j in range(n)] for i in range(n)]
+            w = [0] * n
+            for cols in _rows(lat, pm):
+                pushed = _null_push(basis, w, cols)
+                if pushed is not None:
+                    basis, w = pushed
+            return [_nonnegative(k) for k in basis]
+
         rng = random.Random(314159)
         for lat, pm in systems:
             kernel, exps = oracles.reference_exponents(lat, pm)
-            assert _integer_null_space(len(lat), _rows(lat, pm)) == kernel
+            assert kernel_of(lat, pm) == kernel
             assert is_realizable(lat, pm).exponents == exps
             # a random compatible system on the same lattice, mostly not
             # realizable, reaches eliminations whose pivot value is not 1
             rhs = {pair: rng.choice(_candidate_rhs(lat, *pair)) for pair in pm.rhs}
             other = PairMap(lattice=lat, rhs=rhs)
             kernel, _ = oracles.reference_exponents(lat, other)
-            assert _integer_null_space(len(lat), _rows(lat, other)) == kernel
+            assert kernel_of(lat, other) == kernel
 
 
 SOUNDNESS_GATE_SCRIPT = """
@@ -181,7 +191,7 @@ uniqueness.MonomialRealization.satisfies = satisfies
 a, b = p.mask_of(["a"]), p.mask_of(["c"])
 rhs = dict(pm.rhs)
 rhs[pm.key(a, b)] = (0, p.full_mask)
-uniqueness._collides = lambda chains, gather, basis, w, prime: False
+uniqueness._collides = lambda chains, gather, basis, w: False
 try:
     is_realizable(lat, PairMap(lattice=lat, rhs=rhs))
 except AssertionError as exc:
@@ -294,13 +304,12 @@ class TestSearch:
         search_compatible_asls(lat, node_budget=nodes)
 
     def test_modular_membership_matches_residual(self, lam_poset):
-        # row-space membership through the mod-p null space agrees with the
+        # row-space membership through the integer null space agrees with the
         # exact integer echelon on random subsets of candidate rows
         rng = random.Random(271828)
         for p in [sum_of_chains(2, 1), lam_poset, antichain(3), sum_of_chains(2, 2)]:
             lat = enumerate_ideals(p)
             n, pos = len(lat), lat.position
-            prime = _search_prime(n, 3)
             rows = [
                 (pos[a], pos[b], pos[lo], pos[hi])
                 for a, b in lat.incomparable_pairs
@@ -321,7 +330,7 @@ class TestSearch:
                         vec[c] += s
                     rank = len(ech.rows)
                     ech.push(vec)
-                    nxt = _null_push(basis, w, cols, prime)
+                    nxt = _null_push(basis, w, cols)
                     assert (nxt is None) == (len(ech.rows) == rank)
                     if nxt is not None:
                         basis, w = nxt
@@ -333,19 +342,16 @@ class TestSearch:
                 ]
                 for v in probes:
                     in_space = not any(ech.residual(v))
-                    orthogonal = all(sum(x * y for x, y in zip(v, k)) % prime == 0 for k in basis)
+                    orthogonal = all(sum(x * y for x, y in zip(v, k)) == 0 for k in basis)
                     assert orthogonal == in_space
                 assert not any(ech.residual(combo))
 
     def test_search_prime(self):
-        assert _search_prime(12, 3) == (1 << 31) - 1
-        assert _search_prime(31, 2) == (1 << 61) - 1
-        with pytest.raises(CapacityExceeded):
-            _search_prime(126, 3)
         lat = enumerate_ideals(antichain(7))  # 128 ideals, raised before any work
-        with pytest.raises(CapacityExceeded):
+        bound = "lattice has 128 ideals, over the search bound of 125"
+        with pytest.raises(CapacityExceeded, match=bound):
             search_compatible_asls(lat)
-        with pytest.raises(CapacityExceeded, match="no tabled prime"):
+        with pytest.raises(CapacityExceeded, match=bound):
             is_realizable(lat, canonical_pm(lat))
 
     @pytest.mark.parametrize("degree", [-1, 0, 1])
