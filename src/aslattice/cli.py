@@ -216,7 +216,10 @@ def cmd_search(args) -> int:
         "max_degree": args.max_degree,
         "systems": [pm.table_json() for pm in systems],
     }
-    lines = [f"realizable compatible systems: {len(systems)} (candidate space exhausted)"]
+    lines = [
+        f"realizable compatible systems: {len(systems)} "
+        f"(candidate space exhausted up to degree {args.max_degree})"
+    ]
     _emit(args, doc, lines)
     return 0
 

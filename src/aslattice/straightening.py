@@ -69,20 +69,6 @@ def monomial_product(ms) -> Monomial:
     return tuple(out)
 
 
-def monomial_str(m: Monomial, labels) -> str:
-    parts = []
-    for i, e in enumerate(m[:-1]):
-        if e == 1:
-            parts.append(f"x[{labels[i]}]")
-        elif e > 1:
-            parts.append(f"x[{labels[i]}]^{e}")
-    if m[-1] == 1:
-        parts.append("t")
-    elif m[-1] > 1:
-        parts.append(f"t^{m[-1]}")
-    return "*".join(parts) if parts else "1"
-
-
 def realization_table(lat: IdealLattice, kind: RealizationKind) -> dict[int, Monomial]:
     return {a: realize(lat.poset, kind, a) for a in lat.ideals}
 

@@ -87,27 +87,27 @@ def is_realizable(
     bounded checks; a None is conclusive only for the bounded degree
     tested.
     """
-    chains, gather, basis, w = _collision_root(lat, max_degree)
+    chains, gathers, basis, w = _collision_root(lat, max_degree)
     pos = lat.position
     for (a, b), (lo, hi) in pm.entries():
         pushed = _null_push(basis, w, (pos[a], pos[b], pos[lo], pos[hi]))
         if pushed is not None:
             basis, w = pushed
-    if _collides(chains, gather, basis, w):
+    if _collides(chains, gathers, basis, w):
         return None
     kernel = [_nonnegative(k) for k in basis]
-    exps = {
-        m: tuple(k[pos[m]] for k in kernel) + (1,) for m in lat.ideals
-    }
+    vecs = [tuple(k[i] for k in kernel) + (1,) for i in range(len(lat))]
+    exps = dict(zip(lat.ideals, vecs))
     real = MonomialRealization(lattice=lat, num_vars=len(kernel), exponents=exps)
     # Soundness gate: re-verify the constraints and the bounded basis
-    # property directly on the produced vectors.
+    # property directly on the produced vectors, over the chain lists of
+    # the root (degree 1 is the ideals themselves).
     if not real.satisfies(pm):
         raise AssertionError("kernel basis violates the relation constraints")
     produced = {}
-    for d in range(1, max_degree + 1):
-        for ch in multichains(lat, d):
-            s = monomial_product(exps[m] for m in ch)
+    for degree_chains in [[(i,) for i in range(len(lat))], *chains]:
+        for ch in degree_chains:
+            s = monomial_product(vecs[i] for i in ch)
             if s in produced:
                 raise AssertionError("kernel signature check missed a collision")
             produced[s] = ch
@@ -124,16 +124,21 @@ def _candidate_rhs(lat: IdealLattice, a: int, b: int) -> list[tuple[int, int]]:
 
 
 def _collision_root(lat: IdealLattice, max_degree: int):
-    """Root state ``(chains, gather, basis, w)`` of the exact test of whether
-    relations merge two standard monomials, shared by search and
+    """Root state ``(chains, gathers, basis, w)`` of the exact test of
+    whether relations merge two standard monomials, shared by search and
     is_realizable.
 
     Two multichains merge when their difference lies in the span of the
     pair rows (+1 at a and b, -1 at lo and hi).  Pair rows sum to zero, so
     only chains of one degree can merge, and padding both with the top
-    ideal lifts a merge below degree d = ``max_degree`` to degree d:
-    comparing the degree-d chains (``chains``, position tuples) decides
-    every degree up to d.  ``gather`` concatenates their entries of a vector.
+    ideal lifts a merge at degree e < d = ``max_degree`` to degree d.  So
+    some degree e in 2..d has a merge exactly when degree d has one, and
+    ``_collides`` tries the degrees in ascending order.  ``chains[e - 2]``
+    lists the degree-e chains as position tuples, and ``gathers[e - 2]``
+    concatenates their entries of a vector.  Degree d is listed first, so
+    past MAX_MULTICHAINS it raises before any lower degree is listed; the
+    padding maps each lower degree one-to-one into degree d, so a lower
+    degree never exceeds the bound.
 
     Membership in the span is orthogonality to its integer null space,
     which starts as the identity ``basis``.  The hash vector ``w`` in it
@@ -148,10 +153,14 @@ def _collision_root(lat: IdealLattice, max_degree: int):
             f"lattice has {ncols} ideals, over the search bound of {MAX_SEARCH_IDEALS}"
         )
     pos = lat.position
-    chains = [tuple(pos[m] for m in ch) for ch in multichains(lat, max_degree)]
-    gather = itemgetter(*(i for ch in chains for i in ch))
+    top = multichains(lat, max_degree)
+    chains = [
+        [tuple(pos[m] for m in ch) for ch in lst]
+        for lst in [*(multichains(lat, e) for e in range(2, max_degree)), top]
+    ]
+    gathers = [itemgetter(*(i for ch in cs for i in ch)) for cs in chains]
     identity = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    return chains, gather, identity, [pow(16807, j + 1, (1 << 31) - 1) for j in range(ncols)]
+    return chains, gathers, identity, [pow(16807, j + 1, (1 << 31) - 1) for j in range(ncols)]
 
 
 def _null_push(basis, w, cols):
@@ -195,25 +204,29 @@ def _nonnegative(k: list[int]) -> list[int]:
     return [x // g for x in k]
 
 
-def _collides(chains, gather, basis, w) -> bool:
-    """Whether two multichains (position tuples of one degree) differ by a
-    vector orthogonal to the null space.  Such chains have equal hashes
-    under ``w``, a vector of that space; a duplicate hash counts only once
-    confirmed on every basis vector.  ``gather`` concatenates the chains'
-    entries of a vector."""
-    vals, d = gather(w), len(chains[0])
-    sums = vals[0::d]
-    for t in range(1, d):
-        sums = map(add, sums, vals[t::d])
-    hashes = list(sums)
-    if len(set(hashes)) == len(hashes):
-        return False
-    seen: dict[int, list[tuple[int, ...]]] = {}
-    for ch, h in zip(chains, hashes):
-        for other in seen.setdefault(h, []):
-            if all(sum([k[i] for i in ch]) == sum([k[i] for i in other]) for k in basis):
-                return True
-        seen[h].append(ch)
+def _collides(chains, gathers, basis, w) -> bool:
+    """Whether two multichains of one degree differ by a vector orthogonal
+    to the null space, trying the degrees of ``chains`` (position tuples,
+    one list per degree, ascending) in order and stopping at the first
+    merge; see ``_collision_root`` for why a merge at a lower degree
+    decides the top one.  Merging chains have equal hashes under ``w``, a
+    vector of that space; a duplicate hash counts only once confirmed on
+    every basis vector.  ``gathers`` concatenate each degree's entries of
+    a vector."""
+    for degree_chains, gather in zip(chains, gathers):
+        vals, d = gather(w), len(degree_chains[0])
+        sums = vals[0::d]
+        for t in range(1, d):
+            sums = map(add, sums, vals[t::d])
+        hashes = list(sums)
+        if len(set(hashes)) == len(hashes):
+            continue
+        seen: dict[int, list[tuple[int, ...]]] = {}
+        for ch, h in zip(degree_chains, hashes):
+            for other in seen.setdefault(h, []):
+                if all(sum([k[i] for i in ch]) == sum([k[i] for i in other]) for k in basis):
+                    return True
+            seen[h].append(ch)
     return False
 
 
@@ -233,7 +246,7 @@ def search_compatible_asls(
     outgrows ``node_budget`` nodes.  The test is exact; see
     ``_collision_root``.
     """
-    chains, gather, identity, hash_w = _collision_root(lat, max_degree)
+    chains, gathers, identity, hash_w = _collision_root(lat, max_degree)
     pos = lat.position
     pairs = lat.induction_pairs
     cands = [
@@ -256,7 +269,7 @@ def search_compatible_asls(
                     f"search tree exceeded {node_budget} nodes; raise the budget"
                 )
             pushed = _null_push(basis, w, cols)
-            if pushed is None or not _collides(chains, gather, *pushed):
+            if pushed is None or not _collides(chains, gathers, *pushed):
                 assignment[pairs[i]] = rhs
                 dfs(i + 1, *(pushed or (basis, w)))
                 del assignment[pairs[i]]

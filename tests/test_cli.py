@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import json
 
 import pytest
@@ -266,6 +267,24 @@ class TestSearch:
         assert code == 0
         assert doc["count"] == 2
         assert doc["exhausted"] is True
+
+    def test_antichain5_json_pinned(self, capsys, tmp_path):
+        # the same systems in the same order, byte for byte
+        f = tmp_path / "a5.json"
+        f.write_text(json.dumps({"elements": list("abcde"), "covers": []}))
+        code, out, _ = run(capsys, "--json", "--no-timestamp", "search", str(f))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "dd4e550e7c2dcb40643e99aab9aa421c65f896af574b043f57530d91b803acbb"
+        )
+
+    @pytest.mark.parametrize("degree", ["2", "3", "4"])
+    def test_text_names_the_degree_bound(self, capsys, v_file, degree):
+        code, out, _ = run(capsys, "search", v_file, "--max-degree", degree)
+        assert code == 0
+        assert out == (
+            f"realizable compatible systems: 2 (candidate space exhausted up to degree {degree})\n"
+        )
 
     @pytest.mark.parametrize("degree", ["0", "1", "-3"])
     def test_degree_below_two_rejected(self, capsys, tmp_path, degree):

@@ -21,7 +21,6 @@ from aslattice import straightening
 from aslattice.straightening import (
     PairMap,
     monomial_product,
-    monomial_str,
     multichains,
     realization_table,
 )
@@ -44,10 +43,6 @@ class TestMonomials:
 
     def test_full_support(self, v_poset):
         assert subset_monomial(v_poset, v_poset.full_mask) == (1, 1, 1, 0)
-
-    def test_str(self, v_poset):
-        assert monomial_str((0, 0, 0, 0), v_poset.labels) == "1"
-        assert monomial_str((1, 0, 1, 1), v_poset.labels) == "x[p]*x[q]*t"
 
 
 class TestRealize:

@@ -34,10 +34,13 @@ from aslattice import (
     uniqueness_certificate,
     validate_certificate,
 )
+from aslattice import uniqueness
 from aslattice.straightening import PairMap, multichains
 from aslattice.uniqueness import (
     MAX_CERTIFICATE_REFUTATIONS,
     _candidate_rhs,
+    _collides,
+    _collision_root,
     _nonnegative,
     _null_push,
     induction_parameter,
@@ -164,6 +167,22 @@ class TestRealizability:
             other = PairMap(lattice=lat, rhs=rhs)
             kernel, _ = oracles.reference_exponents(lat, other)
             assert kernel_of(lat, other) == kernel
+
+    def test_multichains_listed_once_per_degree(self, monkeypatch):
+        # the soundness gate reuses the root's chain lists: degree 3 and
+        # degree 2 once each, degree 1 from the ideals themselves
+        calls = []
+        listed = uniqueness.multichains
+
+        def counting(lat, length):
+            calls.append(length)
+            return listed(lat, length)
+
+        monkeypatch.setattr(uniqueness, "multichains", counting)
+        lat = enumerate_ideals(sum_of_chains(2, 2))
+        assert is_realizable(lat, canonical_pm(lat), 3) is not None
+        assert len(calls) <= 2
+        assert calls[0] == 3
 
 
 SOUNDNESS_GATE_SCRIPT = """
@@ -303,7 +322,7 @@ class TestSearch:
             search_compatible_asls(lat, node_budget=nodes - 1)
         search_compatible_asls(lat, node_budget=nodes)
 
-    def test_modular_membership_matches_residual(self, lam_poset):
+    def test_null_space_membership_matches_residual(self, lam_poset):
         # row-space membership through the integer null space agrees with the
         # exact integer echelon on random subsets of candidate rows
         rng = random.Random(271828)
@@ -346,7 +365,64 @@ class TestSearch:
                     assert orthogonal == in_space
                 assert not any(ech.residual(combo))
 
-    def test_search_prime(self):
+    def test_ascending_degrees_match_top_degree(self, lam_poset):
+        # a merge at any degree 2..d is found exactly when the degree-d
+        # chains alone merge, on random subsets of candidate rows
+        rng = random.Random(161803)
+        for p in [sum_of_chains(2, 1), lam_poset, antichain(3), sum_of_chains(2, 2)]:
+            lat = enumerate_ideals(p)
+            pos = lat.position
+            rows = [
+                (pos[a], pos[b], pos[lo], pos[hi])
+                for a, b in lat.incomparable_pairs
+                for lo, hi in _candidate_rhs(lat, a, b)
+            ]
+            for d in (2, 3, 4):
+                top = [[pos[m] for m in ch] for ch in multichains(lat, d)]
+                chains, gathers, basis, w = _collision_root(lat, d)
+                # a zero hash vector makes every hash equal: only the exact
+                # confirmation keeps the root, with no relation, unpruned
+                assert not _collides(chains, gathers, basis, [0] * len(lat))
+                root = (basis, w)
+                verdicts = set()
+                for _ in range(30):
+                    basis, w = root
+                    for cols in rng.sample(rows, rng.randint(1, len(rows))):
+                        pushed = _null_push(basis, w, cols)
+                        if pushed is not None:
+                            basis, w = pushed
+                    sigs = {tuple(sum(k[i] for i in ch) for k in basis) for ch in top}
+                    merges = len(sigs) < len(top)
+                    assert _collides(chains, gathers, basis, w) == merges, (p, d)
+                    verdicts.add(merges)
+                assert verdicts == {False, True}, (p, d)
+        # on the 2x2 grid of ideals pa ⊂ pb, qa ⊂ qb these three rows merge
+        # no two degree-2 chains, but they do merge degree-3 chains
+        p = sum_of_chains(2, 2)
+        lat = enumerate_ideals(p)
+        pa, pb, qa, qb = ([x] for x in p.labels)
+        rows = [(pa, qa, pa + pb + qa), (pa, qa + qb, pa + qa + qb),
+                (pa + pb + qa, pa + qa + qb, pa + pb + qa + qb)]
+        chains, gathers, basis, w = _collision_root(lat, 3)
+        for a, b, hi in rows:
+            cols = tuple(lat.position[p.mask_of(x)] for x in (a, b, [], hi))
+            basis, w = _null_push(basis, w, cols)
+        assert not _collides(chains[:1], gathers[:1], basis, w)
+        assert _collides(chains, gathers, basis, w)
+
+    def test_same_tree_as_residual_oracle(self):
+        # degree 3 on every lattice with n <= 4: the same systems in the
+        # same order, from a tree of exactly the oracle's node count
+        for p in corpus(4):
+            lat = enumerate_ideals(p)
+            want, nodes = oracles.search_by_residuals(lat, 3)
+            got = search_compatible_asls(lat, max_degree=3, node_budget=nodes)
+            assert [s.rhs for s in got] == want, p
+            if nodes:  # a chain has no pair, so its tree has no node
+                with pytest.raises(BudgetExceeded):
+                    search_compatible_asls(lat, max_degree=3, node_budget=nodes - 1)
+
+    def test_search_ideal_bound(self):
         lat = enumerate_ideals(antichain(7))  # 128 ideals, raised before any work
         bound = "lattice has 128 ideals, over the search bound of 125"
         with pytest.raises(CapacityExceeded, match=bound):
