@@ -27,6 +27,8 @@ products coincide under the hypothetical system.
 
 from __future__ import annotations
 
+import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 from operator import add, itemgetter
@@ -671,92 +673,120 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
 CERT_FORMAT = "uniqueness-certificate/1"
 
 
-def certificate_to_json(cert: UniquenessCertificate) -> dict:
-    """The certificate as a JSON document.  A certificate repeats few
-    masks, so each mask's label array is built once and the same list
-    object stands for every occurrence; change the document by replacing
-    label arrays, never by editing one in place."""
+class _Memo(dict):
+    """A dict that computes a missing key's value with ``compute`` on first
+    lookup and keeps it: a certificate repeats few masks and elements."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+_STEP = '{"pair":[%s,%s],"k":%d,"rhs":[%s,%s],"refutations":[%s]}'
+_REFUTATION = (
+    '{"side":%s,"alternative":%s,"swapped":%s,"p":%s,"q":%s,"alpha1":%s,'
+    '"prior_pair":[%s,%s],"collision":[[%s],[%s]]}'
+)
+
+
+def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
+    """The certificate as compact JSON text, yielded in chunks straight
+    from its records: the header, one chunk per step, then the closing
+    brackets.  Their join is ``json.dumps(doc, separators=(",", ":"))``
+    of the certificate document, byte for byte; no document is built.
+    Each mask's label array and each element is encoded once."""
     p = cert.poset
-    arrays: dict[int, list[str]] = {}
-
-    def labs(m: int) -> list[str]:
-        a = arrays.get(m)
-        if a is None:
-            a = arrays[m] = p.labels_of(m)
-        return a
-
-    def elem(i):
-        return None if i is None else p.labels[i]
-
-    steps = []
-    for s in cert.steps:
-        refs = []
-        for r in s.refutations:
-            refs.append(
-                {
-                    "side": r.side,
-                    "alternative": labs(r.alternative),
-                    "swapped": r.swapped,
-                    "p": elem(r.p),
-                    "q": elem(r.q),
-                    "alpha1": labs(r.alpha1),
-                    "prior_pair": [labs(r.prior_pair[0]), labs(r.prior_pair[1])],
-                    "collision": [
-                        [labs(m) for m in r.collision[0]],
-                        [labs(m) for m in r.collision[1]],
-                    ],
-                }
-            )
-        steps.append(
-            {
-                "pair": [labs(s.pair[0]), labs(s.pair[1])],
-                "k": s.k,
-                "rhs": [labs(s.rhs[0]), labs(s.rhs[1])],
-                "refutations": refs,
-            }
+    labels = p.labels
+    head = json.dumps(
+        {
+            "format": CERT_FORMAT,
+            "elements": list(labels),
+            "covers": [[labels[i], labels[j]] for i, j in p.covers],
+        },
+        separators=(",", ":"),
+    )
+    yield head[:-1] + ',"steps":['
+    arrays = _Memo(lambda m: json.dumps(p.labels_of(m), separators=(",", ":")))
+    elems = _Memo(lambda i: "null" if i is None else json.dumps(labels[i]))
+    words = _Memo(json.dumps)  # sides and flags
+    sep = ""
+    for (a, b), k, (lo, hi), refs in cert.steps:
+        yield sep + _STEP % (
+            arrays[a],
+            arrays[b],
+            k,
+            arrays[lo],
+            arrays[hi],
+            ",".join(
+                [
+                    _REFUTATION
+                    % (
+                        words[side],
+                        arrays[alt],
+                        words[swapped],
+                        elems[rp],
+                        elems[q],
+                        arrays[alpha1],
+                        arrays[base],
+                        arrays[ext],
+                        ",".join(map(arrays.__getitem__, left)),
+                        ",".join(map(arrays.__getitem__, right)),
+                    )
+                    for side, alt, swapped, rp, q, alpha1, (base, ext), (left, right) in refs
+                ]
+            ),
         )
-    return {
-        "format": CERT_FORMAT,
-        "elements": list(p.labels),
-        "covers": [[p.labels[i], p.labels[j]] for i, j in p.covers],
-        "steps": steps,
-    }
+        sep = ","
+    yield "]}"
 
 
 def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
     """Parse a certificate against a poset; structural problems raise
-    InvalidCertificate."""
+    InvalidCertificate.
 
-    masks: dict[tuple, int] = {}  # a certificate repeats few label arrays
+    A certificate repeats few label arrays, so a plain list is looked up
+    in the mask cache directly, and its labels are checked only when the
+    cache first misses it; the other helpers run only on a value of the
+    wrong type.  Fields are read and checked in one fixed order (a step's
+    refutations before its pair, parameter and right-hand side), and the
+    first failed check gives the message."""
+
+    def checked_mask(key: tuple) -> int:
+        labels = list(key)
+        if not all(isinstance(x, str) for x in key):
+            _fail(f"label array {labels!r} holds a non-string")
+        m = p.mask_of(key)
+        if p.labels_of(m) != labels:
+            _fail(f"label array {labels!r} is not in canonical index order")
+        return m
+
+    masks = _Memo(checked_mask)  # label tuple -> mask, checked on first use
+    index = p.label_index
 
     def mask(labels) -> int:
         if not isinstance(labels, list):
             _fail(f"label array {labels!r} is not a list")
-        key = tuple(labels)
-        m = masks.get(key)
-        if m is None:
-            if not all(isinstance(x, str) for x in key):
-                _fail(f"label array {labels!r} holds a non-string")
-            m = p.mask_of(key)
-            if p.labels_of(m) != list(key):
-                _fail(f"label array {labels!r} is not in canonical index order")
-            masks[key] = m
-        return m
+        return masks[tuple(labels)]
+
+    def element(value) -> int:
+        return p.index_of(typed(value, str, "element"))
 
     def typed(value, kind, what):
         if type(value) is not kind:  # exact: bool is a subclass of int
             _fail(f"{what} {value!r} has type {type(value).__name__}, not {kind.__name__}")
         return value
 
-    def side(value):
-        if value not in ("join", "meet"):
-            _fail(f"refutation side {value!r} is not 'join' or 'meet'")
-        return value
-
     def two(value, what):
         if not isinstance(value, list) or len(value) != 2:
             _fail(f"{what} {value!r} is not a list of exactly two entries")
         return value
+
+    def masks_of(arrays) -> tuple[int, ...]:
+        return tuple([masks[tuple(a)] if type(a) is list else mask(a) for a in arrays])
 
     try:
         if doc.get("format") != CERT_FORMAT:
@@ -772,27 +802,31 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
         for s in doc["steps"]:
             refs = []
             for r in s["refutations"]:
-                refs.append(
-                    Refutation(
-                        side=side(r["side"]),
-                        alternative=mask(r["alternative"]),
-                        swapped=typed(r["swapped"], bool, "swapped flag"),
-                        p=None if r["p"] is None else p.index_of(typed(r["p"], str, "element")),
-                        q=p.index_of(typed(r["q"], str, "element")),
-                        alpha1=mask(r["alpha1"]),
-                        prior_pair=tuple(map(mask, two(r["prior_pair"], "prior pair"))),
-                        collision=tuple(
-                            tuple(mask(m) for m in chain)
-                            for chain in two(r["collision"], "collision")
-                        ),
-                    )
-                )
+                side = r["side"]
+                if side not in ("join", "meet"):
+                    _fail(f"refutation side {side!r} is not 'join' or 'meet'")
+                alt = r["alternative"]
+                alt = masks[tuple(alt)] if type(alt) is list else mask(alt)
+                swapped = r["swapped"]
+                if type(swapped) is not bool:
+                    typed(swapped, bool, "swapped flag")
+                rp = r["p"]
+                if rp is not None:
+                    rp = index[rp] if type(rp) is str and rp in index else element(rp)
+                q = r["q"]
+                q = index[q] if type(q) is str and q in index else element(q)
+                alpha1 = r["alpha1"]
+                alpha1 = masks[tuple(alpha1)] if type(alpha1) is list else mask(alpha1)
+                prior = masks_of(two(r["prior_pair"], "prior pair"))
+                left, right = two(r["collision"], "collision")
+                collision = (masks_of(left), masks_of(right))
+                refs.append(Refutation(side, alt, swapped, rp, q, alpha1, prior, collision))
             steps.append(
                 CertificateStep(
-                    pair=tuple(map(mask, two(s["pair"], "step pair"))),
-                    k=typed(s["k"], int, "step parameter"),
-                    rhs=tuple(map(mask, two(s["rhs"], "step right-hand side"))),
-                    refutations=tuple(refs),
+                    masks_of(two(s["pair"], "step pair")),
+                    typed(s["k"], int, "step parameter"),
+                    masks_of(two(s["rhs"], "step right-hand side")),
+                    tuple(refs),
                 )
             )
         return UniquenessCertificate(poset=p, steps=tuple(steps))

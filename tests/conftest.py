@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from aslattice import build_poset, enumerate_ideals, generate_posets
+from aslattice import build_poset, certificate_to_json, enumerate_ideals, generate_posets
 
 
 def chain(n, prefix="c"):
@@ -61,3 +62,8 @@ def corpus(max_n):
 
 def lattice_of(p):
     return enumerate_ideals(p)
+
+
+def certificate_doc(cert):
+    """The certificate document as a reader of the file sees it."""
+    return json.loads("".join(certificate_to_json(cert)))

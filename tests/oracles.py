@@ -23,7 +23,7 @@ from aslattice import (
 )
 from aslattice.genposets import MAX_CANONICAL_N, CanonicalPoset, _strict_masks
 from aslattice.ideals import induction_parameter
-from aslattice.uniqueness import _Side
+from aslattice.uniqueness import CERT_FORMAT, _Side
 
 
 def ideal_sets(p):
@@ -603,3 +603,49 @@ def _validate_refutation_reference(p, lat, index_of_pair, idx, step, ref, side, 
     via_prior = _sort_chain(side, (ext, base & ref.alpha1, base | ref.alpha1))
     if via_hyp != right or via_prior != left:
         _fail(f"{where}: collision monomials are not derivable from the two relations")
+
+
+# --- the certificate document as a dict tree ---
+# The encoder as it stood before certificate_to_json wrote the compact text
+# straight from the records.  Kept only as a reference: json.dumps of this
+# document with separators=(",", ":") is the certificate file, byte for byte.
+
+
+def certificate_doc_reference(cert):
+    p = cert.poset
+
+    def labs(m):
+        return p.labels_of(m)
+
+    def elem(i):
+        return None if i is None else p.labels[i]
+
+    return {
+        "format": CERT_FORMAT,
+        "elements": list(p.labels),
+        "covers": [[p.labels[i], p.labels[j]] for i, j in p.covers],
+        "steps": [
+            {
+                "pair": [labs(s.pair[0]), labs(s.pair[1])],
+                "k": s.k,
+                "rhs": [labs(s.rhs[0]), labs(s.rhs[1])],
+                "refutations": [
+                    {
+                        "side": r.side,
+                        "alternative": labs(r.alternative),
+                        "swapped": r.swapped,
+                        "p": elem(r.p),
+                        "q": elem(r.q),
+                        "alpha1": labs(r.alpha1),
+                        "prior_pair": [labs(r.prior_pair[0]), labs(r.prior_pair[1])],
+                        "collision": [
+                            [labs(m) for m in r.collision[0]],
+                            [labs(m) for m in r.collision[1]],
+                        ],
+                    }
+                    for r in s.refutations
+                ],
+            }
+            for s in cert.steps
+        ],
+    }

@@ -13,7 +13,6 @@ import oracles
 from aslattice import (
     RealizationKind,
     certificate_from_json,
-    certificate_to_json,
     check_condition_ii,
     chain_polytope_vertices,
     dual,
@@ -32,7 +31,7 @@ from aslattice import (
 )
 from aslattice.errors import InvalidCertificate
 from aslattice.straightening import monomial_product
-from conftest import build_poset
+from conftest import build_poset, certificate_doc
 from test_uniqueness import mutate_once
 
 EXPECTED_CLASS_COUNTS = [1, 2, 5, 16, 63, 318]
@@ -136,7 +135,7 @@ def test_criterion_5_certificate_soundness_and_mutations():
             ok, reason = validate_certificate(p, cert)
             assert ok, (p, reason)
             certs += 1
-            doc = certificate_to_json(cert)
+            doc = certificate_doc(cert)
             for _ in range(100):
                 mutated = mutate_once(doc, rng)
                 try:

@@ -196,10 +196,9 @@ class TestUnique:
         code, _, _ = run(capsys, "unique", soc_file, "--certificate", str(cert_path))
         assert code == 0
         p = build_poset(SOC_DOC["elements"], [tuple(c) for c in SOC_DOC["covers"]])
-        want = certificate_to_json(uniqueness_certificate(enumerate_ideals(p)))
-        text = cert_path.read_text()
-        assert json.loads(text) == want
-        assert "\n" not in text and ": " not in text and ", " not in text  # compact
+        want = "".join(certificate_to_json(uniqueness_certificate(enumerate_ideals(p))))
+        assert cert_path.read_bytes() == want.encode()
+        assert "\n" not in want and ": " not in want and ", " not in want  # compact
 
     def test_indented_certificate_still_validates(self, capsys, soc_file, tmp_path):
         # the layout written before certificate files became compact

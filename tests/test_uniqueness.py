@@ -45,7 +45,7 @@ from aslattice.uniqueness import (
     _null_push,
     induction_parameter,
 )
-from conftest import antichain, chain, corpus, sum_of_chains
+from conftest import antichain, certificate_doc, chain, corpus, sum_of_chains
 from oracles import _Echelon
 
 
@@ -563,7 +563,7 @@ class TestCertificates:
     def test_hand_mutations_rejected(self):
         p = sum_of_chains(2, 1)
         cert = uniqueness_certificate(enumerate_ideals(p))
-        doc = certificate_to_json(cert)
+        doc = certificate_doc(cert)
 
         tampered = copy.deepcopy(doc)
         tampered["steps"][1]["rhs"][1] = list(tampered["steps"][1]["pair"][0])
@@ -590,7 +590,7 @@ class TestCertificates:
     def test_json_roundtrip(self):
         p = sum_of_chains(2, 2)
         cert = uniqueness_certificate(enumerate_ideals(p))
-        doc = json.loads(json.dumps(certificate_to_json(cert)))
+        doc = certificate_doc(cert)
         again = certificate_from_json(doc, p)
         assert again == cert
         assert validate_certificate(p, again)[0]
@@ -617,7 +617,7 @@ class TestCertificates:
         # no coercion: a string iterates like a label list, bool() and
         # int() accept strings, numbers and floats
         p = build_poset(["a", "b", "c"], [] if field != "covers" else [("a", "b")])
-        doc = certificate_to_json(uniqueness_certificate(enumerate_ideals(p)))
+        doc = certificate_doc(uniqueness_certificate(enumerate_ideals(p)))
         if field in ("elements", "covers"):
             doc[field] = new
         else:
@@ -644,7 +644,7 @@ class TestCertificates:
         # each of these fields holds exactly two entries; a third one (or a
         # missing second one) must not be ignored by the parser
         p = antichain(3)
-        doc = certificate_to_json(uniqueness_certificate(enumerate_ideals(p)))
+        doc = certificate_doc(uniqueness_certificate(enumerate_ideals(p)))
         sites = doc["steps"] if where == "step" else [
             r for s in doc["steps"] for r in s["refutations"]
         ]
@@ -694,12 +694,33 @@ class TestCertificateShapes:
         # uniqueness_certificate
         digest = hashlib.sha256()
         for _, _, cert in shape_certificates:
-            digest.update(json.dumps(certificate_to_json(cert), separators=(",", ":")).encode())
+            digest.update("".join(certificate_to_json(cert)).encode())
             digest.update(b"\n")
         assert len(shape_certificates) == 44
         assert digest.hexdigest() == (
             "aaf09b818c695551fee69e4f99ca1f3aa6f165a190006688ee5ec8499ae3ef89"
         )
+
+    def test_chunks_match_reference_encoder(self, shape_certificates):
+        # the header, one chunk per step and the closing brackets join to
+        # the compact dump of the reference document
+        for parts, _, cert in shape_certificates:
+            chunks = list(certificate_to_json(cert))
+            assert len(chunks) == len(cert.steps) + 2, parts
+            want = json.dumps(oracles.certificate_doc_reference(cert), separators=(",", ":"))
+            assert "".join(chunks) == want, parts
+
+    def test_labels_escaped_like_json_dumps(self):
+        # a quote, a backslash, non-ASCII letters, a tab and JSON punctuation
+        chains = [['"', "\\"], ["é"], ["☃", "\t", "a,b]"]]
+        p = build_poset(
+            [x for c in chains for x in c], [cover for c in chains for cover in zip(c, c[1:])]
+        )
+        assert is_direct_sum_of_chains(p)
+        cert = uniqueness_certificate(enumerate_ideals(p))
+        text = "".join(certificate_to_json(cert))
+        assert text == json.dumps(oracles.certificate_doc_reference(cert), separators=(",", ":"))
+        assert validate_certificate(p, certificate_from_json(json.loads(text), p)) == (True, "ok")
 
     def test_size_matches_built_certificates(self, shape_certificates):
         for parts, p, cert in shape_certificates:
@@ -737,7 +758,7 @@ class TestCertificateShapes:
                 cert = uniqueness_certificate(enumerate_ideals(p))
                 assert validate_certificate(p, cert) == (True, "ok")
                 assert oracles.validate_certificate_reference(p, cert) == (True, "ok")
-                doc = certificate_to_json(cert)
+                doc = certificate_doc(cert)
                 for _ in range(100):
                     try:
                         bad = certificate_from_json(mutate_once(doc, rng), p)
@@ -890,7 +911,7 @@ class TestMutationRejection:
         # the fields the acceptance suite's seed mutates, as drawn when the
         # copy was copy.deepcopy: a cheaper copy must not change them
         p = sum_of_chains(2, 2)
-        doc = certificate_to_json(uniqueness_certificate(enumerate_ideals(p)))
+        doc = certificate_doc(uniqueness_certificate(enumerate_ideals(p)))
         pristine = json.dumps(doc)
         rng = random.Random(65537)
         seq = [changed_paths(doc, mutate_once(doc, rng)) for _ in range(12)]
@@ -915,7 +936,7 @@ class TestMutationRejection:
         for lengths in [(2, 1), (1, 1, 1), (2, 2)]:
             p = sum_of_chains(*lengths)
             cert = uniqueness_certificate(enumerate_ideals(p))
-            doc = certificate_to_json(cert)
+            doc = certificate_doc(cert)
             for _ in range(40):
                 mutated = mutate_once(doc, rng)
                 try:
