@@ -2,7 +2,12 @@
 
 The three functions here are the hot inner loops of the whole package:
 relation closure, order-ideal enumeration, and canonical-key search.  All
-of them operate on plain integer bitmasks.
+of them operate on plain integer bitmasks, and each is one plain pass:
+the key search tries candidates in ``(code, v)`` order, so its first leaf
+is the greedy encoding and seeds the bound without a separate descent;
+ideals are built by extending the ideals of a prefix of the elements one
+element at a time; and the ideal ``cap`` is checked before every append,
+so a refused input never holds more than ``cap`` masks.
 """
 
 # The only implementation; kept as a constant for code that records it.
@@ -23,7 +28,6 @@ def transitive_closure(up):
         for i in range(n):
             if rows[i] & bit:
                 rows[i] |= row_k
-        row_k = rows[k]
     return rows
 
 
@@ -32,29 +36,30 @@ def enumerate_ideal_masks(down, cap):
 
     ``down[j]`` is the bitmask of elements i with i <= j, including j.
     Element indices must form a linear extension (predecessors of j sit
-    below j), which lets membership be decided in index order.  Raises
-    ValueError, naming the bound, when more than ``cap`` ideals exist.
-    Output is sorted by (cardinality, mask value).
+    below j).  The ideals of elements 0..j are then those of 0..j-1, plus
+    each of those with j added when it holds j's strict predecessors, so
+    one loop over the elements builds them all.  Raises ValueError, naming
+    the bound, at the append that would pass ``cap`` ideals.  Output is
+    sorted by (cardinality, mask value).
     """
-    n = len(down)
-    out = []
-
-    def rec(j, cur):
-        if j == n:
-            out.append(cur)
-            if len(out) > cap:
-                raise ValueError(f"ideal count exceeds capacity bound of {cap:,} ideals")
-            return
-        rec(j + 1, cur)
-        if down[j] & ~(cur | (1 << j)) == 0:
-            rec(j + 1, cur | (1 << j))
-
-    rec(0, 0)
+    over = f"ideal count exceeds capacity bound of {cap:,} ideals"
+    if cap < 1:
+        raise ValueError(over)  # even the empty order has one ideal
+    out = [0]
+    for j, row in enumerate(down):
+        bit = 1 << j
+        below = row & ~bit
+        for k in range(len(out)):
+            m = out[k]
+            if below & ~m == 0:
+                if len(out) >= cap:
+                    raise ValueError(over)
+                out.append(m | bit)
     out.sort(key=lambda m: (m.bit_count(), m))
     return out
 
 
-def canonical_key(n, lt, pred):
+def canonical_key(lt, pred):
     """Lexicographically minimal adjacency encoding over linear extensions.
 
     ``lt[i]`` / ``pred[i]`` are strict successor / predecessor bitmasks.
@@ -62,14 +67,25 @@ def canonical_key(n, lt, pred):
     elements of the chosen linear extension lie below the j-th one.  The
     minimum over all linear extensions is a relabeling invariant, so two
     posets get equal keys exactly when they are isomorphic.
+
+    The branch-and-bound search tries candidates in ``(code, v)`` order, so
+    its first leaf is the greedy encoding; a prefix tied with the best is
+    pruned only once that first leaf has set a best.
     """
+    n = len(lt)
     if n > 8:
         raise ValueError("canonical_key supports at most 8 elements")
-    if n == 0:
-        return b""
     full = (1 << n) - 1
+    best = None
+    placed, cols = [], []
 
-    def candidates(placed, placed_mask):
+    def dfs(placed_mask, equal):
+        nonlocal best
+        pos = len(placed)
+        if pos == n:
+            if best is None or cols < best:
+                best = list(cols)
+            return
         cands = []
         m = full & ~placed_mask
         while m:
@@ -82,40 +98,19 @@ def canonical_key(n, lt, pred):
                         code |= 1 << t
                 cands.append((code, v))
         cands.sort()
-        return cands
-
-    # Greedy descent seeds the bound for the branch-and-bound search.
-    placed, cols, placed_mask = [], [], 0
-    for _ in range(n):
-        code, v = candidates(placed, placed_mask)[0]
-        placed.append(v)
-        cols.append(code)
-        placed_mask |= 1 << v
-    best = cols
-
-    placed, cols = [], []
-
-    def dfs(placed_mask, equal):
-        nonlocal best
-        pos = len(placed)
-        if pos == n:
-            if cols < best:
-                best = list(cols)
-            return
         seen = set()
-        for code, v in candidates(placed, placed_mask):
+        for code, v in cands:
             # Interchangeable candidates (same earlier-element code and same
             # successor set) generate isomorphic subtrees; keep one.
             sig = (code, lt[v])
             if sig in seen:
                 continue
             seen.add(sig)
-            if equal:
+            sub_equal = equal
+            if equal and best is not None:
                 if code > best[pos]:
                     break
                 sub_equal = code == best[pos]
-            else:
-                sub_equal = False
             placed.append(v)
             cols.append(code)
             dfs(placed_mask | (1 << v), sub_equal)

@@ -35,7 +35,7 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 def _read_json(path: str, what: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
             return json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SystemExit(f"error: cannot read {what} {path}: {exc}") from exc

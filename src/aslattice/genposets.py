@@ -63,7 +63,7 @@ def canonical_form(p: Poset) -> CanonicalPoset:
     if p.n > MAX_CANONICAL_N:
         raise CapacityExceeded(f"canonical form limited to {MAX_CANONICAL_N} elements")
     lt, pred = _strict_masks(p)
-    key = _kernels.canonical_key(p.n, lt, pred)
+    key = _kernels.canonical_key(lt, pred)
     return CanonicalPoset(poset=p, canonical_key=key)
 
 
@@ -139,7 +139,7 @@ def generate_posets(n: int):
                     continue
                 new_lt = [m | new_bit if down_set >> i & 1 else m for i, m in enumerate(lt)]
                 new_lt.append(0)
-                key = _kernels.canonical_key(size, new_lt, pred + [down_set])
+                key = _kernels.canonical_key(new_lt, pred + [down_set])
                 if key not in nxt:
                     nxt[key] = _poset_from_key(key)
         log.debug(

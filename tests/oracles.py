@@ -227,7 +227,7 @@ def exhaustive_generate(n: int):
                 new_lt = [m | (1 << (size - 1)) if down_set >> i & 1 else m for i, m in enumerate(lt)]
                 new_lt.append(0)
                 new_pred = list(pred) + [down_set]
-                key = _kernels.canonical_key(size, new_lt, new_pred)
+                key = _kernels.canonical_key(new_lt, new_pred)
                 if key not in nxt:
                     nxt[key] = poset_from_key_by_build(key)
         level = nxt

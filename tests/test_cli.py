@@ -2,6 +2,10 @@ import copy
 import gc
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -436,6 +440,24 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: cannot read {what} ") and err.count("\n") == 1
+
+    def test_utf8_input_under_ascii_locale(self, tmp_path):
+        f = tmp_path / "e.json"
+        doc = {"elements": ["é", 'b"q', "c", "d"], "covers": [["é", 'b"q']]}
+        f.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        env = dict(
+            os.environ,
+            LC_ALL="C",
+            PYTHONUTF8="0",
+            PYTHONCOERCECLOCALE="0",
+            PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "aslattice.cli", "unique", str(f)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[0] == b"UNIQUE"
 
     def test_usage_error(self, capsys, v_file):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import pytest
@@ -133,11 +134,17 @@ class TestGeneration:
 
     def test_eight_points(self):
         classes = sums_of_chains = 0
+        digest = hashlib.sha256()
         for cp in generate_posets(8):
             classes += 1
             sums_of_chains += is_direct_sum_of_chains(cp.poset)
+            digest.update(cp.canonical_key)
         assert classes == 16999  # OEIS A000112
         assert sums_of_chains == oracles.partition_count(8) == 22
+        # the keys themselves, concatenated in yield order
+        assert digest.hexdigest() == (
+            "33153a7211ba42fc1d9a962ab48f9f5cebd8ff7b474e5d115ae51469bca9f8ac"
+        )
 
     def test_one_debug_record_per_level(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="aslattice"):

@@ -94,18 +94,32 @@ def test_canonical_key():
         lt = random_strict_order(rng, n)
         _, _, pred = masks_from_lt(lt)
         want = oracles.brute_canonical_key(poset_from_lt(lt))
-        assert _kernels.canonical_key(n, lt, pred) == want
+        assert _kernels.canonical_key(lt, pred) == want
+    assert _kernels.canonical_key([], []) == b""
+    with pytest.raises(ValueError):
+        _kernels.canonical_key([0] * 9, [0] * 9)
 
 
-def test_pure_enumerate_capacity():
+def test_enumerate_capacity_boundary():
     with pytest.raises(ValueError):
         _kernels.enumerate_ideal_masks(ANTICHAIN_DOWN, 100)
+    rng = random.Random(19)
+    downs = [ANTICHAIN_DOWN, []]
+    for _ in range(40):
+        _, down, _ = masks_from_lt(random_strict_order(rng, rng.randint(1, 9)))
+        downs.append(down)
+    for down in downs:
+        want = naive_ideal_masks(down)
+        count = len(want)
+        assert _kernels.enumerate_ideal_masks(down, count) == want
+        with pytest.raises(ValueError, match=f"capacity bound of {count - 1:,} ideals"):
+            _kernels.enumerate_ideal_masks(down, count - 1)
 
 
-def test_pure_canonical_key_label_invariance():
-    for n, lt, key in _relabelled_cases():
+def test_canonical_key_label_invariance():
+    for lt, key in _relabelled_cases():
         _, _, pred = masks_from_lt(lt)
-        assert _kernels.canonical_key(n, lt, pred) == key
+        assert _kernels.canonical_key(lt, pred) == key
 
 
 def _relabelled_cases():
@@ -117,7 +131,7 @@ def _relabelled_cases():
         n = rng.randint(2, 7)
         lt = random_strict_order(rng, n)
         _, _, pred = masks_from_lt(lt)
-        key = _kernels.canonical_key(n, lt, pred)
+        key = _kernels.canonical_key(lt, pred)
         perm = _random_linear_extension(rng, n, lt)
         inv = [0] * n
         for new, old in enumerate(perm):
@@ -127,7 +141,7 @@ def _relabelled_cases():
             for j in range(n):
                 if lt[i] >> j & 1:
                     lt2[inv[i]] |= 1 << inv[j]
-        yield n, lt2, key
+        yield lt2, key
 
 
 def _random_linear_extension(rng, n, lt):
