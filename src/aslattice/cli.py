@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from aslattice import genposets, polytopes, posets, straightening, uniqueness
 from aslattice.errors import AslatticeError
 from aslattice.ideals import enumerate_ideals, lattice_dot, lattice_to_json
-from aslattice.posets import connected_components, is_direct_sum_of_chains
+from aslattice.posets import connected_components, is_direct_sum_of_chains, label_set
 
 KIND_BY_NAME = {k.value: k for k in straightening.RealizationKind}
 
@@ -34,15 +34,27 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 
 def _read_json(path: str, what: str):
+    """A file's JSON document; ValueError covers bad UTF-8, bad JSON and an
+    integer past Python's digit limit, RecursionError too deep a nesting."""
     try:
         with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SystemExit(f"error: cannot read {what} {path}: {exc}") from exc
 
 
 def _load(path: str) -> posets.Poset:
     return posets.poset_from_json(_read_json(path, "poset file"))
+
+
+def _witness_json(p: posets.Poset, kinds, pair, rhs_a, rhs_b) -> dict:
+    """A condition-(ii) witness with its ideals as label lists: the two
+    relation kinds that differ, the ideal pair and each kind's right side."""
+    return {
+        "kinds": [k.value for k in kinds],
+        "pair": [p.labels_of(m) for m in pair],
+        "rhs": [[p.labels_of(m) for m in rhs] for rhs in (rhs_a, rhs_b)],
+    }
 
 
 @contextlib.contextmanager
@@ -89,7 +101,7 @@ def cmd_lattice(args) -> int:
         print(lattice_dot(lat), end="")
         return 0
     doc = lattice_to_json(lat)
-    lines = ["{" + ",".join(ideal) + "}" for ideal in doc["ideals"]]
+    lines = [label_set(ideal) for ideal in doc["ideals"]]
     _emit(args, doc, lines)
     return 0
 
@@ -117,9 +129,7 @@ def cmd_relations(args) -> int:
     pm = straightening.straightening_relations(lat, KIND_BY_NAME[args.kind])
     doc = {"kind": args.kind, "entries": pm.table_json()}
     lines = [
-        "{%s}*{%s} = {%s}*{%s}"
-        % tuple(",".join(x) for x in (e["pair"][0], e["pair"][1], e["rhs"][0], e["rhs"][1]))
-        for e in doc["entries"]
+        "%s*%s = %s*%s" % tuple(map(label_set, (*e["pair"], *e["rhs"]))) for e in doc["entries"]
     ]
     _emit(args, doc, lines or ["no incomparable pairs"])
     return 0
@@ -129,22 +139,12 @@ def cmd_compare(args) -> int:
     p = _load(args.poset)
     lat = enumerate_ideals(p)
     rep = straightening.check_condition_ii(lat)
-    labs = p.labels_of
-    witnesses = [
-        {
-            "kinds": [ka.value, kb.value],
-            "pair": [labs(w_pair[0]), labs(w_pair[1])],
-            "rhs": [[labs(ra[0]), labs(ra[1])], [labs(rb[0]), labs(rb[1])]],
-        }
-        for (ka, kb), w_pair, ra, rb in rep.witnesses
-    ]
+    witnesses = [_witness_json(p, *w) for w in rep.witnesses]
     doc = {"all_equal": rep.equal, "witnesses": witnesses}
     lines = [f"all three relation systems equal: {'yes' if rep.equal else 'no'}"]
     for w in witnesses:
-        lines.append(
-            f"  {w['kinds'][0]} vs {w['kinds'][1]} differ on pair "
-            f"{{{','.join(w['pair'][0])}}},{{{','.join(w['pair'][1])}}}"
-        )
+        a, b = map(label_set, w["pair"])
+        lines.append(f"  {w['kinds'][0]} vs {w['kinds'][1]} differ on pair {a},{b}")
     _emit(args, doc, lines)
     return 0
 
@@ -154,7 +154,6 @@ def cmd_unique(args) -> int:
     lat = enumerate_ideals(p)
     with _gc_paused():
         res = uniqueness.check_unique(lat)
-    labs = p.labels_of
     if res.unique:
         if args.certificate:
             try:
@@ -169,18 +168,13 @@ def cmd_unique(args) -> int:
         if args.certificate:
             lines.append(f"certificate written to {args.certificate}")
     else:
-        ra, rb = res.witness_rhs
-        doc = {
-            "verdict": "NOT_UNIQUE",
-            "witness_kinds": [k.value for k in res.witness_kinds],
-            "witness_pair": [labs(res.witness_pair[0]), labs(res.witness_pair[1])],
-            "witness_rhs": [[labs(ra[0]), labs(ra[1])], [labs(rb[0]), labs(rb[1])]],
-        }
+        w = _witness_json(p, res.witness_kinds, res.witness_pair, *res.witness_rhs)
+        doc = {"verdict": "NOT_UNIQUE", **{f"witness_{k}": v for k, v in w.items()}}
+        a, b = map(label_set, w["pair"])
         lines = [
             "NOT_UNIQUE",
-            f"witness kinds: {doc['witness_kinds'][0]} vs {doc['witness_kinds'][1]}",
-            f"witness pair: {{{','.join(doc['witness_pair'][0])}}}, "
-            f"{{{','.join(doc['witness_pair'][1])}}}",
+            f"witness kinds: {w['kinds'][0]} vs {w['kinds'][1]}",
+            f"witness pair: {a}, {b}",
         ]
     _emit(args, doc, lines)
     return 0

@@ -32,12 +32,12 @@ oracle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from aslattice import _kernels
 from aslattice.errors import CapacityExceeded
 from aslattice.ideals import enumerate_ideals
-from aslattice.posets import Poset, _reduction, build_poset, is_direct_sum_of_chains
+from aslattice.posets import Poset, _reduction, build_poset, is_direct_sum_of_chains, poset_to_json
 from aslattice.straightening import check_condition_ii
 from aslattice.uniqueness import check_unique, validate_certificate
 
@@ -183,24 +183,9 @@ class CorpusReport:
     def to_json(self) -> dict:
         return {
             "max_n": self.max_n,
-            "per_n": [
-                {
-                    "n": t.n,
-                    "posets": t.posets,
-                    "sums_of_chains": t.sums_of_chains,
-                    "condition_ii_true": t.condition_ii_true,
-                    "unique_checked": t.unique_checked,
-                    "certificates_validated": t.certificates_validated,
-                }
-                for t in self.tallies
-            ],
+            "per_n": [asdict(t) for t in self.tallies],
             "counterexamples": [
-                {
-                    "elements": list(c.poset.labels),
-                    "covers": [[c.poset.labels[i], c.poset.labels[j]] for i, j in c.poset.covers],
-                    "detail": c.detail,
-                }
-                for c in self.counterexamples
+                {**poset_to_json(c.poset), "detail": c.detail} for c in self.counterexamples
             ],
             "ok": self.ok,
             "elapsed_s": round(self.elapsed_s, 3),
@@ -236,13 +221,8 @@ def corpus_verify(
         raise CapacityExceeded(f"corpus verification supports 1..{MAX_CORPUS_N} elements")
     report = CorpusReport(max_n=max_n)
     start = time.perf_counter()
-    for n in range(1, max_n + 1):
+    for n, posets, results in _verified_levels(max_n, parallel):
         tally = CorpusTally(n=n)
-        posets = [cp.poset for cp in generate_posets(n)]
-        if parallel:
-            results = _verify_parallel(posets)
-        else:
-            results = [_verify_one(p) for p in posets]
         for p, (soc, _cii, detail, checked, validated) in zip(posets, results):
             tally.posets += 1
             tally.sums_of_chains += soc
@@ -256,16 +236,32 @@ def corpus_verify(
     return report
 
 
-def _verify_parallel(posets):
-    import concurrent.futures
+def _verified_levels(max_n: int, parallel: bool):
+    """Yield ``(n, classes, results)`` for n = 1..max_n, with each class's
+    ``_verify_one`` result in class order.  With ``parallel`` one process
+    pool serves the whole run, mapping each size in about sixteen chunks
+    per worker (class costs vary widely).  If no pool can be opened or
+    used, one WARNING is logged and the sizes left run serially."""
+    n = 1
+    if parallel:
+        import concurrent.futures
+        import os
 
-    try:
-        with concurrent.futures.ProcessPoolExecutor() as pool:
-            return list(pool.map(_verify_one, posets))
-    except (OSError, NotImplementedError) as exc:
-        import logging
+        workers = os.cpu_count() or 1
+        try:
+            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+                while n <= max_n:
+                    posets = [cp.poset for cp in generate_posets(n)]
+                    chunk = -(-len(posets) // (16 * workers))
+                    results = list(pool.map(_verify_one, posets, chunksize=chunk))
+                    n += 1
+                    yield n - 1, posets, results
+        except (OSError, NotImplementedError) as exc:
+            import logging
 
-        logging.getLogger("aslattice").warning(
-            "corpus --parallel: no process pool (%s); verifying serially", exc
-        )
-        return [_verify_one(p) for p in posets]
+            logging.getLogger("aslattice").warning(
+                "corpus --parallel: no process pool (%s); verifying serially", exc
+            )
+    for n in range(n, max_n + 1):
+        posets = [cp.poset for cp in generate_posets(n)]
+        yield n, posets, [_verify_one(p) for p in posets]

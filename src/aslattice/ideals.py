@@ -13,7 +13,7 @@ from functools import cached_property
 
 from aslattice import _kernels
 from aslattice.errors import CapacityExceeded, NotAntichain
-from aslattice.posets import Poset, dot_quote, iter_bits
+from aslattice.posets import Poset, dot_digraph, iter_bits, label_set
 
 DEFAULT_IDEAL_CAP = 1 << 20
 MAX_RELATION_PAIRS = 1_000_000
@@ -59,17 +59,15 @@ class IdealLattice:
 
     @cached_property
     def lattice_covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse diagram of the lattice: (lower, upper) mask pairs.
+        """Hasse diagram of the lattice: (lower, upper) mask pairs in position order.
 
-        The lattice is graded by cardinality, so covers are exactly the
-        one-element extensions by a maximal element of the upper ideal.
+        The lattice is graded by cardinality, so the covers of ``a`` add one
+        minimal element of its complement; for one ``a`` the uppers grow with
+        the added bit, so the pairs come out in position order unsorted.
         """
-        out = []
-        for a in self.ideals:
-            for i in iter_bits(self.max_table[a]):
-                out.append((a & ~(1 << i), a))
-        out.sort(key=lambda e: (self.position[e[0]], self.position[e[1]]))
-        return tuple(out)
+        return tuple(
+            (a, a | 1 << i) for a in self.ideals for i in iter_bits(self.complement_min_table[a])
+        )
 
     @cached_property
     def max_table(self) -> dict[int, int]:
@@ -216,15 +214,6 @@ def lattice_to_json(lat: IdealLattice) -> dict:
 
 def lattice_dot(lat: IdealLattice) -> str:
     """DOT source for the Hasse diagram of the ideal lattice."""
-
-    def name(mask: int) -> str:
-        labs = lat.poset.labels_of(mask)
-        return "{" + ",".join(labs) + "}" if labs else "{}"
-
-    lines = ["digraph ideal_lattice {", "  rankdir=BT;", "  node [shape=plaintext];"]
-    for a in lat.ideals:
-        lines.append(f"  {dot_quote(name(a))};")
-    for a, b in lat.lattice_covers:
-        lines.append(f"  {dot_quote(name(a))} -> {dot_quote(name(b))};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    name = {a: label_set(lat.poset.labels_of(a)) for a in lat.ideals}
+    covers = ((name[a], name[b]) for a, b in lat.lattice_covers)
+    return dot_digraph("ideal_lattice", name.values(), covers)

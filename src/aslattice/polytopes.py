@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from aslattice.errors import DimensionMismatch
-from aslattice.ideals import IdealLattice, max_elements
+from aslattice.ideals import IdealLattice
 from aslattice.posets import Poset
 
 Point = tuple[Fraction, ...]
@@ -30,8 +30,8 @@ def order_polytope_vertices(lat: IdealLattice) -> list[Point]:
 def chain_polytope_vertices(lat: IdealLattice) -> list[Point]:
     """One 0/1 vertex per antichain, emitted as the maximal-element
     antichain of each ideal so the order matches the ideal order."""
-    p = lat.poset
-    return [_indicator(p.n, max_elements(p, a)) for a in lat.ideals]
+    n = lat.poset.n
+    return [_indicator(n, lat.max_table[a]) for a in lat.ideals]
 
 
 def _check_dim(p: Poset, x) -> Point:

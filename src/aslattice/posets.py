@@ -264,14 +264,21 @@ def count_maximal_chains(p: Poset) -> int:
 def poset_from_json(doc) -> Poset:
     """Build from the ``{"elements": [...], "covers": [[a,b],...]}`` schema.
 
-    Elements must be a list of strings and covers a list of two-string
-    pairs; anything else raises MalformedPoset before the order is built.
+    Elements must be a list of strings that encode as UTF-8 (JSON admits
+    lone surrogates such as ``"\\ud800"``, which no output can print) and
+    covers a list of two-string pairs; anything else raises MalformedPoset
+    before the order is built.
     """
     if not isinstance(doc, dict) or "elements" not in doc:
         raise UnknownLabel("poset document must contain an 'elements' list")
     elements = doc["elements"]
     if not isinstance(elements, (list, tuple)) or not all(isinstance(x, str) for x in elements):
         raise MalformedPoset("'elements' must be a list of string labels")
+    for x in elements:
+        try:
+            x.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedPoset(f"element label {x!r} is not valid Unicode text") from None
     covers = doc.get("covers", [])
     if not isinstance(covers, (list, tuple)) or not all(
         isinstance(c, (list, tuple)) and len(c) == 2 and all(isinstance(x, str) for x in c)
@@ -282,22 +289,34 @@ def poset_from_json(doc) -> Poset:
 
 
 def poset_to_json(p: Poset) -> dict:
+    """The ``{"elements": [...], "covers": [[a,b],...]}`` document of a
+    poset; certificate headers and corpus counterexamples embed it."""
     return {
         "elements": list(p.labels),
         "covers": [[p.labels[i], p.labels[j]] for i, j in p.covers],
     }
 
 
+def label_set(labels) -> str:
+    """A set of element labels as text: ``{a,b}``, ``{}`` when empty."""
+    return "{" + ",".join(labels) + "}"
+
+
 def dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def hasse_dot(p: Poset) -> str:
-    """DOT source for the Hasse diagram, ranked bottom-to-top."""
-    lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=plaintext];"]
-    for lab in p.labels:
-        lines.append(f"  {dot_quote(lab)};")
-    for i, j in p.covers:
-        lines.append(f"  {dot_quote(p.labels[i])} -> {dot_quote(p.labels[j])};")
+def dot_digraph(name: str, nodes, edges) -> str:
+    """DOT source of a diagram drawn bottom to top: the quoted nodes, then
+    one quoted ``lower -> upper`` edge per pair."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=plaintext];"]
+    lines += [f"  {dot_quote(v)};" for v in nodes]
+    lines += [f"  {dot_quote(a)} -> {dot_quote(b)};" for a, b in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def hasse_dot(p: Poset) -> str:
+    """DOT source for the Hasse diagram, ranked bottom-to-top."""
+    labels = p.labels
+    return dot_digraph("hasse", labels, ((labels[i], labels[j]) for i, j in p.covers))

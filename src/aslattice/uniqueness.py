@@ -41,7 +41,7 @@ from aslattice.errors import (
     PreconditionViolated,
 )
 from aslattice.ideals import IdealLattice, induction_parameter
-from aslattice.posets import Poset, connected_components, is_direct_sum_of_chains
+from aslattice.posets import Poset, connected_components, is_direct_sum_of_chains, poset_to_json
 from aslattice.straightening import (
     Monomial,
     PairMap,
@@ -119,9 +119,8 @@ def is_realizable(
 def _candidate_rhs(lat: IdealLattice, a: int, b: int) -> list[tuple[int, int]]:
     """All compatible right-hand sides for a pair, canonical one first."""
     meet_m, join_m = a & b, a | b
-    pos = lat.position
-    los = sorted((m for m in lat.ideals if m & ~meet_m == 0), key=pos.__getitem__, reverse=True)
-    his = sorted((m for m in lat.ideals if join_m & ~m == 0), key=pos.__getitem__)
+    los = [m for m in reversed(lat.ideals) if m & ~meet_m == 0]
+    his = [m for m in lat.ideals if join_m & ~m == 0]
     return [(lo, hi) for hi in his for lo in los]
 
 
@@ -701,14 +700,7 @@ def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
     Each mask's label array and each element is encoded once."""
     p = cert.poset
     labels = p.labels
-    head = json.dumps(
-        {
-            "format": CERT_FORMAT,
-            "elements": list(labels),
-            "covers": [[labels[i], labels[j]] for i, j in p.covers],
-        },
-        separators=(",", ":"),
-    )
+    head = json.dumps({"format": CERT_FORMAT, **poset_to_json(p)}, separators=(",", ":"))
     yield head[:-1] + ',"steps":['
     arrays = _Memo(lambda m: json.dumps(p.labels_of(m), separators=(",", ":")))
     elems = _Memo(lambda i: "null" if i is None else json.dumps(labels[i]))

@@ -15,6 +15,19 @@ from aslattice.cli import main
 
 V_DOC = {"elements": ["p", "p'", "q"], "covers": [["p", "q"], ["p'", "q"]]}
 SOC_DOC = {"elements": ["a", "b", "c"], "covers": [["a", "b"]]}
+# labels that DOT quoting and the {a,b} set text must carry through as they are
+ESC_DOC = {
+    "elements": ['"', "\\", "a,b]", "é"],
+    "covers": [['"', "a,b]"], ["\\", "a,b]"], ["\\", "é"]],
+}
+LONE_SURROGATE_DOC = {"elements": ["a", "\ud800"], "covers": [["a", "\ud800"]]}
+
+
+def text(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+DOT_HEAD = ("  rankdir=BT;", "  node [shape=plaintext];")
 
 
 @pytest.fixture
@@ -28,6 +41,13 @@ def v_file(tmp_path):
 def soc_file(tmp_path):
     f = tmp_path / "soc.json"
     f.write_text(json.dumps(SOC_DOC))
+    return str(f)
+
+
+@pytest.fixture
+def esc_file(tmp_path):
+    f = tmp_path / "esc.json"
+    f.write_text(json.dumps(ESC_DOC))
     return str(f)
 
 
@@ -78,7 +98,28 @@ class TestLattice:
     def test_dot(self, capsys, v_file):
         code, out, _ = run(capsys, "lattice", v_file, "--dot")
         assert code == 0
-        assert out.startswith("digraph ideal_lattice {")
+        assert out == text(
+            "digraph ideal_lattice {", *DOT_HEAD,
+            '  "{}";', '  "{p}";', """  "{p'}";""", """  "{p,p'}";""", """  "{p,p',q}";""",
+            '  "{}" -> "{p}";', """  "{}" -> "{p'}";""", """  "{p}" -> "{p,p'}";""",
+            """  "{p'}" -> "{p,p'}";""", """  "{p,p'}" -> "{p,p',q}";""",
+            "}",
+        )
+
+    def test_dot_escapes_labels(self, capsys, esc_file):
+        code, out, _ = run(capsys, "lattice", esc_file, "--dot")
+        assert code == 0
+        assert out == text(
+            "digraph ideal_lattice {", *DOT_HEAD,
+            '  "{}";', r'  "{\"}";', r'  "{\\}";', r'  "{\",\\}";', r'  "{\\,é}";',
+            r'  "{\",\\,a,b]}";', r'  "{\",\\,é}";', r'  "{\",\\,a,b],é}";',
+            r'  "{}" -> "{\"}";', r'  "{}" -> "{\\}";', r'  "{\"}" -> "{\",\\}";',
+            r'  "{\\}" -> "{\",\\}";', r'  "{\\}" -> "{\\,é}";',
+            r'  "{\",\\}" -> "{\",\\,a,b]}";', r'  "{\",\\}" -> "{\",\\,é}";',
+            r'  "{\\,é}" -> "{\",\\,é}";', r'  "{\",\\,a,b]}" -> "{\",\\,a,b],é}";',
+            r'  "{\",\\,é}" -> "{\",\\,a,b],é}";',
+            "}",
+        )
 
 
 class TestVertices:
@@ -126,6 +167,15 @@ class TestCompare:
         _, out, _ = run(capsys, "--json", "--no-timestamp", "compare", soc_file)
         assert json.loads(out)["all_equal"] is True
 
+    def test_text(self, capsys, v_file):
+        code, out, _ = run(capsys, "compare", v_file)
+        assert code == 0
+        assert out == text(
+            "all three relation systems equal: no",
+            "  order vs chain-dual differ on pair {p},{p'}",
+            "  chain vs chain-dual differ on pair {p},{p'}",
+        )
+
 
 class TestUnique:
     def test_not_unique_is_still_success(self, capsys, v_file):
@@ -134,6 +184,13 @@ class TestUnique:
         assert code == 0
         assert doc["verdict"] == "NOT_UNIQUE"
         assert doc["witness_kinds"] == ["order", "chain-dual"]
+
+    def test_not_unique_text(self, capsys, v_file):
+        code, out, _ = run(capsys, "unique", v_file)
+        assert code == 0
+        assert out == text(
+            "NOT_UNIQUE", "witness kinds: order vs chain-dual", "witness pair: {p}, {p'}"
+        )
 
     def test_unique_with_certificate(self, capsys, soc_file, tmp_path):
         cert_path = str(tmp_path / "cert.json")
@@ -320,8 +377,29 @@ class TestHasse:
     def test_dot(self, capsys, v_file):
         code, out, _ = run(capsys, "hasse", v_file)
         assert code == 0
-        assert out.startswith("digraph hasse {")
-        assert '"p" -> "q";' in out
+        assert out == text(
+            "digraph hasse {", *DOT_HEAD,
+            '  "p";', """  "p'";""", '  "q";', '  "p" -> "q";', """  "p'" -> "q";""",
+            "}",
+        )
+
+    def test_dot_escapes_labels(self, capsys, esc_file):
+        code, out, _ = run(capsys, "hasse", esc_file)
+        assert code == 0
+        assert out == text(
+            "digraph hasse {", *DOT_HEAD,
+            r'  "\"";', r'  "\\";', '  "a,b]";', '  "é";',
+            r'  "\"" -> "a,b]";', r'  "\\" -> "a,b]";', r'  "\\" -> "é";',
+            "}",
+        )
+
+
+UNREADABLE = [
+    pytest.param(b"\xff\xfe", id="not-utf8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-past-recursion-limit"),
+]
+if hasattr(sys, "get_int_max_str_digits"):  # Python 3.11+ limits int literals to 4,300 digits
+    UNREADABLE.append(pytest.param(b"1" * 5_000, id="int-past-digit-limit"))
 
 
 class TestErrorsAndDeterminism:
@@ -419,6 +497,7 @@ class TestErrorsAndDeterminism:
             {"elements": [1, 2], "covers": [[1, 2]]},
             {"elements": ["a", None]},
             {"elements": ["a", "b"], "covers": [[["a"], "b"]]},
+            LONE_SURROGATE_DOC,
         ],
     )
     def test_malformed_poset_one_line(self, capsys, tmp_path, doc):
@@ -429,12 +508,23 @@ class TestErrorsAndDeterminism:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["lattice", "hasse"])
+    def test_unprintable_label_one_line(self, capsys, tmp_path, command):
+        # each would print the label, which cannot be encoded
+        f = tmp_path / "surrogate.json"
+        f.write_text(json.dumps(LONE_SURROGATE_DOC))
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2
+        assert out == ""
+        assert err == "error: element label '\\ud800' is not valid Unicode text\n"
+
+    @pytest.mark.parametrize("content", UNREADABLE)
     @pytest.mark.parametrize(
         "command, what", [("unique", "poset file"), ("validate-cert", "certificate")]
     )
-    def test_non_utf8_input(self, capsys, soc_file, tmp_path, command, what):
+    def test_unreadable_input(self, capsys, soc_file, tmp_path, command, what, content):
         f = tmp_path / "bad.json"
-        f.write_bytes(b"\xff\xfe")
+        f.write_bytes(content)
         argv = [str(f)] if command == "unique" else [str(f), soc_file]
         code, out, err = run(capsys, command, *argv)
         assert code == 2

@@ -83,6 +83,20 @@ class TestTables:
                 assert lat.max_table[a] == max_elements(p, a)
                 assert lat.complement_min_table[a] == min_elements(p, complement_filter(p, a))
 
+    def test_lattice_covers_brute_force(self):
+        # b covers a exactly when b is a plus one element; listed by position
+        for p in corpus(6):
+            lat = enumerate_ideals(p)
+            pos = lat.position
+            pairs = [
+                (a, b)
+                for a in lat.ideals
+                for b in lat.ideals
+                if a & ~b == 0 and b.bit_count() == a.bit_count() + 1
+            ]
+            expected = sorted(pairs, key=lambda ab: (pos[ab[0]], pos[ab[1]]))
+            assert list(lat.lattice_covers) == expected
+
     def test_induction_pairs_order(self):
         for p in corpus(5):
             lat = enumerate_ideals(p)

@@ -218,10 +218,10 @@ class TestIO:
         assert again.up == v_poset.up
 
     def test_dot_output(self, v_poset):
-        dot = hasse_dot(v_poset)
-        assert dot.startswith("digraph hasse {")
-        assert 'rankdir=BT' in dot
-        assert '"p" -> "q";' in dot
+        assert hasse_dot(v_poset) == (
+            "digraph hasse {\n  rankdir=BT;\n  node [shape=plaintext];\n"
+            '  "p";\n  "p\'";\n  "q";\n  "p" -> "q";\n  "p\'" -> "q";\n}\n'
+        )
 
     def test_bad_document(self):
         with pytest.raises(UnknownLabel):
