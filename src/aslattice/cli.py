@@ -298,9 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _utf8_stdout() -> None:
+    """Print UTF-8 whatever the locale, as input files are read: a console
+    stream in another encoding is switched to UTF-8.  A stream that cannot
+    be switched, such as the ``StringIO`` of ``redirect_stdout``, holds
+    text and is left alone."""
+    out = sys.stdout
+    if hasattr(out, "reconfigure") and out.encoding.replace("-", "").lower() != "utf8":
+        out.reconfigure(encoding="utf-8")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _utf8_stdout()
     try:
         return args.func(args)
     except SystemExit as exc:

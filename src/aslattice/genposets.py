@@ -36,14 +36,14 @@ from dataclasses import asdict, dataclass, field
 
 from aslattice import _kernels
 from aslattice.errors import CapacityExceeded
-from aslattice.ideals import enumerate_ideals
+from aslattice.ideals import IdealLattice, enumerate_ideals
 from aslattice.posets import Poset, _reduction, build_poset, is_direct_sum_of_chains, poset_to_json
-from aslattice.straightening import check_condition_ii
-from aslattice.uniqueness import check_unique, validate_certificate
+from aslattice.straightening import check_condition_ii, condition_ii_witnesses
+from aslattice.uniqueness import UniquenessResult, check_unique, not_unique, validate_certificate
 
 MAX_CANONICAL_N = 8
 DEFAULT_CORPUS_MAX_N = 6
-MAX_CORPUS_N = 7  # full relation-system runs beyond this are out of scope
+MAX_CORPUS_N = MAX_CANONICAL_N  # every size generation supports
 
 
 @dataclass(frozen=True)
@@ -192,15 +192,30 @@ class CorpusReport:
         }
 
 
+def _decide(lat: IdealLattice, soc: bool) -> tuple[bool, UniquenessResult | None]:
+    """Condition (ii) and the uniqueness verdict of one class, given its
+    sum-of-chains flag; the verdict is None when condition (ii) disagrees
+    with the flag.  A sum of chains runs ``check_condition_ii`` and
+    ``check_unique``.  Any other class needs one ``relations_equal`` scan
+    in most cases: its first condition-(ii) witness decides condition (ii)
+    and is the NOT_UNIQUE witness that ``check_unique`` would report."""
+    if soc:
+        cii = check_condition_ii(lat).equal
+        return cii, check_unique(lat) if cii else None
+    witness = next(condition_ii_witnesses(lat), None)
+    if witness is None:
+        return True, None
+    return False, not_unique(witness)
+
+
 def _verify_one(p: Poset) -> tuple[bool, bool, str | None, bool, bool]:
     """Per-poset corpus checks; returns (sum_of_chains, condition_ii,
     failure detail, unique_checked, certificate_validated)."""
     lat = enumerate_ideals(p)
     soc = is_direct_sum_of_chains(p)
-    cii = check_condition_ii(lat).equal
+    cii, res = _decide(lat, soc)
     if soc != cii:
         return soc, cii, f"condition (ii) {cii} but sum-of-chains {soc}", False, False
-    res = check_unique(lat)
     if res.unique != soc:
         return soc, cii, f"uniqueness verdict {res.unique} but sum-of-chains {soc}", True, False
     if res.unique:

@@ -71,14 +71,35 @@ class IdealLattice:
 
     @cached_property
     def max_table(self) -> dict[int, int]:
-        """``max_elements(a)`` for every ideal ``a``."""
-        return {a: max_elements(self.poset, a) for a in self.ideals}
+        """``max_elements(a)`` for every ideal ``a``, in ideal order: ``a``
+        minus its strict down-set, the elements strictly below one of its
+        own.  Strict down-sets are built in ideal order: the highest-index
+        element h of ``a`` is maximal in it, so ``a - h`` is an earlier
+        ideal, and the strict down-set of ``a`` is that of ``a - h`` plus
+        the strict predecessors of h."""
+        pred = [row & ~(1 << i) for i, row in enumerate(self.poset.down)]
+        below = {0: 0}  # the empty ideal comes first
+        for a in self.ideals[1:]:
+            h = a.bit_length() - 1
+            below[a] = below[a & ~(1 << h)] | pred[h]
+        return {a: a & ~s for a, s in below.items()}
 
     @cached_property
     def complement_min_table(self) -> dict[int, int]:
-        """``min_elements`` of the complement filter of every ideal ``a``."""
+        """``min_elements`` of the complement filter of every ideal ``a``,
+        in ideal order; dual to ``max_table``.  Strict up-sets of the
+        filters are built in reverse ideal order: the lowest-index element
+        l of the filter is minimal in it, so ``a + l`` is a later ideal, and
+        the strict up-set of the filter is that of the filter of ``a + l``
+        plus the strict successors of l."""
         p = self.poset
-        return {a: min_elements(p, p.full_mask & ~a) for a in self.ideals}
+        full = p.full_mask
+        succ = [row & ~(1 << i) for i, row in enumerate(p.up)]
+        above = {full: 0}  # the whole ground set is the last ideal
+        for a in reversed(self.ideals[:-1]):
+            low = (a + 1) & ~a  # the lowest-index element outside a
+            above[a] = above[a | low] | succ[low.bit_length() - 1]
+        return {a: full & ~a & ~above[a] for a in self.ideals}
 
     @cached_property
     def induction_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -125,9 +146,9 @@ def join(a: int, b: int) -> int:
 
 def induction_parameter(p: Poset, a: int, b: int) -> int:
     """Distance of an ideal pair from spanning the whole ground set:
-    n - (|a ∪ b| - |a ∩ b|).  Zero exactly when the union is everything
-    and the intersection empty."""
-    return p.n - ((a | b).bit_count() - (a & b).bit_count())
+    n - (|a ∪ b| - |a ∩ b|) = n - |a △ b|.  Zero exactly when the union is
+    everything and the intersection empty."""
+    return p.n - (a ^ b).bit_count()
 
 
 def rank(mask: int) -> int:

@@ -219,13 +219,11 @@ def connected_components(p: Poset) -> tuple[tuple[int, ...], ...]:
 
 
 def is_direct_sum_of_chains(p: Poset) -> bool:
-    """True when every connected component is totally ordered."""
-    for comp in connected_components(p):
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
-                if not p.comparable(comp[a], comp[b]):
-                    return False
-    return True
+    """True when every connected component is totally ordered, read off
+    the cover lists: exactly when no element has two upper covers or two
+    lower covers.  Two covers of one element are incomparable; without
+    them the Hasse diagram is a union of disjoint paths, each a chain."""
+    return all(len(c) < 2 for c in p.upper_cover) and all(len(c) < 2 for c in p.lower_cover)
 
 
 def maximal_chains(p: Poset) -> list[tuple[int, ...]]:

@@ -159,17 +159,17 @@ def relations_equal(lat: IdealLattice, kind_a: RealizationKind, kind_b: Realizat
     star(a, b) = a∩b); CHAIN_DUAL deviates only on the upper side, by the
     complement-dual test.  Two distinct kinds therefore differ on a pair
     iff one of the deviations they involve occurs there, so the scan stops
-    at the first such pair and builds right-hand sides for it alone.
+    at the first such pair and builds right-hand sides for it alone.  The
+    lattice's ``max_table`` is read only when CHAIN is compared, and its
+    ``complement_min_table`` only when CHAIN_DUAL is.
     """
     kinds = {kind_a, kind_b}
     if len(kinds) == 1:
         return True, None
-    lower = RealizationKind.CHAIN in kinds
-    upper = RealizationKind.CHAIN_DUAL in kinds
-    mx = lat.max_table
-    mn = lat.complement_min_table
+    mx = lat.max_table if RealizationKind.CHAIN in kinds else None
+    mn = lat.complement_min_table if RealizationKind.CHAIN_DUAL in kinds else None
     for a, b in lat.incomparable_pairs:
-        if (lower and mx[a & b] & ~(mx[a] | mx[b])) or (upper and mn[a | b] & ~(mn[a] | mn[b])):
+        if (mx and mx[a & b] & ~(mx[a] | mx[b])) or (mn and mn[a | b] & ~(mn[a] | mn[b])):
             p = lat.poset
             return False, ((a, b), _relation_rhs(p, kind_a, a, b), _relation_rhs(p, kind_b, a, b))
     return True, None

@@ -301,6 +301,13 @@ def check_unique(lat: IdealLattice) -> UniquenessResult:
     witness = next(condition_ii_witnesses(lat), None)
     if witness is None:
         raise AssertionError("canonical systems coincide on a poset that is not a sum of chains")
+    return not_unique(witness)
+
+
+def not_unique(witness) -> UniquenessResult:
+    """The NOT_UNIQUE verdict of a poset that is not a sum of chains, from
+    the first condition-(ii) witness ``(kinds, pair, rhs_a, rhs_b)`` of its
+    lattice (see ``condition_ii_witnesses``)."""
     kinds, pair, ra, rb = witness
     return UniquenessResult(
         unique=False,
@@ -354,8 +361,10 @@ class _Side:
 
     def __init__(self, lat: IdealLattice, dual: bool):
         p = lat.poset
-        self.dual = dual
-        self.full = full = p.full_mask
+        full = p.full_mask
+        # Side sets and ideals map to each other by XOR with ``flip``: the
+        # complement on the meet side, the identity on the join side.
+        self.flip = full if dual else 0
         if dual:
             self._maxels = {full & ~a: m for a, m in lat.complement_min_table.items()}
             # Complementing reverses both the cardinality and, within one
@@ -375,10 +384,10 @@ class _Side:
         self._alternatives: dict[int, list[tuple[int, tuple[int | None, int] | None]]] = {}
 
     def to_side(self, ideal_mask: int) -> int:
-        return self.full & ~ideal_mask if self.dual else ideal_mask
+        return ideal_mask ^ self.flip
 
     def to_primal(self, side_mask: int) -> int:
-        return self.full & ~side_mask if self.dual else side_mask
+        return side_mask ^ self.flip
 
     def maxels(self, m: int) -> int:
         """Side-maximal elements of a closed set."""
@@ -491,18 +500,14 @@ def uniqueness_certificate(lat: IdealLattice) -> UniquenessCertificate:
                 swapped = p_elem is not None and not sb >> p_elem & 1
                 base, ext = (sb, sa) if swapped else (sa, sb)
                 alpha1 = ext | 1 << q_elem
-                # m ⊂ ext ⊂ base ∪ alpha1 and m ⊂ alpha1 ⊂ alt, and side
-                # order lists sets related by inclusion in inclusion order
+                # Fields in Refutation order: side, alternative, swapped, p,
+                # q, alpha1, prior_pair, collision.  m ⊂ ext ⊂ base ∪ alpha1
+                # and m ⊂ alpha1 ⊂ alt, and side order lists sets related by
+                # inclusion in inclusion order.
                 refs.append(
                     Refutation(
-                        side=name,
-                        alternative=alt,
-                        swapped=swapped,
-                        p=p_elem,
-                        q=q_elem,
-                        alpha1=alpha1,
-                        prior_pair=(base, alpha1),
-                        collision=((m, ext, base | alpha1), (m, alpha1, alt)),
+                        name, alt, swapped, p_elem, q_elem, alpha1, (base, alpha1),
+                        ((m, ext, base | alpha1), (m, alpha1, alt)),
                     )
                 )
         steps.append(
@@ -574,21 +579,31 @@ def _validate(p: Poset, cert: UniquenessCertificate):
 
 def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb: int):
     """Replay one step's refutations on one side, in the order of the
-    side's alternatives to the pair (sa, sb)."""
-    p = lat.poset
+    side's alternatives to the pair (sa, sb).
+
+    Each record is unpacked once, and what is the same for the whole side
+    is read once: the side's closed sets and covers, the union's
+    side-maximal elements, and the side's ``flip``, so that ``to_primal``
+    is one XOR.  The prior pair's parameter is computed inline: it is n
+    minus the size of the pair's symmetric difference, which complementing
+    both sets keeps."""
+    n = lat.poset.n
     position = lat.position
     closed = side.position  # the side's closed sets
     name, cover_mask, minimal_mask = side.name, side.cover_mask, side.minimal_mask
+    flip = side.flip
+    prior_k = step.k - 1
     sj, sm = sa | sb, sa & sb
     top = side.maxels(sj)
     grown = sj.bit_count() + 1
-    ref = None  # the refutation under test, named in fail's message
+    r_side = None  # the side of the refutation under test, named in fail's message
 
     def fail(msg: str):
-        _fail(f"step {idx} ({ref.side} side): {msg}")
+        _fail(f"step {idx} ({r_side} side): {msg}")
 
     for ref, (alt, wit) in zip(refs, side.alternatives(sj)):
-        if ref.side != name or ref.alternative != alt:
+        r_side, r_alt, swapped, r_p, q, alpha1, prior_pair, collision = ref
+        if r_side != name or r_alt != alt:
             fail("refutation list does not match the enumerated alternatives")
         if alt not in closed or sj & ~alt or alt == sj:
             fail("alternative is not a closed strict superset of the union")
@@ -596,7 +611,6 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
             fail("no admissible witness elements exist")
         p_exp, q_exp = wit
         sw_exp = p_exp is not None and not sb >> p_exp & 1
-        r_p, q, swapped, alpha1 = ref.p, ref.q, ref.swapped, ref.alpha1
         if (r_p, q, swapped) != (p_exp, q_exp, sw_exp):
             fail("witness elements differ from the deterministic choice")
         base, ext = (sb, sa) if swapped else (sa, sb)
@@ -622,33 +636,31 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
             fail("alpha1 is not contained in the alternative")
         if base & alpha1 != sm:
             fail("adjoining q must not change the intersection")
-        if (base | alpha1).bit_count() != grown:
+        joined = base | alpha1
+        if joined.bit_count() != grown:
             fail("adjoining q must grow the union by exactly one element")
         if base & ~alpha1 == 0 or alpha1 & ~base == 0:
             fail("prior pair is not incomparable")
-        if ref.prior_pair != (base, alpha1):
+        if prior_pair != (base, alpha1):
             fail("stored prior pair mismatch")
-        x, y = side.to_primal(base), side.to_primal(alpha1)
-        prior_primal = (x, y) if position[x] < position[y] else (y, x)
-        prior_idx = index_of_pair.get(prior_primal)
+        x, y = base ^ flip, alpha1 ^ flip
+        prior_idx = index_of_pair.get((x, y) if position[x] < position[y] else (y, x))
         if prior_idx is None or prior_idx >= idx:
             fail("prior pair is not certified earlier")
-        if induction_parameter(p, x, y) != step.k - 1:
+        if n - (base ^ alpha1).bit_count() != prior_k:
             fail("prior pair parameter is not one less")
         # The checks above give sm ⊆ ext ⊂ alpha1 = ext ∪ {q} ⊆ alt, so both
         # monomials are inclusion chains, which side order lists in
         # inclusion order: no sorting needed.
-        left = (sm, ext, base | alpha1)
+        left = (sm, ext, joined)
         right = (sm, alpha1, alt)
-        if ref.collision != (left, right):
+        if collision != (left, right):
             fail("collision monomials differ from the replayed ones")
-        for chain in ref.collision:
-            for u, v in zip(chain, chain[1:]):
-                if u & ~v:
-                    fail("collision entry is not a multichain")
-            for m in chain:
-                if m not in closed:
-                    fail("collision entry contains a non-closed set")
+        for u, v, w in collision:
+            if u & ~v or v & ~w:
+                fail("collision entry is not a multichain")
+            if u not in closed or v not in closed or w not in closed:
+                fail("collision entry contains a non-closed set")
         # left and right are sorted, so tuple equality is multiset equality
         if left == right:
             fail("collision monomials are not distinct")
@@ -661,7 +673,7 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
         # products are the recorded chains, so this check always passes once
         # reached; it stays as the statement of the argument.
         via_hyp = (sm, alpha1, alt)
-        via_prior = (base & alpha1, ext, base | alpha1)
+        via_prior = (base & alpha1, ext, joined)
         if via_hyp != right or via_prior != left:
             fail("collision monomials are not derivable from the two relations")
 

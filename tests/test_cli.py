@@ -372,6 +372,20 @@ class TestCorpus:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_max_n_above_cap_rejected(self, capsys):
+        code, out, err = run(capsys, "corpus", "--max-n", "9")
+        assert code == 2
+        assert out == ""
+        assert err == "error: corpus verification supports 1..8 elements\n"
+
+    def test_max_n_7_json_pinned(self, capsys):
+        # the same report, tallies and counterexamples, byte for byte
+        code, out, _ = run(capsys, "--json", "--no-timestamp", "corpus", "--max-n", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4f5a1acc4e3508643d95b76aba2c3e0b0df9167cc6e6de4043d91492d59ec07e"
+        )
+
 
 class TestHasse:
     def test_dot(self, capsys, v_file):
@@ -548,6 +562,33 @@ class TestErrorsAndDeterminism:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[0] == b"UNIQUE"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["lattice"], ["hasse"], ["relations", "--kind", "chain"], ["compare"]],
+        ids=["lattice", "hasse", "relations", "compare"],
+    )
+    def test_utf8_output_under_ascii_locale(self, capsys, tmp_path, command):
+        # the same bytes as the in-process text, encoded as UTF-8; the V
+        # shape makes compare print a witness pair
+        f = tmp_path / "e.json"
+        doc = {"elements": ["é", 'b"q', "c"], "covers": [["é", "c"], ['b"q', "c"]]}
+        f.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        _, out, _ = run(capsys, command[0], str(f), *command[1:])
+        env = dict(
+            os.environ,
+            LC_ALL="C",
+            PYTHONUTF8="0",
+            PYTHONCOERCECLOCALE="0",
+            PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "aslattice.cli", command[0], str(f), *command[1:]],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "é" in out
+        assert proc.stdout == out.encode("utf-8")
 
     def test_usage_error(self, capsys, v_file):
         with pytest.raises(SystemExit) as exc:

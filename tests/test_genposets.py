@@ -9,12 +9,15 @@ from aslattice import (
     _kernels,
     build_poset,
     canonical_form,
+    check_condition_ii,
+    check_unique,
     corpus_verify,
     dual,
+    enumerate_ideals,
     generate_posets,
     is_direct_sum_of_chains,
 )
-from aslattice.genposets import _poset_from_key
+from aslattice.genposets import _decide, _poset_from_key
 from conftest import antichain, chain, corpus
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
@@ -207,9 +210,17 @@ class TestCorpus:
             doc.pop("elapsed_s")
         assert serial == fallback
 
-    def test_capped_at_seven(self):
+    def test_capped_at_eight(self):
         with pytest.raises(CapacityExceeded):
-            corpus_verify(max_n=8)
+            corpus_verify(max_n=9)
+
+    def test_verdicts_match_check_unique(self):
+        # one condition-(ii) scan gives the verdict and witness check_unique reports
+        for p in corpus(6):
+            lat = enumerate_ideals(p)
+            cii, res = _decide(lat, is_direct_sum_of_chains(p))
+            assert cii == check_condition_ii(lat).equal
+            assert res == check_unique(lat)
 
     @pytest.mark.parametrize("max_n", [0, -1])
     def test_max_n_below_one_rejected(self, max_n):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from aslattice import (
@@ -74,6 +76,29 @@ class TestEnumeration:
             assert list(ids) == sorted(ids, key=lambda m: (m.bit_count(), m))
 
 
+def check_tables(p):
+    """Both tables against the per-ideal definitions, keyed in ideal order."""
+    lat = enumerate_ideals(p)
+    assert list(lat.max_table) == list(lat.ideals)
+    assert list(lat.complement_min_table) == list(lat.ideals)
+    for a in lat.ideals:
+        assert lat.max_table[a] == max_elements(p, a)
+        assert lat.complement_min_table[a] == min_elements(p, complement_filter(p, a))
+
+
+@st.composite
+def shuffled_posets(draw, max_n=7):
+    """Random posets given with their labels sorted, while the order runs
+    through the labels in a random permutation, so that the indices (a
+    linear extension) do not follow the labels."""
+    n = draw(st.integers(1, max_n))
+    labels = draw(st.permutations([f"x{i}" for i in range(n)]))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+    )
+    return build_poset(sorted(labels), [(labels[i], labels[j]) for i, j in pairs if i < j])
+
+
 class TestTables:
     def test_tables_match_per_call(self):
         for p in corpus(5):
@@ -82,6 +107,15 @@ class TestTables:
             for a in lat.ideals:
                 assert lat.max_table[a] == max_elements(p, a)
                 assert lat.complement_min_table[a] == min_elements(p, complement_filter(p, a))
+
+    def test_tables_every_class_up_to_seven(self):
+        for p in corpus(7):
+            check_tables(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_posets())
+    def test_tables_labels_not_in_index_order(self, p):
+        check_tables(p)
 
     def test_lattice_covers_brute_force(self):
         # b covers a exactly when b is a plus one element; listed by position

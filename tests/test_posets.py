@@ -177,6 +177,22 @@ class TestSumOfChains:
         for p in corpus(5):
             assert is_direct_sum_of_chains(p) == is_direct_sum_of_chains(dual(p))
 
+    def test_matches_component_definition(self):
+        for p in corpus(7):
+            assert is_direct_sum_of_chains(p) is components_are_chains(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_poset_strategy(max_n=7))
+    def test_matches_component_definition_random(self, p):
+        assert is_direct_sum_of_chains(p) is components_are_chains(p)
+
+
+def components_are_chains(p):
+    """Every connected component totally ordered, pair by pair."""
+    return all(
+        p.comparable(a, b) for comp in connected_components(p) for a in comp for b in comp
+    )
+
 
 class TestMaximalChains:
     def test_chain(self):
