@@ -34,7 +34,6 @@ from aslattice.ideals import (
     enumerate_ideals,
     ideal_from_antichain,
     is_antichain,
-    is_filter,
     is_ideal,
     join,
     max_elements,

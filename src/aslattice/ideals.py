@@ -120,13 +120,6 @@ def is_ideal(p: Poset, mask: int) -> bool:
     return True
 
 
-def is_filter(p: Poset, mask: int) -> bool:
-    for i in iter_bits(mask):
-        if p.up[i] & ~mask:
-            return False
-    return True
-
-
 def enumerate_ideals(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
     """Enumerate all poset ideals; raises CapacityExceeded past ``cap``."""
     try:

@@ -70,7 +70,17 @@ def monomial_product(ms) -> Monomial:
 
 
 def realization_table(lat: IdealLattice, kind: RealizationKind) -> dict[int, Monomial]:
-    return {a: realize(lat.poset, kind, a) for a in lat.ideals}
+    """``realize`` of every ideal, in ideal order, with the supports of the
+    chain kinds read from the lattice's ``max_table`` and
+    ``complement_min_table``."""
+    if kind is RealizationKind.ORDER:
+        supports = {a: a for a in lat.ideals}
+    elif kind is RealizationKind.CHAIN:
+        supports = lat.max_table
+    else:
+        supports = lat.complement_min_table
+    n = lat.poset.n
+    return {a: tuple(s >> i & 1 for i in range(n)) + (1,) for a, s in supports.items()}
 
 
 @dataclass(frozen=True, eq=False)

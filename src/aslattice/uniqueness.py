@@ -238,45 +238,86 @@ def search_compatible_asls(
 ) -> list[PairMap]:
     """All realizable compatible relation systems on the lattice.
 
-    Depth-first over per-pair right-hand-side choices, pruning every branch
-    whose accumulated constraints already merge two multichains of degree
-    at most ``max_degree`` (adding constraints can only merge more, so the
-    pruning is conservative).  The traversal therefore filters the full
-    candidate product without materializing it, and the returned list is
-    exhaustive for the bounded degree.  Raises BudgetExceeded when the tree
-    outgrows ``node_budget`` nodes.  The test is exact; see
-    ``_collision_root``.
+    Forward checking with the fail-first rule over per-pair right-hand-side
+    choices.  Every unassigned pair keeps a live list: its candidates whose
+    row, pushed onto the current constraints, merges no two multichains of
+    degree at most ``max_degree``.  The root filters every list under no
+    constraint.  Each node branches on the unassigned pair with the fewest
+    live candidates, ties going to the earlier pair in induction order.  A
+    candidate whose row is dependent leaves the constraints as they are,
+    and so every other live list; any other candidate refilters every other
+    unassigned list under the enlarged constraints, and the branch is cut
+    as soon as a list runs empty.
+
+    Sound and exhaustive for the bounded degree: adding rows only enlarges
+    their span, so a candidate pruned at a node stays pruned below it, and
+    a system whose rows merge nothing loses no candidate on its path.
+    Every candidate on a live list was tested against the current
+    constraints, so each leaf is a system that merges nothing.  The test is
+    exact; see ``_collision_root``.
+
+    Results are ordered by their candidate indices (see ``_candidate_rhs``)
+    read in induction order, lexicographically: the order of a depth-first
+    search over the pairs in induction order.  ``node_budget`` bounds the
+    push-and-collide tests the filters make; past it BudgetExceeded is
+    raised.
     """
     chains, gathers, identity, hash_w = _collision_root(lat, max_degree)
     pos = lat.position
     pairs = lat.induction_pairs
-    cands = [
-        [((lo, hi), (pos[a], pos[b], pos[lo], pos[hi])) for lo, hi in _candidate_rhs(lat, a, b)]
-        for a, b in pairs
+    cands = [_candidate_rhs(lat, a, b) for a, b in pairs]
+    rows = [
+        [(pos[a], pos[b], pos[lo], pos[hi]) for lo, hi in cs] for (a, b), cs in zip(pairs, cands)
     ]
-    assignment: dict[tuple[int, int], tuple[int, int]] = {}
-    results: list[PairMap] = []
-    nodes = 0
+    tests = 0
 
-    def dfs(i: int, basis, w):
-        nonlocal nodes
-        if i == len(pairs):
-            results.append(PairMap(lattice=lat, rhs=dict(assignment)))
+    def narrow(lists: dict[int, list[int]], basis, w) -> dict[int, list[int]] | None:
+        """Each pair's live list under the basis, or None once one is empty."""
+        nonlocal tests
+        out = {}
+        for i, live in lists.items():
+            kept = []
+            for c in live:
+                tests += 1
+                if tests > node_budget:
+                    raise BudgetExceeded(
+                        f"search exceeded {node_budget:,} push-and-collide tests; raise the budget"
+                    )
+                pushed = _null_push(basis, w, rows[i][c])
+                if pushed is None or not _collides(chains, gathers, *pushed):
+                    kept.append(c)
+            if not kept:
+                return None
+            out[i] = kept
+        return out
+
+    choice = [0] * len(pairs)
+    leaves: list[tuple[int, ...]] = []
+
+    def extend(lists: dict[int, list[int]], basis, w):
+        if not lists:
+            leaves.append(tuple(choice))
             return
-        for rhs, cols in cands[i]:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded(
-                    f"search tree exceeded {node_budget} nodes; raise the budget"
-                )
-            pushed = _null_push(basis, w, cols)
-            if pushed is None or not _collides(chains, gathers, *pushed):
-                assignment[pairs[i]] = rhs
-                dfs(i + 1, *(pushed or (basis, w)))
-                del assignment[pairs[i]]
+        i = min(lists, key=lambda j: (len(lists[j]), j))
+        rest = {j: live for j, live in lists.items() if j != i}
+        for c in lists[i]:
+            choice[i] = c
+            pushed = _null_push(basis, w, rows[i][c])
+            if pushed is None:
+                extend(rest, basis, w)
+                continue
+            narrowed = narrow(rest, *pushed)
+            if narrowed is not None:
+                extend(narrowed, *pushed)
 
-    dfs(0, identity, hash_w)
-    return results
+    root = narrow({i: list(range(len(cs))) for i, cs in enumerate(cands)}, identity, hash_w)
+    if root is not None:
+        extend(root, identity, hash_w)
+    leaves.sort()
+    return [
+        PairMap(lattice=lat, rhs={pair: cs[c] for pair, cs, c in zip(pairs, cands, leaf)})
+        for leaf in leaves
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -344,11 +344,11 @@ def reference_exponents(lat, pm):
 
 
 # --- exhaustive search by exact integer residuals ---
-# The search as it stood before the modular null-space layer, kept only as
-# a reference: the same depth-first tree over lat.induction_pairs and the
-# library's candidate order, but with an undoable integer echelon, every
-# multichain of degree 1..max_degree carried as a residual signature, and
-# every signature rewritten at every node.
+# A depth-first search over lat.induction_pairs in the library's candidate
+# order, kept as the reference for the systems search returns and their
+# order: an undoable integer echelon, every multichain of degree
+# 1..max_degree carried as a residual signature, and every signature
+# rewritten at every node.
 
 
 class _UndoEchelon:
@@ -385,8 +385,7 @@ class _UndoEchelon:
 
 
 def search_by_residuals(lat, max_degree=3):
-    """Realizable systems (as rhs dicts, in search order) and the node
-    count of the search tree."""
+    """Realizable systems as rhs dicts, in search order."""
     from aslattice.straightening import multichains
     from aslattice.uniqueness import _candidate_rhs
 
@@ -401,16 +400,14 @@ def search_by_residuals(lat, max_degree=3):
             chains.append(tuple(vec))
     ech = _UndoEchelon(n)
     sig_stack = [chains]
-    assignment, results, nodes = {}, [], 0
+    assignment, results = {}, []
 
     def dfs(i):
-        nonlocal nodes
         if i == len(pairs):
             results.append(dict(assignment))
             return
         a, b = pairs[i]
         for lo, hi in _candidate_rhs(lat, a, b):
-            nodes += 1
             row = [0] * n
             for m, s in ((a, 1), (b, 1), (lo, -1), (hi, -1)):
                 row[pos[m]] += s
@@ -429,7 +426,7 @@ def search_by_residuals(lat, max_degree=3):
             ech.pop()
 
     dfs(0)
-    return results, nodes
+    return results
 
 
 def brute_canonical_key(p):

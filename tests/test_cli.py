@@ -346,6 +346,17 @@ class TestSearch:
             f"realizable compatible systems: 2 (candidate space exhausted up to degree {degree})\n"
         )
 
+    def test_budget_one_line(self, capsys, monkeypatch, v_file):
+        # the V lattice's search makes 2 tests, so a budget of 1 is exceeded
+        search = uniqueness.search_compatible_asls
+        monkeypatch.setattr(
+            uniqueness, "search_compatible_asls", lambda lat, **kw: search(lat, node_budget=1, **kw)
+        )
+        code, out, err = run(capsys, "search", v_file)
+        assert code == 2
+        assert out == ""
+        assert err == "error: search exceeded 1 push-and-collide tests; raise the budget\n"
+
     @pytest.mark.parametrize("degree", ["0", "1", "-3"])
     def test_degree_below_two_rejected(self, capsys, tmp_path, degree):
         # a degree-0 search once reported 64 systems on the 3-antichain

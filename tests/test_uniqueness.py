@@ -125,7 +125,7 @@ class TestRealizability:
             if math.prod(map(len, cands)) > 3000:
                 continue
             for degree in (2, 3):
-                kept, _ = oracles.search_by_residuals(lat, degree)
+                kept = oracles.search_by_residuals(lat, degree)
                 want = {tuple(sorted(rhs.items())) for rhs in kept}
                 for choice in itertools.product(*cands):
                     rhs = dict(zip(pairs, choice))
@@ -292,35 +292,47 @@ class TestSearch:
         posets = [v_poset, lam_poset, *corpus(4)]
         for p in posets:
             lat = enumerate_ideals(p)
-            want, _ = oracles.search_by_residuals(lat)
+            want = oracles.search_by_residuals(lat)
             assert [s.rhs for s in search_compatible_asls(lat)] == want, p
         for p in [v_poset, lam_poset, n_poset, antichain(3), sum_of_chains(2, 1)]:
             lat = enumerate_ideals(p)
             for degree in (2, 4):
-                want, _ = oracles.search_by_residuals(lat, degree)
+                want = oracles.search_by_residuals(lat, degree)
                 got = search_compatible_asls(lat, max_degree=degree)
                 assert [s.rhs for s in got] == want, (p, degree)
 
     @pytest.mark.parametrize(
-        "elements, covers, nodes",
+        "elements, covers, tests",
         [
             (["p", "p'", "q"], [("p", "q"), ("p'", "q")], 2),
             (["q", "p", "p'"], [("q", "p"), ("q", "p'")], 2),
             # the two 5-element lattices with 11 ideals and 20 systems
             (["p0", "p1", "p2", "p3", "p4"],
              [("p0", "p3"), ("p0", "p4"), ("p1", "p3"), ("p1", "p4"), ("p2", "p3"), ("p2", "p4")],
-             932),
+             757),
             (["p0", "p1", "p2", "p3", "p4"],
              [("p0", "p2"), ("p0", "p3"), ("p0", "p4"), ("p1", "p2"), ("p1", "p3"), ("p1", "p4")],
-             16544),
+             921),
         ],
     )
-    def test_node_count_pinned(self, elements, covers, nodes):
-        # node counts of the integer-residual search: the tree is unchanged
+    def test_node_count_pinned(self, elements, covers, tests):
+        # push-and-collide tests of the forward-checking search: the tree is
+        # unchanged
         lat = enumerate_ideals(build_poset(elements, covers))
         with pytest.raises(BudgetExceeded):
-            search_compatible_asls(lat, node_budget=nodes - 1)
-        search_compatible_asls(lat, node_budget=nodes)
+            search_compatible_asls(lat, node_budget=tests - 1)
+        search_compatible_asls(lat, node_budget=tests)
+
+    def test_k33_finishes(self):
+        # three minima under three maxima: 28 systems within the default
+        # budget, each realizable, the three canonical tables among them
+        p = build_poset(["a", "b", "c", "x", "y", "z"], [(m, t) for m in "abc" for t in "xyz"])
+        lat = enumerate_ideals(p)
+        systems = search_compatible_asls(lat)
+        assert len(systems) == 28
+        assert all(is_realizable(lat, pm) is not None for pm in systems)
+        for kind in RealizationKind:
+            assert straightening_relations(lat, kind) in systems
 
     def test_null_space_membership_matches_residual(self, lam_poset):
         # row-space membership through the integer null space agrees with the
@@ -412,15 +424,19 @@ class TestSearch:
 
     def test_same_tree_as_residual_oracle(self):
         # degree 3 on every lattice with n <= 4: the same systems in the
-        # same order, from a tree of exactly the oracle's node count
-        for p in corpus(4):
-            lat = enumerate_ideals(p)
-            want, nodes = oracles.search_by_residuals(lat, 3)
-            got = search_compatible_asls(lat, max_degree=3, node_budget=nodes)
-            assert [s.rhs for s in got] == want, p
-            if nodes:  # a chain has no pair, so its tree has no node
+        # same order as the oracle, from a tree of exactly the pinned number
+        # of push-and-collide tests, listed in corpus order
+        pinned = [0, 1, 0, 49, 10, 2, 2, 0, 1274, 347, 160, 165, 165, 79, 73, 42, 27, 24, 3,
+                  171, 27, 4, 3, 0]
+        lats = [enumerate_ideals(p) for p in corpus(4)]
+        assert len(lats) == len(pinned)
+        for lat, tests in zip(lats, pinned):
+            want = oracles.search_by_residuals(lat, 3)
+            got = search_compatible_asls(lat, max_degree=3, node_budget=tests)
+            assert [s.rhs for s in got] == want, lat.poset
+            if tests:  # a chain has no pair, so its search makes no test
                 with pytest.raises(BudgetExceeded):
-                    search_compatible_asls(lat, max_degree=3, node_budget=nodes - 1)
+                    search_compatible_asls(lat, max_degree=3, node_budget=tests - 1)
 
     def test_search_ideal_bound(self):
         lat = enumerate_ideals(antichain(7))  # 128 ideals, raised before any work
