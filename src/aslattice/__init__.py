@@ -29,24 +29,19 @@ from aslattice.genposets import (
 from aslattice.ideals import (
     IdealLattice,
     circ,
-    complement_filter,
     down_closure,
     enumerate_ideals,
     ideal_from_antichain,
     is_antichain,
     is_ideal,
-    join,
     max_elements,
-    meet,
     min_elements,
-    rank,
     star,
     up_closure,
 )
 from aslattice.polytopes import (
     chain_polytope_vertices,
     order_polytope_vertices,
-    parse_point,
     point_in_chain_polytope,
     point_in_order_polytope,
 )
@@ -70,7 +65,6 @@ from aslattice.straightening import (
     relations_equal,
     rewrite_to_standard,
     straightening_relations,
-    subset_monomial,
     verify_asl_axioms,
 )
 from aslattice.uniqueness import (

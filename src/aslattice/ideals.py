@@ -15,7 +15,7 @@ from aslattice import _kernels
 from aslattice.errors import CapacityExceeded, NotAntichain
 from aslattice.posets import Poset, dot_digraph, iter_bits, label_set
 
-DEFAULT_IDEAL_CAP = 1 << 20
+MAX_IDEALS = 1 << 20
 MAX_RELATION_PAIRS = 1_000_000
 
 
@@ -32,9 +32,6 @@ class IdealLattice:
 
     def __len__(self) -> int:
         return len(self.ideals)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.position
 
     @cached_property
     def incomparable_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -108,10 +105,6 @@ class IdealLattice:
         p = self.poset
         return tuple(sorted(self.incomparable_pairs, key=lambda ab: induction_parameter(p, *ab)))
 
-    def join_irreducibles(self) -> list[int]:
-        """Ideals covering exactly one ideal; these recover the poset."""
-        return [a for a in self.ideals if self.max_table[a].bit_count() == 1]
-
 
 def is_ideal(p: Poset, mask: int) -> bool:
     for i in iter_bits(mask):
@@ -120,21 +113,13 @@ def is_ideal(p: Poset, mask: int) -> bool:
     return True
 
 
-def enumerate_ideals(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
-    """Enumerate all poset ideals; raises CapacityExceeded past ``cap``."""
+def enumerate_ideals(p: Poset) -> IdealLattice:
+    """Enumerate all poset ideals; raises CapacityExceeded past MAX_IDEALS."""
     try:
-        masks = _kernels.enumerate_ideal_masks(list(p.down), cap)
+        masks = _kernels.enumerate_ideal_masks(list(p.down), MAX_IDEALS)
     except ValueError as exc:
         raise CapacityExceeded(str(exc)) from None
     return IdealLattice(poset=p, ideals=tuple(masks))
-
-
-def meet(a: int, b: int) -> int:
-    return a & b
-
-
-def join(a: int, b: int) -> int:
-    return a | b
 
 
 def induction_parameter(p: Poset, a: int, b: int) -> int:
@@ -142,11 +127,6 @@ def induction_parameter(p: Poset, a: int, b: int) -> int:
     n - (|a ∪ b| - |a ∩ b|) = n - |a △ b|.  Zero exactly when the union is
     everything and the intersection empty."""
     return p.n - (a ^ b).bit_count()
-
-
-def rank(mask: int) -> int:
-    """Cardinality grading of the lattice."""
-    return mask.bit_count()
 
 
 def max_elements(p: Poset, ideal: int) -> int:
@@ -195,11 +175,6 @@ def ideal_from_antichain(p: Poset, antichain: int) -> int:
     return down_closure(p, antichain)
 
 
-def complement_filter(p: Poset, ideal: int) -> int:
-    """The filter complementary to an ideal."""
-    return p.full_mask & ~ideal
-
-
 def star(p: Poset, a: int, b: int) -> int:
     """The ideal generated by max(a∩b) ∩ (max a ∪ max b).
 
@@ -216,8 +191,8 @@ def circ(p: Poset, a: int, b: int) -> int:
     The union substitute in the dual-chain relation system; dual to
     :func:`star` under complementation.
     """
-    fa = complement_filter(p, a)
-    fb = complement_filter(p, b)
+    fa = p.full_mask & ~a
+    fb = p.full_mask & ~b
     gen = min_elements(p, fa & fb) & (min_elements(p, fa) | min_elements(p, fb))
     return p.full_mask & ~up_closure(p, gen)
 

@@ -67,10 +67,5 @@ def point_in_chain_polytope(p: Poset, x) -> bool:
     return max(heaviest, default=0) <= 1
 
 
-def parse_point(coords) -> Point:
-    """Parse rational-string coordinates such as "1", "0", "1/2"."""
-    return tuple(Fraction(c) for c in coords)
-
-
 def format_point(x: Point) -> list[str]:
     return [str(c) for c in x]

@@ -22,31 +22,19 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from aslattice.errors import AxiomViolation, CapacityExceeded, MissingRelation, NonTermination
-from aslattice.ideals import (
-    IdealLattice,
-    circ,
-    complement_filter,
-    max_elements,
-    min_elements,
-    star,
-)
+from aslattice.ideals import IdealLattice, circ, max_elements, min_elements, star
 from aslattice.posets import Poset
 
 Monomial = tuple[int, ...]
 
 MAX_MULTICHAINS = 1_000_000
+MAX_MULTICHAIN_ENTRIES = 4_000_000
 
 
 class RealizationKind(str, Enum):
     ORDER = "order"
     CHAIN = "chain"
     CHAIN_DUAL = "chain-dual"
-
-
-def subset_monomial(p: Poset, mask: int) -> Monomial:
-    """Squarefree monomial with support ``mask`` (t-exponent 0); the empty
-    subset gives the constant 1."""
-    return tuple(mask >> i & 1 for i in range(p.n)) + (0,)
 
 
 def realize(p: Poset, kind: RealizationKind, ideal: int) -> Monomial:
@@ -56,7 +44,7 @@ def realize(p: Poset, kind: RealizationKind, ideal: int) -> Monomial:
     elif kind is RealizationKind.CHAIN:
         support = max_elements(p, ideal)
     else:
-        support = min_elements(p, complement_filter(p, ideal))
+        support = min_elements(p, p.full_mask & ~ideal)
     return tuple(support >> i & 1 for i in range(p.n)) + (1,)
 
 
@@ -257,38 +245,54 @@ def rewrite_to_standard(lat: IdealLattice, factors, pm: PairMap):
             raise NonTermination("rewriting exceeded its step budget")
 
 
-def multichains(lat: IdealLattice, length: int) -> list[tuple[int, ...]]:
-    """All weakly increasing ⊆-chains of the given length, as mask tuples
-    ascending by lattice position.  Raises CapacityExceeded, before any
-    chain is listed, when there are more than MAX_MULTICHAINS of them."""
+def _containing(lat: IdealLattice) -> dict[int, list[int]]:
+    """The ideals containing each ideal, in ideal order."""
     ids = lat.ideals
-    above = [
-        [j for j in range(i, len(ids)) if ids[i] & ~ids[j] == 0]
-        for i in range(len(ids))
-    ]
-    starting = [1] * len(ids)  # chains of the current length starting at each ideal
-    for _ in range(length - 1):
-        starting = [sum(starting[j] for j in up) for up in above]
-    count = sum(starting) if length else 1
-    if count > MAX_MULTICHAINS:
+    return {a: [b for b in ids[i:] if a & ~b == 0] for i, a in enumerate(ids)}
+
+
+def check_multichain_entries(lat: IdealLattice, lengths: range):
+    """Refuse, before any chain is listed, a caller that lists the
+    multichains of every length in ``lengths``: CapacityExceeded when the
+    longest has more than MAX_MULTICHAINS chains (padding with the top
+    ideal maps each length one-to-one into the next, so no shorter one has
+    more), else when their entries, chains times length summed over the
+    lengths, pass MAX_MULTICHAIN_ENTRIES.  The counts take one pass over
+    the ⊆-table per unit of length."""
+    containing = _containing(lat)
+    starting = dict.fromkeys(containing, 1)  # chains of the current length starting at each ideal
+    counts = [1, len(starting)]  # chains of each length
+    for _ in range(lengths[-1] - 1):
+        starting = {a: sum(starting[b] for b in up) for a, up in containing.items()}
+        counts.append(sum(starting.values()))
+    longest = lengths[-1]
+    if counts[longest] > MAX_MULTICHAINS:
         raise CapacityExceeded(
-            f"{count:,} multichains of length {length} over {len(ids):,} ideals, "
+            f"{counts[longest]:,} multichains of length {longest} over {len(lat):,} ideals, "
             f"over the bound of {MAX_MULTICHAINS:,}"
         )
-    out: list[tuple[int, ...]] = []
-    chain: list[int] = []
+    entries = sum(e * counts[e] for e in lengths)
+    if entries > MAX_MULTICHAIN_ENTRIES:
+        raise CapacityExceeded(
+            f"multichains of lengths {lengths[0]}..{longest} over {len(lat):,} ideals "
+            f"hold {entries:,} entries, over the bound of {MAX_MULTICHAIN_ENTRIES:,}"
+        )
 
-    def rec(cands, remaining: int):
-        if remaining == 0:
-            out.append(tuple(ids[i] for i in chain))
-            return
-        for j in cands:
-            chain.append(j)
-            rec(above[j], remaining - 1)
-            chain.pop()
 
-    rec(range(len(ids)), length)
-    return out
+def multichains(lat: IdealLattice, length: int) -> list[tuple[int, ...]]:
+    """All weakly increasing ⊆-chains of the given length, as mask tuples
+    ascending by lattice position, in lexicographic order of positions.
+    Refused as ``check_multichain_entries`` refuses this one length.  Each
+    chain one entry shorter is extended by every ideal containing its last
+    entry."""
+    check_multichain_entries(lat, range(length, length + 1))
+    if length == 0:
+        return [()]
+    containing = _containing(lat)
+    level = [(a,) for a in lat.ideals]
+    for _ in range(length - 1):
+        level = [ch + (b,) for ch in level for b in containing[ch[-1]]]
+    return level
 
 
 def check_degree(max_degree: int):
@@ -317,6 +321,7 @@ def verify_asl_axioms(lat: IdealLattice, kind: RealizationKind, max_degree: int)
     AxiomViolation with the offending data, otherwise returns the counts.
     """
     check_degree(max_degree)
+    check_multichain_entries(lat, range(1, max_degree + 1))
     table = realization_table(lat, kind)
     pm = straightening_relations(lat, kind)
     labs = lat.poset.labels_of

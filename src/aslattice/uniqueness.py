@@ -40,13 +40,14 @@ from aslattice.errors import (
     InvalidCertificate,
     PreconditionViolated,
 )
-from aslattice.ideals import IdealLattice, induction_parameter
+from aslattice.ideals import IdealLattice, enumerate_ideals, induction_parameter
 from aslattice.posets import Poset, connected_components, is_direct_sum_of_chains, poset_to_json
 from aslattice.straightening import (
     Monomial,
     PairMap,
     RealizationKind,
     check_degree,
+    check_multichain_entries,
     condition_ii_witnesses,
     monomial_product,
     multichains,
@@ -82,9 +83,10 @@ def is_realizable(
     None exactly when the system's relations merge two multichains of
     degree at most ``max_degree``, decided by the exact test that search
     uses (see ``_collision_root``); CapacityExceeded, before any relation
-    is read, past MAX_SEARCH_IDEALS ideals.  Each pair row is pushed once
-    into the integer null space (``_null_push``); the same basis gives the
-    verdict and the exponents, each vector shifted to a nonnegative one.
+    is read, past MAX_SEARCH_IDEALS ideals or the multichain bounds.  Each
+    pair row is pushed once into the integer null space (``_null_push``);
+    the same basis gives the verdict and the exponents, each vector
+    shifted to a nonnegative one.
     Any returned realization genuinely satisfies the constraints and the
     bounded checks; a None is conclusive only for the bounded degree
     tested.
@@ -136,10 +138,9 @@ def _collision_root(lat: IdealLattice, max_degree: int):
     some degree e in 2..d has a merge exactly when degree d has one, and
     ``_collides`` tries the degrees in ascending order.  ``chains[e - 2]``
     lists the degree-e chains as position tuples, and ``gathers[e - 2]``
-    concatenates their entries of a vector.  Degree d is listed first, so
-    past MAX_MULTICHAINS it raises before any lower degree is listed; the
-    padding maps each lower degree one-to-one into degree d, so a lower
-    degree never exceeds the bound.
+    concatenates their entries of a vector.  Before any is listed,
+    ``check_multichain_entries`` refuses a degree d past MAX_MULTICHAINS
+    chains or degrees 2..d past MAX_MULTICHAIN_ENTRIES entries.
 
     Membership in the span is orthogonality to its integer null space,
     which starts as the identity ``basis``.  The hash vector ``w`` in it
@@ -153,6 +154,7 @@ def _collision_root(lat: IdealLattice, max_degree: int):
         raise CapacityExceeded(
             f"lattice has {ncols} ideals, over the search bound of {MAX_SEARCH_IDEALS}"
         )
+    check_multichain_entries(lat, range(2, max_degree + 1))
     pos = lat.position
     top = multichains(lat, max_degree)
     chains = [
@@ -247,7 +249,8 @@ def search_compatible_asls(
     candidate whose row is dependent leaves the constraints as they are,
     and so every other live list; any other candidate refilters every other
     unassigned list under the enlarged constraints, and the branch is cut
-    as soon as a list runs empty.
+    as soon as a list runs empty.  Nodes wait on an explicit stack, so the
+    call depth does not grow with the number of pairs.
 
     Sound and exhaustive for the bounded degree: adding rows only enlarges
     their span, so a candidate pruned at a node stays pruned below it, and
@@ -291,28 +294,25 @@ def search_compatible_asls(
             out[i] = kept
         return out
 
-    choice = [0] * len(pairs)
     leaves: list[tuple[int, ...]] = []
-
-    def extend(lists: dict[int, list[int]], basis, w):
+    root = narrow({i: list(range(len(cs))) for i, cs in enumerate(cands)}, identity, hash_w)
+    # (live lists, basis, w, chosen): chosen maps each assigned pair to its candidate
+    stack = [] if root is None else [(root, identity, hash_w, {})]
+    while stack:
+        lists, basis, w, chosen = stack.pop()
         if not lists:
-            leaves.append(tuple(choice))
-            return
+            leaves.append(tuple(chosen[i] for i in range(len(pairs))))
+            continue
         i = min(lists, key=lambda j: (len(lists[j]), j))
         rest = {j: live for j, live in lists.items() if j != i}
         for c in lists[i]:
-            choice[i] = c
             pushed = _null_push(basis, w, rows[i][c])
             if pushed is None:
-                extend(rest, basis, w)
+                stack.append((rest, basis, w, {**chosen, i: c}))
                 continue
             narrowed = narrow(rest, *pushed)
             if narrowed is not None:
-                extend(narrowed, *pushed)
-
-    root = narrow({i: list(range(len(cs))) for i, cs in enumerate(cands)}, identity, hash_w)
-    if root is not None:
-        extend(root, identity, hash_w)
+                stack.append((narrowed, *pushed, {**chosen, i: c}))
     leaves.sort()
     return [
         PairMap(lattice=lat, rhs={pair: cs[c] for pair, cs, c in zip(pairs, cands, leaf)})
@@ -426,9 +426,6 @@ class _Side:
 
     def to_side(self, ideal_mask: int) -> int:
         return ideal_mask ^ self.flip
-
-    def to_primal(self, side_mask: int) -> int:
-        return side_mask ^ self.flip
 
     def maxels(self, m: int) -> int:
         """Side-maximal elements of a closed set."""
@@ -587,8 +584,6 @@ def validate_certificate(p: Poset, cert: UniquenessCertificate) -> tuple[bool, s
 
 
 def _validate(p: Poset, cert: UniquenessCertificate):
-    from aslattice.ideals import enumerate_ideals
-
     if cert.poset != p:
         _fail("certificate was issued for a different poset")
     if not is_direct_sum_of_chains(p):
@@ -624,10 +619,10 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
 
     Each record is unpacked once, and what is the same for the whole side
     is read once: the side's closed sets and covers, the union's
-    side-maximal elements, and the side's ``flip``, so that ``to_primal``
-    is one XOR.  The prior pair's parameter is computed inline: it is n
-    minus the size of the pair's symmetric difference, which complementing
-    both sets keeps."""
+    side-maximal elements, and the side's ``flip``, which maps a side set
+    to its ideal by one XOR.  The prior pair's parameter is computed
+    inline: it is n minus the size of the pair's symmetric difference,
+    which complementing both sets keeps."""
     n = lat.poset.n
     position = lat.position
     closed = side.position  # the side's closed sets

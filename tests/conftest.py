@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
-from aslattice import build_poset, certificate_to_json, enumerate_ideals, generate_posets
+from aslattice import build_poset, certificate_to_json, enumerate_ideals, generate_posets, genposets
+from aslattice.uniqueness import UniquenessResult
 
 
 def chain(n, prefix="c"):
@@ -67,3 +68,44 @@ def lattice_of(p):
 def certificate_doc(cert):
     """The certificate document as a reader of the file sees it."""
     return json.loads("".join(certificate_to_json(cert)))
+
+
+def _is_two_antichain(p):
+    return p.n == 2 and not p.covers
+
+
+def _flip_sum_of_chains(monkeypatch):
+    flag = genposets.is_direct_sum_of_chains
+    monkeypatch.setattr(
+        genposets, "is_direct_sum_of_chains", lambda p: flag(p) != _is_two_antichain(p)
+    )
+
+
+def _not_unique(monkeypatch):
+    decide = genposets.check_unique
+    monkeypatch.setattr(
+        genposets,
+        "check_unique",
+        lambda lat: UniquenessResult(unique=False) if _is_two_antichain(lat.poset) else decide(lat),
+    )
+
+
+def _reject_certificate(monkeypatch):
+    validate = genposets.validate_certificate
+    monkeypatch.setattr(
+        genposets,
+        "validate_certificate",
+        lambda p, cert: (False, "tampered") if _is_two_antichain(p) else validate(p, cert),
+    )
+
+
+# One fault per failure branch of the corpus check, each confined to the
+# 2-antichain (the first class with two points), with the detail it reports.
+CORPUS_FAULTS = [
+    pytest.param(
+        _flip_sum_of_chains, "condition (ii) True but sum-of-chains False", id="sum-of-chains"
+    ),
+    pytest.param(_not_unique, "uniqueness verdict False but sum-of-chains True", id="verdict"),
+    pytest.param(_reject_certificate, "certificate rejected: tampered", id="certificate"),
+]
+TWO_ANTICHAIN_DOC = {"elements": ["p0", "p1"], "covers": []}

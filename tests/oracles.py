@@ -574,7 +574,7 @@ def _validate_refutation_reference(p, lat, index_of_pair, idx, step, ref, side, 
         _fail(f"{where}: stored prior pair mismatch")
     prior_primal = tuple(
         sorted(
-            (side.to_primal(base), side.to_primal(ref.alpha1)),
+            (base ^ side.flip, ref.alpha1 ^ side.flip),
             key=lat.position.__getitem__,
         )
     )

@@ -10,8 +10,9 @@ import sys
 import pytest
 
 from aslattice import build_poset, certificate_to_json, enumerate_ideals, uniqueness_certificate
-from aslattice import cli, uniqueness
+from aslattice import cli, ideals, uniqueness
 from aslattice.cli import main
+from conftest import CORPUS_FAULTS, TWO_ANTICHAIN_DOC
 
 V_DOC = {"elements": ["p", "p'", "q"], "covers": [["p", "q"], ["p'", "q"]]}
 SOC_DOC = {"elements": ["a", "b", "c"], "covers": [["a", "b"]]}
@@ -389,6 +390,16 @@ class TestCorpus:
         assert out == ""
         assert err == "error: corpus verification supports 1..8 elements\n"
 
+    @pytest.mark.parametrize("fault, detail", CORPUS_FAULTS)
+    def test_counterexample_exits_1(self, capsys, monkeypatch, fault, detail):
+        fault(monkeypatch)
+        code, out, err = run(capsys, "--json", "--no-timestamp", "corpus", "--max-n", "2")
+        assert code == 1
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["counterexamples"] == [{**TWO_ANTICHAIN_DOC, "detail": detail}]
+
     def test_max_n_7_json_pinned(self, capsys):
         # the same report, tallies and counterexamples, byte for byte
         code, out, _ = run(capsys, "--json", "--no-timestamp", "corpus", "--max-n", "7")
@@ -442,7 +453,7 @@ class TestErrorsAndDeterminism:
 
     def test_ideal_capacity_one_line(self, capsys, monkeypatch, v_file):
         # the V has 5 ideals; lower the bound the CLI enumerates under to 4
-        monkeypatch.setattr(cli, "enumerate_ideals", lambda p: enumerate_ideals(p, cap=4))
+        monkeypatch.setattr(ideals, "MAX_IDEALS", 4)
         code, out, err = run(capsys, "analyze", v_file)
         assert code == 2
         assert out == ""
@@ -482,6 +493,23 @@ class TestErrorsAndDeterminism:
         assert err == (
             "error: 28,629,151 multichains of length 30 over 32 ideals, "
             "over the bound of 1,000,000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "n, degree, entries",
+        [(1, "1500", "1,127,250,998"), (3, "60", "172,341,950")],
+        ids=["point-1500", "antichain3-60"],
+    )
+    def test_multichain_entries_bound_one_line(self, capsys, tmp_path, n, degree, entries):
+        # every single length passes; the entries across lengths 2..degree do not
+        f = tmp_path / "a.json"
+        f.write_text(json.dumps({"elements": [f"a{i}" for i in range(n)], "covers": []}))
+        code, out, err = run(capsys, "search", str(f), "--max-degree", degree)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: multichains of lengths 2..{degree} over {2**n} ideals hold {entries} "
+            "entries, over the bound of 4,000,000\n"
         )
 
     def test_search_ideal_bound_one_line(self, capsys, tmp_path):

@@ -18,7 +18,7 @@ from aslattice import (
     is_direct_sum_of_chains,
 )
 from aslattice.genposets import _decide, _poset_from_key
-from conftest import antichain, chain, corpus
+from conftest import CORPUS_FAULTS, TWO_ANTICHAIN_DOC, antichain, chain, corpus
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 
@@ -227,3 +227,13 @@ class TestCorpus:
         # nothing would be checked, yet the report would read ok
         with pytest.raises(CapacityExceeded):
             corpus_verify(max_n=max_n)
+
+    @pytest.mark.parametrize("fault, detail", CORPUS_FAULTS)
+    def test_counterexample_reported(self, monkeypatch, fault, detail):
+        fault(monkeypatch)
+        rep = corpus_verify(max_n=2)
+        assert not rep.ok
+        doc = rep.to_json()
+        assert doc["ok"] is False
+        assert doc["counterexamples"] == [{**TWO_ANTICHAIN_DOC, "detail": detail}]
+        assert [c.detail for c in rep.counterexamples] == [detail]

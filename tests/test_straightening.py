@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,8 @@ from aslattice import (
     realize,
     relations_equal,
     rewrite_to_standard,
+    search_compatible_asls,
     straightening_relations,
-    subset_monomial,
     verify_asl_axioms,
 )
 from aslattice import straightening
@@ -31,30 +33,16 @@ CHAIN = RealizationKind.CHAIN
 CHAIN_DUAL = RealizationKind.CHAIN_DUAL
 
 
-class TestMonomials:
-    def test_empty_subset_is_one(self, v_poset):
-        assert subset_monomial(v_poset, 0) == (0, 0, 0, 0)
-
-    def test_two_element_support(self, v_poset):
-        p = v_poset
-        m = subset_monomial(p, p.mask_of(["p", "q"]))
-        assert m[p.index_of("p")] == 1 and m[p.index_of("q")] == 1
-        assert sum(m[:-1]) == 2 and m[-1] == 0
-
-    def test_full_support(self, v_poset):
-        assert subset_monomial(v_poset, v_poset.full_mask) == (1, 1, 1, 0)
-
-
 class TestRealize:
     def test_order_kind(self, v_poset):
         p = v_poset
         m = realize(p, ORDER, p.mask_of(["p", "p'"]))
-        assert m == subset_monomial(p, p.mask_of(["p", "p'"]))[:-1] + (1,)
+        assert m == tuple(p.mask_of(["p", "p'"]) >> i & 1 for i in range(p.n)) + (1,)
 
     def test_chain_kind_uses_maximal_elements(self, v_poset):
         p = v_poset
         m = realize(p, CHAIN, p.full_mask)
-        assert m == subset_monomial(p, p.mask_of(["q"]))[:-1] + (1,)
+        assert m == tuple(p.mask_of(["q"]) >> i & 1 for i in range(p.n)) + (1,)
 
     def test_chain_dual_on_full_ideal(self, v_poset):
         # complement is empty, so only t remains
@@ -301,6 +289,46 @@ class TestAxioms:
         monkeypatch.setattr(straightening, "MAX_MULTICHAINS", 4**5 - 1)
         with pytest.raises(CapacityExceeded):
             multichains(lat, 3)
+
+    @pytest.mark.parametrize(
+        "p, degree, entries",
+        [(chain(1), 1500, 1_127_250_998), (antichain(3), 60, 172_341_950)],
+        ids=["point-1500", "antichain3-60"],
+    )
+    def test_entries_bound_across_degrees(self, p, degree, entries):
+        # each length alone passes MAX_MULTICHAINS; their entries together are
+        # refused before any chain is listed, by search and the axiom check
+        lat = enumerate_ideals(p)
+        with pytest.raises(CapacityExceeded) as exc:
+            search_compatible_asls(lat, max_degree=degree)
+        assert str(exc.value) == (
+            f"multichains of lengths 2..{degree} over {len(lat)} ideals hold {entries:,} "
+            "entries, over the bound of 4,000,000"
+        )
+        with pytest.raises(CapacityExceeded, match=f"lengths 1..{degree} "):
+            verify_asl_axioms(lat, ORDER, max_degree=degree)
+
+    def test_entries_bound_is_exact(self, monkeypatch):
+        # antichain(2) at degree 3: 9 chains of length 2 and 16 of length 3
+        lat = enumerate_ideals(antichain(2))
+        monkeypatch.setattr(straightening, "MAX_MULTICHAIN_ENTRIES", 2 * 9 + 3 * 16)
+        assert len(search_compatible_asls(lat)) == 1
+        monkeypatch.setattr(straightening, "MAX_MULTICHAIN_ENTRIES", 2 * 9 + 3 * 16 - 1)
+        with pytest.raises(CapacityExceeded):
+            search_compatible_asls(lat)
+
+    def test_multichains_listed_in_position_order(self):
+        # the same chains in the same order as a filter of all position tuples
+        for p in corpus(4):
+            lat = enumerate_ideals(p)
+            ids = lat.ideals
+            for d in range(4):
+                want = [
+                    tuple(ids[i] for i in ch)
+                    for ch in itertools.combinations_with_replacement(range(len(ids)), d)
+                    if all(ids[i] & ~ids[j] == 0 for i, j in zip(ch, ch[1:]))
+                ]
+                assert multichains(lat, d) == want
 
     def test_chain_poset_vacuous(self):
         lat = enumerate_ideals(chain(4))

@@ -334,6 +334,22 @@ class TestSearch:
         for kind in RealizationKind:
             assert straightening_relations(lat, kind) in systems
 
+    def test_stack_depth_independent_of_pairs(self):
+        # a 2-chain plus three points: 138 pairs, one system, found within
+        # 80 frames of the caller, where one frame per pair would not fit
+        lat = enumerate_ideals(sum_of_chains(2, 1, 1, 1))
+        assert len(lat.incomparable_pairs) == 138
+        limit = sys.getrecursionlimit()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        sys.setrecursionlimit(depth + 80)
+        try:
+            systems = search_compatible_asls(lat)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert systems == [straightening_relations(lat, RealizationKind.ORDER)]
+
     def test_null_space_membership_matches_residual(self, lam_poset):
         # row-space membership through the integer null space agrees with the
         # exact integer echelon on random subsets of candidate rows
