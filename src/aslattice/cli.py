@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import gc
 import json
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -41,6 +42,127 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise SystemExit(f"error: cannot read {what} {path}: {exc}") from exc
+
+
+class _WholeDocument(BaseException):
+    """The certificate stream gives way to the whole-document path.  A
+    BaseException, so that it passes through ``certificate_from_json``,
+    which turns every Exception into a malformed-certificate verdict."""
+
+
+_CHUNK = 1 << 16  # characters per read
+_WS = re.compile(r"[ \t\n\r]*")  # JSON whitespace, as the json module skips it
+_decode = json.JSONDecoder().raw_decode  # what json.load decodes with
+
+
+class _Chunks:
+    """A JSON text read in chunks, with a cursor into a buffer that holds
+    only what is still to be decoded.  Any read or decode failure raises
+    _WholeDocument."""
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos, self.eof = fh, "", 0, False
+
+    def _more(self) -> None:
+        """Keep the undecoded rest and read at least as much again."""
+        if self.eof:
+            raise _WholeDocument
+        try:
+            chunk = self.fh.read(max(_CHUNK, len(self.buf) - self.pos))
+        except (OSError, ValueError):  # ValueError: bad UTF-8
+            raise _WholeDocument from None
+        self.buf = self.buf[self.pos :] + chunk
+        self.pos = 0
+        self.eof = not chunk
+
+    def peek(self) -> str:
+        """The next character after whitespace, '' at the end of the file."""
+        while True:
+            self.pos = _WS.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.buf[self.pos : self.pos + 1]
+            self._more()
+
+    def take(self, char: str) -> None:
+        """Step past the next character, which must be ``char``."""
+        if self.peek() != char:
+            raise _WholeDocument
+        self.pos += 1
+
+    def value(self):
+        """The next JSON value.  A failed decode is retried on a longer
+        buffer, and so is one that ends at the buffer's end, since a number
+        cut there decodes as a shorter one."""
+        self.peek()  # past the whitespace, which the decoder does not skip
+        while True:
+            try:
+                obj, end = _decode(self.buf, self.pos)
+            except (ValueError, RecursionError):  # ValueError: JSONDecodeError, digit limit
+                pass
+            else:
+                if end < len(self.buf) or self.eof:
+                    self.pos = end
+                    return obj
+            self._more()
+
+
+def _certificate_stream(fh):
+    """``(header, steps)`` of a certificate file whose top-level object
+    ends with its ``"steps"`` array: the keys before that array decoded,
+    and an iterator that decodes the array's entries one at a time.  A
+    header key that repeats keeps its last value, as with ``json.load``.
+    Raises _WholeDocument, up front or from the iterator, on any read or
+    decode failure, on a top-level value other than an object, and on an
+    object without ``"steps"``, with a ``"steps"`` value other than an
+    array or with a key after it."""
+    src = _Chunks(fh)
+    src.take("{")
+    header = {}
+    while src.peek() == '"':
+        key = src.value()
+        src.take(":")
+        if key == "steps":
+            src.take("[")
+            return header, _steps(src)
+        header[key] = src.value()
+        src.take(",")
+    raise _WholeDocument
+
+
+def _steps(src: _Chunks):
+    """The rest of the steps array, entry by entry, then the end of the
+    file: the object's closing brace and nothing after it but whitespace."""
+    if src.peek() != "]":
+        yield src.value()
+        while src.peek() == ",":
+            src.pos += 1
+            yield src.value()
+    src.take("]")
+    src.take("}")
+    if src.peek():
+        raise _WholeDocument
+
+
+def _read_certificate(path: str, p: posets.Poset) -> uniqueness.UniquenessCertificate:
+    """Parse a certificate file against a poset, decoding, parsing and
+    freeing one step at a time, so that only the parsed certificate is
+    kept.  Where the stream gives way, the whole document is read with
+    ``_read_json`` and parsed as it was, so every verdict and message is
+    the one that path gives; that includes a file whose parse fails early:
+    its rest is still decoded, step by step, before the fault is
+    reported."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header, steps = _certificate_stream(fh)
+            try:
+                return uniqueness.certificate_from_json({**header, "steps": steps}, p)
+            except AslatticeError:
+                for _ in steps:
+                    pass
+                raise
+    except (OSError, _WholeDocument):
+        pass
+    return uniqueness.certificate_from_json(_read_json(path, "certificate"), p)
 
 
 def _load(path: str) -> posets.Poset:
@@ -183,9 +305,8 @@ def cmd_unique(args) -> int:
 @_gc_paused()
 def cmd_validate_cert(args) -> int:
     p = _load(args.poset)
-    cert_doc = _read_json(args.certificate, "certificate")
     try:
-        cert = uniqueness.certificate_from_json(cert_doc, p)
+        cert = _read_certificate(args.certificate, p)
     except AslatticeError as exc:
         _emit(args, {"valid": False, "reason": str(exc)}, [f"REJECTED: {exc}"])
         return 1

@@ -16,9 +16,10 @@ compared by their rule tables.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import comb
 
 from aslattice.errors import AxiomViolation, CapacityExceeded, MissingRelation, NonTermination
@@ -279,20 +280,28 @@ def check_multichain_entries(lat: IdealLattice, lengths: range):
         )
 
 
+def multichain_levels(lat: IdealLattice) -> Iterator[list[tuple[int, ...]]]:
+    """The multichains of lengths 1, 2, 3, ..., one list per length, in
+    one walk: each list is ``multichains`` of its length, and each chain of
+    the next is a chain of this one extended by an ideal containing its
+    last entry.  A list is built only when it is asked for, and nothing is
+    bounded here: callers refuse their lengths with
+    ``check_multichain_entries`` first."""
+    containing = _containing(lat)
+    level = [(a,) for a in lat.ideals]
+    while True:
+        yield level
+        level = [ch + (b,) for ch in level for b in containing[ch[-1]]]
+
+
 def multichains(lat: IdealLattice, length: int) -> list[tuple[int, ...]]:
     """All weakly increasing ⊆-chains of the given length, as mask tuples
     ascending by lattice position, in lexicographic order of positions.
-    Refused as ``check_multichain_entries`` refuses this one length.  Each
-    chain one entry shorter is extended by every ideal containing its last
-    entry."""
+    Refused as ``check_multichain_entries`` refuses this one length."""
     check_multichain_entries(lat, range(length, length + 1))
     if length == 0:
         return [()]
-    containing = _containing(lat)
-    level = [(a,) for a in lat.ideals]
-    for _ in range(length - 1):
-        level = [ch + (b,) for ch in level for b in containing[ch[-1]]]
-    return level
+    return next(islice(multichain_levels(lat), length - 1, None))
 
 
 def check_degree(max_degree: int):
@@ -328,9 +337,8 @@ def verify_asl_axioms(lat: IdealLattice, kind: RealizationKind, max_degree: int)
     std_counts: dict[int, int] = {}
     prod_counts: dict[int, int] = {}
 
-    for d in range(1, max_degree + 1):
+    for d, chains in zip(range(1, max_degree + 1), multichain_levels(lat)):
         seen: dict[Monomial, tuple[int, ...]] = {}
-        chains = multichains(lat, d)
         std_counts[d] = len(chains)
         for ch in chains:
             m = monomial_product(table[a] for a in ch)

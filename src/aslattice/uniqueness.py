@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -50,6 +51,7 @@ from aslattice.straightening import (
     check_multichain_entries,
     condition_ii_witnesses,
     monomial_product,
+    multichain_levels,
     multichains,
     straightening_relations,
 )
@@ -138,9 +140,11 @@ def _collision_root(lat: IdealLattice, max_degree: int):
     some degree e in 2..d has a merge exactly when degree d has one, and
     ``_collides`` tries the degrees in ascending order.  ``chains[e - 2]``
     lists the degree-e chains as position tuples, and ``gathers[e - 2]``
-    concatenates their entries of a vector.  Before any is listed,
-    ``check_multichain_entries`` refuses a degree d past MAX_MULTICHAINS
-    chains or degrees 2..d past MAX_MULTICHAIN_ENTRIES entries.
+    concatenates their entries of a vector: degrees 2..d-1 come from one
+    ``multichain_levels`` walk, degree d from ``multichains``.  Before any
+    is listed, ``check_multichain_entries`` refuses a degree d past
+    MAX_MULTICHAINS chains or degrees 2..d past MAX_MULTICHAIN_ENTRIES
+    entries.
 
     Membership in the span is orthogonality to its integer null space,
     which starts as the identity ``basis``.  The hash vector ``w`` in it
@@ -159,7 +163,7 @@ def _collision_root(lat: IdealLattice, max_degree: int):
     top = multichains(lat, max_degree)
     chains = [
         [tuple(pos[m] for m in ch) for ch in lst]
-        for lst in [*(multichains(lat, e) for e in range(2, max_degree)), top]
+        for lst in [*islice(multichain_levels(lat), 1, max_degree - 1), top]
     ]
     gathers = [itemgetter(*(i for ch in cs for i in ch)) for cs in chains]
     identity = [[int(i == j) for j in range(ncols)] for i in range(ncols)]

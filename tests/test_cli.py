@@ -6,13 +6,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from aslattice import build_poset, certificate_to_json, enumerate_ideals, uniqueness_certificate
 from aslattice import cli, ideals, uniqueness
 from aslattice.cli import main
-from conftest import CORPUS_FAULTS, TWO_ANTICHAIN_DOC
+from conftest import CORPUS_FAULTS, TWO_ANTICHAIN_DOC, antichain
 
 V_DOC = {"elements": ["p", "p'", "q"], "covers": [["p", "q"], ["p'", "q"]]}
 SOC_DOC = {"elements": ["a", "b", "c"], "covers": [["a", "b"]]}
@@ -319,6 +320,174 @@ class TestCollectorRestored:
         doc["steps"][0]["k"] += 1
         cert_path.write_text(json.dumps(doc))
         check(1, "validate-cert", cert, soc_file)
+
+
+SOC_POSET = build_poset(SOC_DOC["elements"], [tuple(c) for c in SOC_DOC["covers"]])
+
+
+def _certificate_text(p) -> str:
+    return "".join(certificate_to_json(uniqueness_certificate(enumerate_ideals(p))))
+
+
+def _rekeyed(text, *first):
+    """The document with the keys ``first`` first, written by json.dumps."""
+    doc = json.loads(text)
+    return json.dumps({**{k: doc.pop(k) for k in first}, **doc})
+
+
+# layout of the certificate text -> (rewrite, whether it is streamed)
+LAYOUTS = {
+    "compact": (lambda t: t, True),
+    "dumps-defaults": (lambda t: json.dumps(json.loads(t)), True),
+    "indent-2": (lambda t: json.dumps(json.loads(t), indent=2), True),
+    "header-reordered": (lambda t: _rekeyed(t, "covers", "elements", "format"), True),
+    "header-key-repeated": (lambda t: '{"format":"other",' + t[1:], True),
+    "header-number": (lambda t: '{"size":123456,' + t[1:], True),
+    "trailing-newline": (lambda t: t + "\n", True),
+    "step-past-one-chunk": (  # whitespace inside the first step
+        lambda t: t.replace('"steps":[{', '"steps":[{' + " " * (2 * cli._CHUNK + 1), 1),
+        True,
+    ),
+    "parse-fault": (lambda t: t.replace('"k":1', '"k":"1"', 1), True),
+    "replay-fault": (lambda t: t.replace('"k":1', '"k":2', 1), True),
+    "steps-first": (lambda t: _rekeyed(t, "steps"), False),
+    "steps-repeated": (lambda t: '{"steps":[],' + t[1:], False),
+    "key-after-steps": (  # the last "format" is the one json.load keeps
+        lambda t: '{"format":"other",' + t[1:-1] + ',"format":"uniqueness-certificate/1"}',
+        False,
+    ),
+}
+
+
+def _give_way(fh):
+    raise cli._WholeDocument
+
+
+class TestCertificateReader:
+    """``validate-cert`` decodes, parses and frees the steps one at a time;
+    every layout and every fault gives what the whole-document path gives."""
+
+    @pytest.fixture
+    def cert_path(self, tmp_path):
+        return tmp_path / "cert.json"
+
+    @pytest.fixture
+    def whole_document(self, monkeypatch):
+        """``run`` with the stream giving way at once."""
+
+        def run_whole(capsys, *argv):
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_certificate_stream", _give_way)
+                return run(capsys, *argv)
+
+        return run_whole
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        """The names of the files that ``json.load`` decodes whole."""
+        names, load = [], json.load
+
+        def recording(fh, *args, **kwargs):
+            names.append(fh.name)
+            return load(fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "load", recording)
+        return names
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_layout_as_whole_document(
+        self, capsys, soc_file, cert_path, whole_document, loaded, layout
+    ):
+        rewrite, streamed = LAYOUTS[layout]
+        cert_path.write_text(rewrite(_certificate_text(SOC_POSET)))
+        argv = ("--json", "--no-timestamp", "validate-cert", str(cert_path), soc_file)
+        want = whole_document(capsys, *argv)
+        assert want[0] == (1 if layout.endswith("fault") else 0)
+        loaded.clear()
+        assert run(capsys, *argv) == want
+        assert (str(cert_path) not in loaded) is streamed
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_reads_cut_anywhere(
+        self, capsys, monkeypatch, soc_file, cert_path, whole_document, loaded, chunk
+    ):
+        # reads this short cut every token somewhere, numbers included, and
+        # the stream holds wherever it held on whole reads
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        text = _certificate_text(SOC_POSET)
+        argv = ("validate-cert", str(cert_path), soc_file)
+        for layout, (rewrite, streamed) in LAYOUTS.items():
+            cert_path.write_text(rewrite(text))
+            loaded.clear()
+            got = run(capsys, *argv)
+            assert (str(cert_path) not in loaded) is streamed, layout
+            assert got == whole_document(capsys, *argv), layout
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda t: t[: len(t) // 2],
+            lambda t: t[:-1],
+            lambda t: t + "x",
+            lambda t: t + " {}",
+            lambda t: "\ufeff" + t,
+            lambda t: t.replace('"k":1', '"k":' + "1" * 5_000, 1),
+            lambda t: t.replace('"steps":[', '"steps":[' + "[" * 100_000, 1),
+            # a parse fault does not hide a decode failure after it
+            lambda t: t.replace('"k":1', '"k":"1"', 1) + "x",
+            lambda t: t.replace('"format":"', '"format":"other', 1)[:-2],
+        ],
+        ids=["truncated", "brace-cut", "trailing-garbage", "second-document", "bom",
+             "digits", "nesting", "step-fault-then-garbage", "header-fault-then-cut"],
+    )
+    def test_decode_failure_is_json_loads_message(self, capsys, soc_file, cert_path, rewrite):
+        cert_path.write_text(rewrite(_certificate_text(SOC_POSET)), encoding="utf-8")
+        self._assert_json_load_message(capsys, soc_file, cert_path)
+
+    def test_bad_utf8_past_first_chunk(self, capsys, soc_file, cert_path):
+        head, tail = _certificate_text(SOC_POSET).split('"steps":[', 1)
+        pad = " " * (2 * cli._CHUNK)
+        cert_path.write_bytes(f'{head}"steps":[{pad}'.encode() + b"\xff" + tail.encode())
+        self._assert_json_load_message(capsys, soc_file, cert_path)
+
+    @staticmethod
+    def _assert_json_load_message(capsys, soc_file, cert_path):
+        try:
+            with open(cert_path, encoding="utf-8") as fh:
+                json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            want = f"error: cannot read certificate {cert_path}: {exc}\n"
+        else:
+            raise AssertionError("json.load decoded the file")
+        assert run(capsys, "validate-cert", str(cert_path), soc_file) == (2, "", want)
+
+    def test_compact_file_never_decoded_whole(self, capsys, monkeypatch, soc_file, cert_path):
+        run(capsys, "unique", soc_file, "--certificate", str(cert_path))
+        load = json.load
+
+        def refuse(fh, *args, **kwargs):
+            if fh.name == str(cert_path):
+                raise AssertionError("certificate decoded as one document")
+            return load(fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "load", refuse)
+        assert run(capsys, "validate-cert", str(cert_path), soc_file) == (0, "ACCEPTED\n", "")
+
+    def test_peak_memory_bounded(self, capsys, tmp_path):
+        # the 6-antichain's 1.7 MB certificate: decoded whole it peaked at
+        # 22 MB of traced allocations, streamed at 3 MB
+        p = antichain(6)
+        poset_path, cert_path = tmp_path / "a6.json", tmp_path / "a6-cert.json"
+        poset_path.write_text(json.dumps({"elements": list(p.labels), "covers": []}))
+        cert_path.write_text(_certificate_text(p))
+        tracemalloc.start()
+        try:
+            result = run(capsys, "validate-cert", str(cert_path), str(poset_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, "ACCEPTED\n", "")
+        assert peak < 8_000_000
 
 
 class TestSearch:

@@ -317,6 +317,27 @@ class TestAxioms:
         with pytest.raises(CapacityExceeded):
             search_compatible_asls(lat)
 
+    def test_axiom_check_lists_degrees_in_one_walk(self, monkeypatch):
+        # one bound check for degrees 1..d, then one walk: no per-degree list
+        checks = []
+        check = straightening.check_multichain_entries
+
+        def counted(lat, lengths):
+            checks.append(lengths)
+            check(lat, lengths)
+
+        def refuse(lat, length):
+            raise AssertionError("multichains listed one degree at a time")
+
+        monkeypatch.setattr(straightening, "check_multichain_entries", counted)
+        monkeypatch.setattr(straightening, "multichains", refuse)
+        lat = enumerate_ideals(sum_of_chains(2, 1))
+        rep = verify_asl_axioms(lat, ORDER, max_degree=4)
+        assert checks == [range(1, 5)]
+        assert rep.standard_monomial_counts == {
+            d: len(multichains(lat, d)) for d in range(1, 5)
+        }
+
     def test_multichains_listed_in_position_order(self):
         # the same chains in the same order as a filter of all position tuples
         for p in corpus(4):

@@ -34,7 +34,7 @@ from aslattice import (
     uniqueness_certificate,
     validate_certificate,
 )
-from aslattice import uniqueness
+from aslattice import straightening, uniqueness
 from aslattice.straightening import PairMap, multichains
 from aslattice.uniqueness import (
     MAX_CERTIFICATE_REFUTATIONS,
@@ -349,6 +349,39 @@ class TestSearch:
         finally:
             sys.setrecursionlimit(limit)
         assert systems == [straightening_relations(lat, RealizationKind.ORDER)]
+
+    def test_root_chain_lists_are_multichains(self):
+        # the root's one walk lists every degree as multichains lists it
+        for p in corpus(4):
+            lat = enumerate_ideals(p)
+            pos = lat.position
+            for d in range(2, 6):
+                want = [[tuple(pos[m] for m in ch) for ch in multichains(lat, e)]
+                        for e in range(2, d + 1)]
+                assert _collision_root(lat, d)[0] == want, (p.labels, d)
+
+    def test_degrees_listed_in_one_walk(self, monkeypatch):
+        # the empty poset at degree 1500: one chain per degree, 1,125,749
+        # entries; one bound check for the root, one multichains call, and
+        # with it one check, for the top degree
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return counted
+
+        check = counting("check", straightening.check_multichain_entries)
+        monkeypatch.setattr(straightening, "check_multichain_entries", check)
+        monkeypatch.setattr(uniqueness, "check_multichain_entries", check)
+        monkeypatch.setattr(uniqueness, "multichains", counting("list", multichains))
+        lat = enumerate_ideals(build_poset([], []))
+        assert search_compatible_asls(lat, max_degree=1500) == [
+            straightening_relations(lat, RealizationKind.ORDER)
+        ]
+        assert sorted(calls) == ["check", "check", "list"]
 
     def test_null_space_membership_matches_residual(self, lam_poset):
         # row-space membership through the integer null space agrees with the
