@@ -247,21 +247,31 @@ def search_compatible_asls(
     Forward checking with the fail-first rule over per-pair right-hand-side
     choices.  Every unassigned pair keeps a live list: its candidates whose
     row, pushed onto the current constraints, merges no two multichains of
-    degree at most ``max_degree``.  The root filters every list under no
-    constraint.  Each node branches on the unassigned pair with the fewest
-    live candidates, ties going to the earlier pair in induction order.  A
-    candidate whose row is dependent leaves the constraints as they are,
-    and so every other live list; any other candidate refilters every other
-    unassigned list under the enlarged constraints, and the branch is cut
-    as soon as a list runs empty.  Nodes wait on an explicit stack, so the
-    call depth does not grow with the number of pairs.
+    degree at most ``max_degree``.  Each node branches on the unassigned
+    pair with the fewest live candidates, ties going to the earlier pair in
+    induction order.  A candidate whose row is dependent leaves the
+    constraints as they are, and so every other live list; any other
+    candidate refilters every other unassigned list under the enlarged
+    constraints, and the branch is cut as soon as a list runs empty.  Nodes
+    wait on an explicit stack, so the call depth does not grow with the
+    number of pairs.
 
     Sound and exhaustive for the bounded degree: adding rows only enlarges
     their span, so a candidate pruned at a node stays pruned below it, and
     a system whose rows merge nothing loses no candidate on its path.
-    Every candidate on a live list was tested against the current
-    constraints, so each leaf is a system that merges nothing.  The test is
-    exact; see ``_collision_root``.
+    Every candidate on a live list below the root was tested against the
+    current constraints, so each leaf is a system that merges nothing.  The
+    test is exact; see ``_collision_root``.
+
+    The root's lists are the unfiltered candidate lists, because one row
+    alone merges nothing.  A candidate of the pair ``(a, b)`` is
+    ``(lo, hi)`` with ``lo`` inside ``a & b`` and ``hi`` holding
+    ``a | b``, so its row is ``e_a + e_b - e_lo - e_hi`` at four distinct
+    ideals.  Two multichains merge under that row alone only if they
+    differ by a nonzero integer multiple of it, and then one of them holds
+    both ``a`` and ``b``, which are incomparable.  Every later row is
+    tested with all the rows before it, so the first pair's row is tested
+    too.
 
     Results are ordered by their candidate indices (see ``_candidate_rhs``)
     read in induction order, lexicographically: the order of a depth-first
@@ -299,9 +309,9 @@ def search_compatible_asls(
         return out
 
     leaves: list[tuple[int, ...]] = []
-    root = narrow({i: list(range(len(cs))) for i, cs in enumerate(cands)}, identity, hash_w)
+    root = {i: list(range(len(cs))) for i, cs in enumerate(cands)}
     # (live lists, basis, w, chosen): chosen maps each assigned pair to its candidate
-    stack = [] if root is None else [(root, identity, hash_w, {})]
+    stack = [(root, identity, hash_w, {})]
     while stack:
         lists, basis, w, chosen = stack.pop()
         if not lists:

@@ -516,13 +516,15 @@ class TestSearch:
             f"realizable compatible systems: 2 (candidate space exhausted up to degree {degree})\n"
         )
 
-    def test_budget_one_line(self, capsys, monkeypatch, v_file):
-        # the V lattice's search makes 2 tests, so a budget of 1 is exceeded
+    def test_budget_one_line(self, capsys, monkeypatch, tmp_path):
+        # the 3-antichain's search makes 34 tests, so a budget of 1 is exceeded
+        f = tmp_path / "anti.json"
+        f.write_text(json.dumps({"elements": ["a", "b", "c"], "covers": []}))
         search = uniqueness.search_compatible_asls
         monkeypatch.setattr(
             uniqueness, "search_compatible_asls", lambda lat, **kw: search(lat, node_budget=1, **kw)
         )
-        code, out, err = run(capsys, "search", v_file)
+        code, out, err = run(capsys, "search", str(f))
         assert code == 2
         assert out == ""
         assert err == "error: search exceeded 1 push-and-collide tests; raise the budget\n"

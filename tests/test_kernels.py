@@ -122,6 +122,43 @@ def test_canonical_key_label_invariance():
         assert _kernels.canonical_key(lt, pred) == key
 
 
+@pytest.mark.parametrize(
+    "n, relations",
+    [
+        (5, []),
+        (6, []),
+        (6, [(i, j) for i in range(3) for j in range(3, 6)]),  # K3,3
+        (5, [(0, j) for j in range(1, 5)]),  # K1,4: one point under four
+        (5, [(i, 4) for i in range(4)]),  # four points under one
+        (6, [(0, 1), (2, 3), (4, 5)]),  # three 2-chains
+    ],
+    ids=["antichain5", "antichain6", "K33", "K14", "K41", "three-2-chains"],
+)
+def test_canonical_key_twin_classes(n, relations):
+    # twin classes (equal strict up- and down-sets) of three or more
+    # elements, and the three 2-chains, whose chains are interchangeable but
+    # hold no twins; each relabelled along random linear extensions and at
+    # random, which puts a class that leaves out some element at indices
+    # that are not consecutive
+    lt = [0] * n
+    for i, j in relations:
+        lt[i] |= 1 << j
+    want = oracles.brute_canonical_key(poset_from_lt(lt))
+    rng = random.Random(23)
+    sizes, spread = set(), False
+    for t in range(40):
+        perm = _random_linear_extension(rng, n, lt) if t % 2 else rng.sample(range(n), n)
+        lt2 = _relabel(lt, perm)
+        _, _, pred = masks_from_lt(lt2)
+        assert _kernels.canonical_key(lt2, pred) == want
+        classes = {}
+        for v, sig in enumerate(zip(lt2, pred)):
+            classes.setdefault(sig, []).append(v)
+        sizes.update(len(c) for c in classes.values())
+        spread |= any(c[-1] - c[0] >= len(c) >= 3 for c in classes.values())
+    assert spread == any(3 <= size < n for size in sizes)
+
+
 def _relabelled_cases():
     """Random orders relabelled along a random linear extension, each with
     the key of the original labelling: keys must not depend on which
@@ -132,16 +169,21 @@ def _relabelled_cases():
         lt = random_strict_order(rng, n)
         _, _, pred = masks_from_lt(lt)
         key = _kernels.canonical_key(lt, pred)
-        perm = _random_linear_extension(rng, n, lt)
-        inv = [0] * n
-        for new, old in enumerate(perm):
-            inv[old] = new
-        lt2 = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if lt[i] >> j & 1:
-                    lt2[inv[i]] |= 1 << inv[j]
-        yield lt2, key
+        yield _relabel(lt, _random_linear_extension(rng, n, lt)), key
+
+
+def _relabel(lt, perm):
+    """The order with old element ``perm[new]`` renamed ``new``."""
+    n = len(lt)
+    inv = [0] * n
+    for new, old in enumerate(perm):
+        inv[old] = new
+    lt2 = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if lt[i] >> j & 1:
+                lt2[inv[i]] |= 1 << inv[j]
+    return lt2
 
 
 def _random_linear_extension(rng, n, lt):
