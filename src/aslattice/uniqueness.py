@@ -237,6 +237,29 @@ def _collides(chains, gathers, basis, w) -> bool:
     return False
 
 
+def _merges_at_two(chains, gather, basis, w, cols) -> bool:
+    """Whether the pair row ``cols``, pushed onto the null space, merges
+    two degree-2 multichains (``chains``, ``gather`` as in ``_collides``),
+    the verdict of ``_collides`` at degree 2 on ``_null_push``'s result.
+    The child's hash vector is d0·w - t·k0 up to its gcd and sign, with k0
+    the first basis vector not orthogonal to the row, d0 = k0·row and
+    t = w·row; scaling repeats no new hash, so only that vector is formed,
+    and the child's basis is built only to confirm a repeated hash."""
+    a, b, lo, hi = cols
+    for k0 in basis:
+        d0 = k0[a] + k0[b] - k0[lo] - k0[hi]
+        if d0:
+            break
+    else:
+        return False  # a dependent row keeps the span; search's spans merge nothing
+    t = w[a] + w[b] - w[lo] - w[hi]
+    vals = gather([d0 * x - t * y for x, y in zip(w, k0)])
+    hashes = list(map(add, vals[0::2], vals[1::2]))
+    if len(set(hashes)) == len(hashes):
+        return False
+    return _collides([chains], [gather], *_null_push(basis, w, cols))
+
+
 def search_compatible_asls(
     lat: IdealLattice,
     max_degree: int = DEFAULT_MAX_DEGREE,
@@ -247,37 +270,47 @@ def search_compatible_asls(
     Forward checking with the fail-first rule over per-pair right-hand-side
     choices.  Every unassigned pair keeps a live list: its candidates whose
     row, pushed onto the current constraints, merges no two multichains of
-    degree at most ``max_degree``.  Each node branches on the unassigned
-    pair with the fewest live candidates, ties going to the earlier pair in
-    induction order.  A candidate whose row is dependent leaves the
-    constraints as they are, and so every other live list; any other
-    candidate refilters every other unassigned list under the enlarged
-    constraints, and the branch is cut as soon as a list runs empty.  Nodes
-    wait on an explicit stack, so the call depth does not grow with the
-    number of pairs.
+    degree 2.  Each node branches on the unassigned pair with the fewest
+    live candidates, ties going to the earlier pair in induction order.  A
+    candidate whose row is dependent leaves the constraints as they are,
+    and so every other live list.  Any other candidate is first tested in
+    full, at the degrees 3..``max_degree``, and refused if its row merges
+    two multichains there; if kept, it refilters every other unassigned
+    list under the enlarged constraints, and the branch is cut as soon as
+    a list runs empty.  Nodes wait on an explicit stack, so the call depth
+    does not grow with the number of pairs.
 
-    Sound and exhaustive for the bounded degree: adding rows only enlarges
-    their span, so a candidate pruned at a node stays pruned below it, and
-    a system whose rows merge nothing loses no candidate on its path.
-    Every candidate on a live list below the root was tested against the
-    current constraints, so each leaf is a system that merges nothing.  The
-    test is exact; see ``_collision_root``.
+    The lists are filtered at degree 2 only because a merge at degree 2
+    pads with the top ideal to one at every higher degree (see
+    ``_collision_root``), so the relaxed filter drops no candidate that
+    the full test would keep, and nearly every merge the full test finds
+    is already one at degree 2.  Sound and exhaustive for the bounded
+    degree: adding rows only enlarges their span, so a candidate pruned at
+    a node stays pruned below it, and a system whose rows merge nothing
+    loses no candidate on its path.  A branching candidate passed degree 2
+    under the node's own constraints when its list was filtered, and
+    passes the higher degrees at assignment, so each leaf is a system that
+    merges nothing at any degree up to ``max_degree``.  The test is exact,
+    and leaves are sorted, so the systems and their order are those of the
+    full filter.  The filter forms only the child's hash vector from the
+    parent's basis and builds the child's basis only to confirm a repeated
+    hash (``_merges_at_two``).
 
-    The root's lists are the unfiltered candidate lists, because one row
-    alone merges nothing.  A candidate of the pair ``(a, b)`` is
-    ``(lo, hi)`` with ``lo`` inside ``a & b`` and ``hi`` holding
-    ``a | b``, so its row is ``e_a + e_b - e_lo - e_hi`` at four distinct
-    ideals.  Two multichains merge under that row alone only if they
-    differ by a nonzero integer multiple of it, and then one of them holds
-    both ``a`` and ``b``, which are incomparable.  Every later row is
-    tested with all the rows before it, so the first pair's row is tested
-    too.
+    The root's lists are the unfiltered candidate lists, and the first
+    assigned row is not tested, because one row alone merges nothing.  A
+    candidate of the pair ``(a, b)`` is ``(lo, hi)`` with ``lo`` inside
+    ``a & b`` and ``hi`` holding ``a | b``, so its row is
+    ``e_a + e_b - e_lo - e_hi`` at four distinct ideals.  Two multichains
+    merge under that row alone only if they differ by a nonzero integer
+    multiple of it, and then one of them holds both ``a`` and ``b``, which
+    are incomparable.  Every later row is tested with all the rows before
+    it, so the first pair's row is tested too.
 
     Results are ordered by their candidate indices (see ``_candidate_rhs``)
     read in induction order, lexicographically: the order of a depth-first
     search over the pairs in induction order.  ``node_budget`` bounds the
-    push-and-collide tests the filters make; past it BudgetExceeded is
-    raised.
+    push-and-collide tests, those of the filters and those at assignment;
+    past it BudgetExceeded is raised.
     """
     chains, gathers, identity, hash_w = _collision_root(lat, max_degree)
     pos = lat.position
@@ -286,22 +319,25 @@ def search_compatible_asls(
     rows = [
         [(pos[a], pos[b], pos[lo], pos[hi]) for lo, hi in cs] for (a, b), cs in zip(pairs, cands)
     ]
+    upper = (chains[1:], gathers[1:])  # degrees 3..d, empty at degree 2
     tests = 0
 
-    def narrow(lists: dict[int, list[int]], basis, w) -> dict[int, list[int]] | None:
-        """Each pair's live list under the basis, or None once one is empty."""
+    def count_test():
         nonlocal tests
+        tests += 1
+        if tests > node_budget:
+            raise BudgetExceeded(
+                f"search exceeded {node_budget:,} push-and-collide tests; raise the budget"
+            )
+
+    def narrow(lists: dict[int, list[int]], basis, w) -> dict[int, list[int]] | None:
+        """Each pair's live list under the degree-2 test, or None once one is empty."""
         out = {}
         for i, live in lists.items():
             kept = []
             for c in live:
-                tests += 1
-                if tests > node_budget:
-                    raise BudgetExceeded(
-                        f"search exceeded {node_budget:,} push-and-collide tests; raise the budget"
-                    )
-                pushed = _null_push(basis, w, rows[i][c])
-                if pushed is None or not _collides(chains, gathers, *pushed):
+                count_test()
+                if not _merges_at_two(chains[0], gathers[0], basis, w, rows[i][c]):
                     kept.append(c)
             if not kept:
                 return None
@@ -324,6 +360,10 @@ def search_compatible_asls(
             if pushed is None:
                 stack.append((rest, basis, w, {**chosen, i: c}))
                 continue
+            if upper[0] and chosen:  # a first row alone merges nothing
+                count_test()
+                if _collides(*upper, *pushed):
+                    continue
             narrowed = narrow(rest, *pushed)
             if narrowed is not None:
                 stack.append((narrowed, *pushed, {**chosen, i: c}))

@@ -517,7 +517,7 @@ class TestSearch:
         )
 
     def test_budget_one_line(self, capsys, monkeypatch, tmp_path):
-        # the 3-antichain's search makes 34 tests, so a budget of 1 is exceeded
+        # the 3-antichain's search makes 37 tests, so a budget of 1 is exceeded
         f = tmp_path / "anti.json"
         f.write_text(json.dumps({"elements": ["a", "b", "c"], "covers": []}))
         search = uniqueness.search_compatible_asls

@@ -41,6 +41,7 @@ from aslattice.uniqueness import (
     _candidate_rhs,
     _collides,
     _collision_root,
+    _merges_at_two,
     _nonnegative,
     _null_push,
     induction_parameter,
@@ -283,7 +284,7 @@ class TestSearch:
                 assert straightening_relations(lat, kind) in systems
 
     def test_budget(self):
-        # the 3-antichain's search makes 34 tests (the V's makes none)
+        # the 3-antichain's search makes 37 tests (the V's makes none)
         lat = enumerate_ideals(antichain(3))
         with pytest.raises(BudgetExceeded):
             search_compatible_asls(lat, node_budget=1)
@@ -310,16 +311,17 @@ class TestSearch:
             # the two 5-element lattices with 11 ideals and 20 systems
             (["p0", "p1", "p2", "p3", "p4"],
              [("p0", "p3"), ("p0", "p4"), ("p1", "p3"), ("p1", "p4"), ("p2", "p3"), ("p2", "p4")],
-             698),
+             742),
             (["p0", "p1", "p2", "p3", "p4"],
              [("p0", "p2"), ("p0", "p3"), ("p0", "p4"), ("p1", "p2"), ("p1", "p3"), ("p1", "p4")],
-             862),
+             906),
         ],
     )
     def test_node_count_pinned(self, elements, covers, tests):
-        # push-and-collide tests of the forward-checking search: the tree is
-        # unchanged (the V and the Λ have one pair, whose root list is not
-        # tested, so their searches make no test)
+        # push-and-collide tests of the forward-checking search, in the
+        # degree-2 filters and at assignment (the V and the Λ have one pair,
+        # whose root list and first assignment are not tested, so their
+        # searches make no test)
         lat = enumerate_ideals(build_poset(elements, covers))
         if tests:
             with pytest.raises(BudgetExceeded):
@@ -336,6 +338,72 @@ class TestSearch:
         assert all(is_realizable(lat, pm) is not None for pm in systems)
         for kind in RealizationKind:
             assert straightening_relations(lat, kind) in systems
+        assert search_compatible_asls(lat, max_degree=4) == systems
+
+    @pytest.mark.parametrize(
+        "covers, refusals",
+        [
+            # a 3-antichain between a bottom and a top: 10 ideals
+            ([("p0", "p1"), ("p0", "p2"), ("p0", "p3"), ("p1", "p4"), ("p2", "p4"),
+              ("p3", "p4")], 24),
+            # p0 < p1 < p3 < p4 and p0 < p2 < p4: 8 ideals
+            ([("p0", "p1"), ("p0", "p2"), ("p1", "p3"), ("p2", "p4"), ("p3", "p4")], 8),
+        ],
+    )
+    def test_refused_at_assignment(self, monkeypatch, covers, refusals):
+        # the live lists are filtered at degree 2 only, so a branching
+        # candidate can still merge two degree-3 chains: it is refused when
+        # assigned, and the systems stay the oracle's at degrees 3 and 4
+        lat = enumerate_ideals(build_poset(["p0", "p1", "p2", "p3", "p4"], covers))
+        degrees, verdicts = set(), []
+
+        def counting(chains, gathers, basis, w):
+            merges = _collides(chains, gathers, basis, w)
+            if len(chains[0][0]) > 2:  # not a degree-2 confirmation
+                degrees.add(tuple(len(cs[0]) for cs in chains))
+                verdicts.append(merges)
+            return merges
+
+        monkeypatch.setattr(uniqueness, "_collides", counting)
+        for degree in (3, 4):
+            degrees.clear()
+            verdicts.clear()
+            got = search_compatible_asls(lat, max_degree=degree)
+            assert [s.rhs for s in got] == oracles.search_by_residuals(lat, degree)
+            assert degrees == {tuple(range(3, degree + 1))}
+            assert sum(verdicts) == refusals, degree
+
+    def test_degree_two_filter_matches_pushed_test(self, lam_poset):
+        # the filter's test, which forms only the child's hash vector, agrees
+        # with _collides at degree 2 on the child that _null_push builds, for
+        # every candidate row after random subsets of rows
+        rng = random.Random(314159)
+        for p in [sum_of_chains(2, 1), lam_poset, antichain(3), sum_of_chains(2, 2),
+                  build_poset(["p0", "p1", "p2", "p3", "p4"],
+                              [("p0", "p1"), ("p0", "p2"), ("p0", "p3"), ("p1", "p4"),
+                               ("p2", "p4"), ("p3", "p4")])]:
+            lat = enumerate_ideals(p)
+            pos = lat.position
+            rows = [
+                (pos[a], pos[b], pos[lo], pos[hi])
+                for a, b in lat.incomparable_pairs
+                for lo, hi in _candidate_rhs(lat, a, b)
+            ]
+            chains, gathers, root_basis, hash_w = _collision_root(lat, 3)
+            verdicts = set()
+            for trial in range(20):
+                # a zero hash vector repeats every hash: only the confirmation decides
+                basis, w = root_basis, hash_w if trial % 2 else [0] * len(lat)
+                for cols in rng.sample(rows, rng.randint(0, min(len(rows), len(lat) - 2))):
+                    pushed = _null_push(basis, w, cols)
+                    if pushed is not None:
+                        basis, w = pushed
+                for cols in rows:
+                    pushed = _null_push(basis, w, cols)
+                    want = pushed is not None and _collides(chains[:1], gathers[:1], *pushed)
+                    assert _merges_at_two(chains[0], gathers[0], basis, w, cols) == want, p
+                    verdicts.add(want)
+            assert verdicts == {False, True}, p
 
     def test_stack_depth_independent_of_pairs(self):
         # a 2-chain plus three points: 138 pairs, one system, found within
@@ -493,8 +561,8 @@ class TestSearch:
         # degree 3 on every lattice with n <= 4: the same systems in the
         # same order as the oracle, from a tree of exactly the pinned number
         # of push-and-collide tests, listed in corpus order
-        pinned = [0, 0, 0, 34, 5, 0, 0, 0, 1123, 282, 123, 138, 128, 54, 57, 27, 18, 16, 0,
-                  144, 18, 0, 0, 0]
+        pinned = [0, 0, 0, 37, 6, 0, 0, 0, 1133, 288, 128, 146, 133, 57, 63, 29, 20, 28, 0,
+                  152, 20, 0, 0, 0]
         lats = [enumerate_ideals(p) for p in corpus(4)]
         assert len(lats) == len(pinned)
         for lat, tests in zip(lats, pinned):
