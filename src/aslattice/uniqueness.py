@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, compress, islice
 from math import gcd
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -237,27 +237,104 @@ def _collides(chains, gathers, basis, w) -> bool:
     return False
 
 
-def _merges_at_two(chains, gather, basis, w, cols) -> bool:
-    """Whether the pair row ``cols``, pushed onto the null space, merges
-    two degree-2 multichains (``chains``, ``gather`` as in ``_collides``),
-    the verdict of ``_collides`` at degree 2 on ``_null_push``'s result.
-    The child's hash vector is d0·w - t·k0 up to its gcd and sign, with k0
-    the first basis vector not orthogonal to the row, d0 = k0·row and
-    t = w·row; scaling repeats no new hash, so only that vector is formed,
-    and the child's basis is built only to confirm a repeated hash."""
-    a, b, lo, hi = cols
-    for k0 in basis:
-        d0 = k0[a] + k0[b] - k0[lo] - k0[hi]
-        if d0:
-            break
-    else:
-        return False  # a dependent row keeps the span; search's spans merge nothing
-    t = w[a] + w[b] - w[lo] - w[hi]
-    vals = gather([d0 * x - t * y for x, y in zip(w, k0)])
-    hashes = list(map(add, vals[0::2], vals[1::2]))
-    if len(set(hashes)) == len(hashes):
+def _degree_two_filter(gather, basis, w):
+    """The degree-2 test ``merges(cols)`` of one search node: whether the
+    pair row ``cols``, pushed onto the node's null space ``basis``, merges
+    two degree-2 multichains, the verdict of ``_collides`` at degree 2 on
+    ``_null_push``'s result (``gather`` concatenates the degree-2 entries of
+    a vector, as in ``_collides``).  No child basis or vector is built.
+
+    S_k lists the chains' sums of a vector k.  A row's k0 is the first
+    basis vector not orthogonal to it, d0 = k0·row and t_k = k·row.
+    ``_null_push`` keeps the vectors before k0, drops k0 and maps every
+    later k, and ``w``, to d0·k - t_k·k0 up to its gcd and sign, which make
+    and break no equality.  So the child's hashes are d0·S_w - t_w·S_k0,
+    and two chains x, y merge exactly when S_k[x] = S_k[y] for every k
+    before k0 and d0·(S_k[x] - S_k[y]) = t_k·(S_k0[x] - S_k0[y]) for every
+    k after it.  Every pair of chains with equal hashes is tried, as in
+    ``_collides``.
+
+    What the node's tests share is computed once: S_w and its buckets of
+    equal sums at once, S_k for each k when a test first needs it.  A
+    chain with S_k0 = 0 keeps the hash d0·S_w, so a test computes only the
+    hashes of the others and looks them up among the buckets."""
+
+    def chain_sums(k):
+        vals = gather(k)
+        return list(map(add, vals[0::2], vals[1::2]))
+
+    sums_w = chain_sums(w)
+    by_sum: dict[int, list[int]] = {}
+    for x, s in enumerate(sums_w):
+        by_sum.setdefault(s, []).append(x)
+    twins = [xs for xs in by_sum.values() if len(xs) > 1]
+    sums = [None] * len(basis)
+    moved = [None] * len(basis)  # the chains with S_k nonzero: indices, S_w, S_k
+
+    def sums_of(j):
+        s = sums[j]
+        if s is None:
+            s = sums[j] = chain_sums(basis[j])
+        return s
+
+    def moved_of(j):
+        m = moved[j]
+        if m is None:
+            s = sums_of(j)
+            m = moved[j] = (
+                list(compress(range(len(s)), s)),
+                list(compress(sums_w, s)),
+                list(filter(None, s)),
+            )
+        return m
+
+    def merges(cols) -> bool:
+        a, b, lo, hi = cols
+        for i, k0 in enumerate(basis):
+            d0 = k0[a] + k0[b] - k0[lo] - k0[hi]
+            if d0:
+                break
+        else:
+            return False  # a dependent row keeps the span; search's spans merge nothing
+        t = w[a] + w[b] - w[lo] - w[hi]
+        ys, ys_w, ys_k0 = moved_of(i)
+        e, u = (d0, t) if d0 > 0 else (-d0, -t)  # the hashes up to their sign
+        if e == 1:  # nearly every test: the kept hashes are S_w itself
+            hashes = [sw - u * sk for sw, sk in zip(ys_w, ys_k0)]
+            kept = by_sum
+        else:
+            hashes = [e * sw - u * sk for sw, sk in zip(ys_w, ys_k0)]
+            kept = {e * sw: xs for sw, xs in by_sum.items()}
+        if not twins and kept.keys().isdisjoint(hashes) and len(set(hashes)) == len(hashes):
+            return False
+        s0 = sums_of(i)
+        before = [sums_of(j) for j in range(i)]
+        after = [
+            (k[a] + k[b] - k[lo] - k[hi], sums_of(j))
+            for j, k in enumerate(basis[i + 1:], i + 1)
+        ]
+
+        def merged(x, y):
+            return all(s[x] == s[y] for s in before) and all(
+                d0 * (s[x] - s[y]) == tk * (s0[x] - s0[y]) for tk, s in after
+            )
+
+        for xs in twins:
+            still = [x for x in xs if not s0[x]]
+            if any(merged(x, y) for x, y in combinations(still, 2)):
+                return True
+        seen: dict[int, list[int]] = {}
+        for y, h in zip(ys, hashes):
+            for x in kept.get(h, ()):
+                if not s0[x] and merged(x, y):
+                    return True
+            for x in seen.setdefault(h, []):
+                if merged(x, y):
+                    return True
+            seen[h].append(y)
         return False
-    return _collides([chains], [gather], *_null_push(basis, w, cols))
+
+    return merges
 
 
 def search_compatible_asls(
@@ -292,9 +369,9 @@ def search_compatible_asls(
     passes the higher degrees at assignment, so each leaf is a system that
     merges nothing at any degree up to ``max_degree``.  The test is exact,
     and leaves are sorted, so the systems and their order are those of the
-    full filter.  The filter forms only the child's hash vector from the
-    parent's basis and builds the child's basis only to confirm a repeated
-    hash (``_merges_at_two``).
+    full filter.  Each node's filter shares its chain sums among its
+    tests, and confirms a repeated hash from them without building the
+    child's basis (``_degree_two_filter``).
 
     The root's lists are the unfiltered candidate lists, and the first
     assigned row is not tested, because one row alone merges nothing.  A
@@ -310,8 +387,12 @@ def search_compatible_asls(
     read in induction order, lexicographically: the order of a depth-first
     search over the pairs in induction order.  ``node_budget`` bounds the
     push-and-collide tests, those of the filters and those at assignment;
-    past it BudgetExceeded is raised.
+    past it BudgetExceeded is raised.  A finished search logs one DEBUG
+    record on the ``aslattice`` logger: its pairs, nodes (each taken from
+    the stack), tests, candidates refused at assignment and systems.
     """
+    import logging  # here, not at the top: it adds about 5 ms to importing the package
+
     chains, gathers, identity, hash_w = _collision_root(lat, max_degree)
     pos = lat.position
     pairs = lat.induction_pairs
@@ -320,11 +401,11 @@ def search_compatible_asls(
         [(pos[a], pos[b], pos[lo], pos[hi]) for lo, hi in cs] for (a, b), cs in zip(pairs, cands)
     ]
     upper = (chains[1:], gathers[1:])  # degrees 3..d, empty at degree 2
-    tests = 0
+    tests = nodes = refused = 0
 
-    def count_test():
+    def count_tests(n: int):
         nonlocal tests
-        tests += 1
+        tests += n
         if tests > node_budget:
             raise BudgetExceeded(
                 f"search exceeded {node_budget:,} push-and-collide tests; raise the budget"
@@ -332,13 +413,11 @@ def search_compatible_asls(
 
     def narrow(lists: dict[int, list[int]], basis, w) -> dict[int, list[int]] | None:
         """Each pair's live list under the degree-2 test, or None once one is empty."""
+        merges = _degree_two_filter(gathers[0], basis, w)
         out = {}
         for i, live in lists.items():
-            kept = []
-            for c in live:
-                count_test()
-                if not _merges_at_two(chains[0], gathers[0], basis, w, rows[i][c]):
-                    kept.append(c)
+            count_tests(len(live))  # every candidate of a list is tested
+            kept = [c for c in live if not merges(rows[i][c])]
             if not kept:
                 return None
             out[i] = kept
@@ -350,6 +429,7 @@ def search_compatible_asls(
     stack = [(root, identity, hash_w, {})]
     while stack:
         lists, basis, w, chosen = stack.pop()
+        nodes += 1
         if not lists:
             leaves.append(tuple(chosen[i] for i in range(len(pairs))))
             continue
@@ -361,13 +441,18 @@ def search_compatible_asls(
                 stack.append((rest, basis, w, {**chosen, i: c}))
                 continue
             if upper[0] and chosen:  # a first row alone merges nothing
-                count_test()
+                count_tests(1)
                 if _collides(*upper, *pushed):
+                    refused += 1
                     continue
             narrowed = narrow(rest, *pushed)
             if narrowed is not None:
                 stack.append((narrowed, *pushed, {**chosen, i: c}))
     leaves.sort()
+    logging.getLogger("aslattice").debug(
+        "search: %d pairs, %d nodes, %d tests, %d refused at assignment, %d systems",
+        len(pairs), nodes, tests, refused, len(leaves),
+    )
     return [
         PairMap(lattice=lat, rhs={pair: cs[c] for pair, cs, c in zip(pairs, cands, leaf)})
         for leaf in leaves

@@ -2,6 +2,7 @@ import copy
 import gc
 import hashlib
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -507,6 +508,23 @@ class TestSearch:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "dd4e550e7c2dcb40643e99aab9aa421c65f896af574b043f57530d91b803acbb"
         )
+
+    @pytest.mark.parametrize("degree, digest", [
+        ("3", "33fd80275613aeeb96615bb5098ce4426061cf4286cfc61b431ecc1f2fd96f70"),
+        ("4", "f0edde0f2e50e250198f2fb02c0546d0cfe754bf64536166591251ef0da9cc67"),
+    ])
+    def test_k33_json_pinned_under_debug_log(self, capsys, caplog, tmp_path, degree, digest):
+        # K3,3's 28 systems byte for byte, as before the search logged, with
+        # its DEBUG record captured and kept off stdout and stderr
+        f = tmp_path / "k33.json"
+        covers = [[m, t] for m in "abc" for t in "xyz"]
+        f.write_text(json.dumps({"elements": list("abcxyz"), "covers": covers}))
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            code, out, err = run(capsys, "--json", "--no-timestamp", "search", str(f),
+                                 "--max-degree", degree)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert [r.msg.split(":")[0] for r in caplog.records] == ["search"]
 
     @pytest.mark.parametrize("degree", ["2", "3", "4"])
     def test_text_names_the_degree_bound(self, capsys, v_file, degree):

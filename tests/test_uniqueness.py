@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import json
+import logging
 import math
 import os
 import random
@@ -41,7 +42,7 @@ from aslattice.uniqueness import (
     _candidate_rhs,
     _collides,
     _collision_root,
-    _merges_at_two,
+    _degree_two_filter,
     _nonnegative,
     _null_push,
     induction_parameter,
@@ -340,6 +341,44 @@ class TestSearch:
             assert straightening_relations(lat, kind) in systems
         assert search_compatible_asls(lat, max_degree=4) == systems
 
+    def test_workload_lattices_pinned(self, caplog):
+        # the 64 classes with n <= 5 whose lattices have at most 12 ideals,
+        # in corpus order, searched at degree 3: the same systems in the same
+        # order, from the same number of tests, as before the filter shared
+        # its chain sums.  Serialization: one line per lattice, json.dumps of
+        # its list of systems, each system the sorted list of its relations
+        # as [a, b, lo, hi] ideal masks; lines joined by "\n", UTF-8
+        lines = []
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            for p in corpus(5):
+                lat = enumerate_ideals(p)
+                if len(lat) > 12:
+                    continue
+                systems = search_compatible_asls(lat, max_degree=3)
+                lines.append(json.dumps([
+                    sorted([a, b, lo, hi] for (a, b), (lo, hi) in s.rhs.items())
+                    for s in systems
+                ]))
+        assert len(lines) == 64
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "06c5f3b3392442e88473f85934d79ed519e455c20832d58ec93ae0a7d1ba855f"
+        )
+        records = [r for r in caplog.records if r.msg.startswith("search:")]
+        assert len(records) == 64
+        assert sum(r.args[2] for r in records) == 13_244
+
+    def test_k33_logs_one_record(self, caplog):
+        # one DEBUG record per search: pairs, nodes, tests, refusals at
+        # assignment and systems
+        p = build_poset(["a", "b", "c", "x", "y", "z"], [(m, t) for m in "abc" for t in "xyz"])
+        lat = enumerate_ideals(p)
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            systems = search_compatible_asls(lat, max_degree=3)
+        records = [r for r in caplog.records if r.name == "aslattice"]
+        assert [r.levelno for r in records] == [logging.DEBUG]
+        assert records[0].args == (18, 409, 27_586, 0, 28)
+        assert len(systems) == 28 and len(lat.induction_pairs) == 18
+
     @pytest.mark.parametrize(
         "covers, refusals",
         [
@@ -374,7 +413,7 @@ class TestSearch:
             assert sum(verdicts) == refusals, degree
 
     def test_degree_two_filter_matches_pushed_test(self, lam_poset):
-        # the filter's test, which forms only the child's hash vector, agrees
+        # the node's filter, which builds no child basis or vector, agrees
         # with _collides at degree 2 on the child that _null_push builds, for
         # every candidate row after random subsets of rows
         rng = random.Random(314159)
@@ -398,12 +437,90 @@ class TestSearch:
                     pushed = _null_push(basis, w, cols)
                     if pushed is not None:
                         basis, w = pushed
+                merges = _degree_two_filter(gathers[0], basis, w)
                 for cols in rows:
                     pushed = _null_push(basis, w, cols)
                     want = pushed is not None and _collides(chains[:1], gathers[:1], *pushed)
-                    assert _merges_at_two(chains[0], gathers[0], basis, w, cols) == want, p
+                    assert merges(cols) == want, p
                     verdicts.add(want)
             assert verdicts == {False, True}, p
+
+    def test_degree_two_filter_tries_every_pair_of_a_bucket(self):
+        # a zero hash vector puts every degree-2 chain in one bucket headed
+        # by the chain (bottom, bottom); on the 2-chain plus a point, after
+        # each first row and for every candidate row, the filter agrees with
+        # _collides on the pushed child, and some merging children leave the
+        # head unmerged, so a chain compared only with the head would pass
+        lat = enumerate_ideals(sum_of_chains(2, 1))
+        pos = lat.position
+        rows = [
+            (pos[a], pos[b], pos[lo], pos[hi])
+            for a, b in lat.incomparable_pairs
+            for lo, hi in _candidate_rhs(lat, a, b)
+        ]
+        chains, gathers, root, _ = _collision_root(lat, 3)
+        head, zero = chains[0][0], [0] * len(lat)
+        assert head == (0, 0)
+        headless = 0
+        for first in rows:
+            basis, w = _null_push(root, zero, first)
+            merges = _degree_two_filter(gathers[0], basis, w)
+            for cols in rows:
+                pushed = _null_push(basis, w, cols)
+                want = pushed is not None and _collides(chains[:1], gathers[:1], *pushed)
+                assert merges(cols) == want, (first, cols)
+                if want:
+                    sigs = [tuple(sum(k[i] for i in ch) for k in pushed[0]) for ch in chains[0]]
+                    headless += sigs.count(sigs[0]) == 1
+        assert headless
+        # on the 3-antichain a0, a1, a2, ideals named by their indices: after
+        # 1·2 = ∅·12 and 0·2 = ∅·012, the row of 01·12 = ∅·012 merges one
+        # pair alone, ∅·0 and 1·01, and it moves the hash of the head and of
+        # both chains of that pair (S_k0 is nonzero on all three)
+        lat = enumerate_ideals(antichain(3))
+        ideal = {x: lat.position[lat.poset.mask_of(["a" + i for i in x])]
+                 for x in ["", "0", "1", "2", "01", "12", "012"]}
+        chains, gathers, basis, _ = _collision_root(lat, 3)
+        w = [0] * len(lat)
+        for a, b, lo, hi in [("1", "2", "", "12"), ("0", "2", "", "012")]:
+            basis, w = _null_push(basis, w, (ideal[a], ideal[b], ideal[lo], ideal[hi]))
+        cols = (ideal["01"], ideal["12"], ideal[""], ideal["012"])
+        k0 = next(k for k in basis if k[cols[0]] + k[cols[1]] - k[cols[2]] - k[cols[3]])
+        child = _null_push(basis, w, cols)[0]
+        sigs = {}
+        for ch in chains[0]:
+            sigs.setdefault(tuple(sum(k[i] for i in ch) for k in child), []).append(ch)
+        pair = [(ideal[""], ideal["0"]), (ideal["1"], ideal["01"])]
+        assert [chs for chs in sigs.values() if len(chs) > 1] == [pair]
+        assert all(sum(k0[i] for i in ch) for ch in [chains[0][0], *pair])
+        assert _degree_two_filter(gathers[0], basis, w)(cols)
+
+    def test_degree_two_filter_with_d0_two(self):
+        # on the 2x2 grid of ideals (i, j), i points of the first chain and j
+        # of the second, after four relations the row of (2,0)(1,1) =
+        # (1,0)(2,1) has d0 = 2 and merges one pair alone, (0,0)(2,2) and
+        # (1,1)(1,1): one chain whose hash it moves and one whose hash it
+        # only scales by d0
+        p = sum_of_chains(2, 2)
+        lat = enumerate_ideals(p)
+        c0, c1 = p.labels[:2], p.labels[2:]
+        ideal = {(i, j): lat.position[p.mask_of([*c0[:i], *c1[:j]])]
+                 for i in range(3) for j in range(3)}
+        chains, gathers, basis, w = _collision_root(lat, 3)
+        for row in [((1, 1), (0, 2), (0, 1), (1, 2)), ((1, 0), (0, 1), (0, 0), (2, 2)),
+                    ((2, 0), (0, 2), (0, 0), (2, 2)), ((2, 1), (1, 2), (0, 0), (2, 2))]:
+            basis, w = _null_push(basis, w, tuple(ideal[x] for x in row))
+        cols = tuple(ideal[x] for x in [(2, 0), (1, 1), (1, 0), (2, 1)])
+        k0 = next(k for k in basis if k[cols[0]] + k[cols[1]] - k[cols[2]] - k[cols[3]])
+        assert abs(k0[cols[0]] + k0[cols[1]] - k0[cols[2]] - k0[cols[3]]) == 2
+        child = _null_push(basis, w, cols)[0]
+        sigs = {}
+        for ch in chains[0]:
+            sigs.setdefault(tuple(sum(k[i] for i in ch) for k in child), []).append(ch)
+        pair = [(ideal[0, 0], ideal[2, 2]), (ideal[1, 1], ideal[1, 1])]
+        assert [chs for chs in sigs.values() if len(chs) > 1] == [pair]
+        assert [bool(sum(k0[i] for i in ch)) for ch in pair] == [False, True]
+        assert _degree_two_filter(gathers[0], basis, w)(cols)
 
     def test_stack_depth_independent_of_pairs(self):
         # a 2-chain plus three points: 138 pairs, one system, found within
