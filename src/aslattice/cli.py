@@ -3,7 +3,8 @@
 Every subcommand reads poset files in the ``{"elements": [...], "covers":
 [[a,b], ...]}`` schema, validates them before computing, and writes either
 a human-readable summary or (with ``--json``) a machine-readable document.
-Exit status: 0 success, 1 verification failure, 2 usage or input error.
+Exit status: 0 success, 1 verification failure or standard output closed
+early (quietly), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import gc
 import json
+import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -405,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="enumerate all realizable compatible systems")
     s.add_argument("poset")
-    s.add_argument("--max-degree", type=int, default=3)
+    s.add_argument("--max-degree", type=int, default=uniqueness.DEFAULT_MAX_DEGREE)
     s.set_defaults(func=cmd_search)
 
     s = sub.add_parser("corpus", help="verify the uniqueness equivalence on all small posets")
@@ -434,7 +436,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _utf8_stdout()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # the reader left early (``| head``): end quietly with 1,
+        # as Python's SIGPIPE recipe does, on a stdout the last flush cannot break
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

@@ -82,6 +82,14 @@ class IdealLattice:
         return {a: a & ~s for a, s in below.items()}
 
     @cached_property
+    def containing(self) -> dict[int, tuple[int, ...]]:
+        """The ideals containing each ideal ``a``, in ideal order, ``a``
+        itself first (no earlier ideal is as large): the ⊆-table of
+        multichain counting and listing and of the search's upper sides."""
+        ids = self.ideals
+        return {a: tuple(b for b in ids[i:] if a & ~b == 0) for i, a in enumerate(ids)}
+
+    @cached_property
     def complement_min_table(self) -> dict[int, int]:
         """``min_elements`` of the complement filter of every ideal ``a``,
         in ideal order; dual to ``max_table``.  Strict up-sets of the

@@ -16,10 +16,9 @@ compared by their rule tables.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import comb
 
 from aslattice.errors import AxiomViolation, CapacityExceeded, MissingRelation, NonTermination
@@ -246,12 +245,6 @@ def rewrite_to_standard(lat: IdealLattice, factors, pm: PairMap):
             raise NonTermination("rewriting exceeded its step budget")
 
 
-def _containing(lat: IdealLattice) -> dict[int, list[int]]:
-    """The ideals containing each ideal, in ideal order."""
-    ids = lat.ideals
-    return {a: [b for b in ids[i:] if a & ~b == 0] for i, a in enumerate(ids)}
-
-
 def check_multichain_entries(lat: IdealLattice, lengths: range):
     """Refuse, before any chain is listed, a caller that lists the
     multichains of every length in ``lengths``: CapacityExceeded when the
@@ -259,12 +252,11 @@ def check_multichain_entries(lat: IdealLattice, lengths: range):
     ideal maps each length one-to-one into the next, so no shorter one has
     more), else when their entries, chains times length summed over the
     lengths, pass MAX_MULTICHAIN_ENTRIES.  The counts take one pass over
-    the ⊆-table per unit of length."""
-    containing = _containing(lat)
-    starting = dict.fromkeys(containing, 1)  # chains of the current length starting at each ideal
+    the lattice's ⊆-table per unit of length."""
+    starting = dict.fromkeys(lat.ideals, 1)  # chains of the current length starting at each ideal
     counts = [1, len(starting)]  # chains of each length
     for _ in range(lengths[-1] - 1):
-        starting = {a: sum(starting[b] for b in up) for a, up in containing.items()}
+        starting = {a: sum(starting[b] for b in up) for a, up in lat.containing.items()}
         counts.append(sum(starting.values()))
     longest = lengths[-1]
     if counts[longest] > MAX_MULTICHAINS:
@@ -280,28 +272,19 @@ def check_multichain_entries(lat: IdealLattice, lengths: range):
         )
 
 
-def multichain_levels(lat: IdealLattice) -> Iterator[list[tuple[int, ...]]]:
-    """The multichains of lengths 1, 2, 3, ..., one list per length, in
-    one walk: each list is ``multichains`` of its length, and each chain of
-    the next is a chain of this one extended by an ideal containing its
-    last entry.  A list is built only when it is asked for, and nothing is
-    bounded here: callers refuse their lengths with
-    ``check_multichain_entries`` first."""
-    containing = _containing(lat)
-    level = [(a,) for a in lat.ideals]
-    while True:
-        yield level
-        level = [ch + (b,) for ch in level for b in containing[ch[-1]]]
-
-
 def multichains(lat: IdealLattice, length: int) -> list[tuple[int, ...]]:
     """All weakly increasing ⊆-chains of the given length, as mask tuples
-    ascending by lattice position, in lexicographic order of positions.
-    Refused as ``check_multichain_entries`` refuses this one length."""
+    ascending by lattice position, in lexicographic order of positions, in
+    one walk over the lattice's ⊆-table.  Refused, before any chain is
+    listed, as ``check_multichain_entries`` refuses this one length.  The
+    chains of a length e below are the prefixes of these whose entries
+    from position e on are the top ideal, in the same order."""
     check_multichain_entries(lat, range(length, length + 1))
-    if length == 0:
-        return [()]
-    return next(islice(multichain_levels(lat), length - 1, None))
+    containing = lat.containing
+    level = [()]
+    for _ in range(length):
+        level = [ch + (b,) for ch in level for b in (containing[ch[-1]] if ch else lat.ideals)]
+    return level
 
 
 def check_degree(max_degree: int):
@@ -334,12 +317,14 @@ def verify_asl_axioms(lat: IdealLattice, kind: RealizationKind, max_degree: int)
     table = realization_table(lat, kind)
     pm = straightening_relations(lat, kind)
     labs = lat.poset.labels_of
-    std_counts: dict[int, int] = {}
     prod_counts: dict[int, int] = {}
 
-    for d, chains in zip(range(1, max_degree + 1), multichain_levels(lat)):
+    levels = [multichains(lat, max_degree)]  # then lengths d-1..1, as prefixes padded by the top
+    for e in range(max_degree - 1, 0, -1):
+        levels.insert(0, [ch[:e] for ch in levels[0] if ch[e] == lat.ideals[-1]])
+    std_counts = {d: len(chains) for d, chains in enumerate(levels, 1)}
+    for chains in levels:
         seen: dict[Monomial, tuple[int, ...]] = {}
-        std_counts[d] = len(chains)
         for ch in chains:
             m = monomial_product(table[a] for a in ch)
             other = seen.get(m)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, compress, islice
+from itertools import combinations, compress
 from math import gcd
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -51,13 +51,12 @@ from aslattice.straightening import (
     check_multichain_entries,
     condition_ii_witnesses,
     monomial_product,
-    multichain_levels,
     multichains,
     straightening_relations,
 )
 
 DEFAULT_MAX_DEGREE = 3
-DEFAULT_NODE_BUDGET = 500_000
+MAX_SEARCH_TESTS = 500_000
 MAX_SEARCH_IDEALS = 125
 
 
@@ -122,10 +121,8 @@ def is_realizable(
 
 def _candidate_rhs(lat: IdealLattice, a: int, b: int) -> list[tuple[int, int]]:
     """All compatible right-hand sides for a pair, canonical one first."""
-    meet_m, join_m = a & b, a | b
-    los = [m for m in reversed(lat.ideals) if m & ~meet_m == 0]
-    his = [m for m in lat.ideals if join_m & ~m == 0]
-    return [(lo, hi) for hi in his for lo in los]
+    los = [m for m in reversed(lat.ideals) if m & ~(a & b) == 0]
+    return [(lo, hi) for hi in lat.containing[a | b] for lo in los]
 
 
 def _collision_root(lat: IdealLattice, max_degree: int):
@@ -140,11 +137,11 @@ def _collision_root(lat: IdealLattice, max_degree: int):
     some degree e in 2..d has a merge exactly when degree d has one, and
     ``_collides`` tries the degrees in ascending order.  ``chains[e - 2]``
     lists the degree-e chains as position tuples, and ``gathers[e - 2]``
-    concatenates their entries of a vector: degrees 2..d-1 come from one
-    ``multichain_levels`` walk, degree d from ``multichains``.  Before any
-    is listed, ``check_multichain_entries`` refuses a degree d past
-    MAX_MULTICHAINS chains or degrees 2..d past MAX_MULTICHAIN_ENTRIES
-    entries.
+    concatenates their entries of a vector.  Before any is listed,
+    ``check_multichain_entries`` refuses a degree d past MAX_MULTICHAINS
+    chains or degrees 2..d past MAX_MULTICHAIN_ENTRIES entries.  Then
+    ``multichains`` lists degree d, and degree e is the prefixes of its
+    chains whose entries from position e on are the top ideal.
 
     Membership in the span is orthogonality to its integer null space,
     which starts as the identity ``basis``.  The hash vector ``w`` in it
@@ -160,11 +157,9 @@ def _collision_root(lat: IdealLattice, max_degree: int):
         )
     check_multichain_entries(lat, range(2, max_degree + 1))
     pos = lat.position
-    top = multichains(lat, max_degree)
-    chains = [
-        [tuple(pos[m] for m in ch) for ch in lst]
-        for lst in [*islice(multichain_levels(lat), 1, max_degree - 1), top]
-    ]
+    chains = [[tuple(pos[m] for m in ch) for ch in multichains(lat, max_degree)]]
+    for e in range(max_degree - 1, 1, -1):  # position ncols - 1 is the top ideal's
+        chains.insert(0, [ch[:e] for ch in chains[0] if ch[e] == ncols - 1])
     gathers = [itemgetter(*(i for ch in cs for i in ch)) for cs in chains]
     identity = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     return chains, gathers, identity, [pow(16807, j + 1, (1 << 31) - 1) for j in range(ncols)]
@@ -338,9 +333,7 @@ def _degree_two_filter(gather, basis, w):
 
 
 def search_compatible_asls(
-    lat: IdealLattice,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    lat: IdealLattice, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> list[PairMap]:
     """All realizable compatible relation systems on the lattice.
 
@@ -385,7 +378,7 @@ def search_compatible_asls(
 
     Results are ordered by their candidate indices (see ``_candidate_rhs``)
     read in induction order, lexicographically: the order of a depth-first
-    search over the pairs in induction order.  ``node_budget`` bounds the
+    search over the pairs in induction order.  MAX_SEARCH_TESTS bounds the
     push-and-collide tests, those of the filters and those at assignment;
     past it BudgetExceeded is raised.  A finished search logs one DEBUG
     record on the ``aslattice`` logger: its pairs, nodes (each taken from
@@ -406,9 +399,9 @@ def search_compatible_asls(
     def count_tests(n: int):
         nonlocal tests
         tests += n
-        if tests > node_budget:
+        if tests > MAX_SEARCH_TESTS:
             raise BudgetExceeded(
-                f"search exceeded {node_budget:,} push-and-collide tests; raise the budget"
+                f"search exceeded {MAX_SEARCH_TESTS:,} push-and-collide tests; raise the budget"
             )
 
     def narrow(lists: dict[int, list[int]], basis, w) -> dict[int, list[int]] | None:
@@ -794,35 +787,39 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
         if r_p is None:
             if not minimal_mask >> q & 1:
                 fail("adjoined element without covered element must be minimal")
-            if swapped:
+            if swapped:  # cannot fire: the witness check requires False without p
                 fail("swap is meaningless without a covered element")
         else:
             if not cover_mask[r_p] >> q & 1:
                 fail("q does not cover p")
             if not top >> r_p & 1:
                 fail("p is not maximal in the union")
-            if not ext >> r_p & 1:
+            if not ext >> r_p & 1:  # cannot fire: ext is the one of sa, sb holding p
                 fail("p does not lie in the extended component")
         if alpha1 != ext | (1 << q):
             fail("alpha1 is not the extended component plus q")
-        if alpha1 not in closed:
+        # Below, only the stored prior pair and collision comparisons can
+        # fire; each other check states a step of the argument, implied as
+        # noted by the checks above and _validate's (a sum of chains,
+        # incomparable step pairs in parameter order, parameters).
+        if alpha1 not in closed:  # q is minimal, or covers p in ext and nothing else
             fail("alpha1 is not closed")
-        if alpha1 & ~alt:
+        if alpha1 & ~alt:  # ext lies in the union, inside alt, and q in alt
             fail("alpha1 is not contained in the alternative")
-        if base & alpha1 != sm:
+        if base & alpha1 != sm:  # q lies outside the union, as below
             fail("adjoining q must not change the intersection")
         joined = base | alpha1
         if joined.bit_count() != grown:
             fail("adjoining q must grow the union by exactly one element")
-        if base & ~alpha1 == 0 or alpha1 & ~base == 0:
+        if base & ~alpha1 == 0 or alpha1 & ~base == 0:  # base ⊄ ext, q ∉ base
             fail("prior pair is not incomparable")
         if prior_pair != (base, alpha1):
             fail("stored prior pair mismatch")
         x, y = base ^ flip, alpha1 ^ flip
         prior_idx = index_of_pair.get((x, y) if position[x] < position[y] else (y, x))
-        if prior_idx is None or prior_idx >= idx:
+        if prior_idx is None or prior_idx >= idx:  # a step pair, one parameter down
             fail("prior pair is not certified earlier")
-        if n - (base ^ alpha1).bit_count() != prior_k:
+        if n - (base ^ alpha1).bit_count() != prior_k:  # base ^ alpha1 = sa ^ sb + q
             fail("prior pair parameter is not one less")
         # The checks above give sm ⊆ ext ⊂ alpha1 = ext ∪ {q} ⊆ alt, so both
         # monomials are inclusion chains, which side order lists in
@@ -831,13 +828,13 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
         right = (sm, alpha1, alt)
         if collision != (left, right):
             fail("collision monomials differ from the replayed ones")
-        for u, v, w in collision:
+        for u, v, w in collision:  # (left, right): chains of closed sets
             if u & ~v or v & ~w:
                 fail("collision entry is not a multichain")
             if u not in closed or v not in closed or w not in closed:
                 fail("collision entry contains a non-closed set")
         # left and right are sorted, so tuple equality is multiset equality
-        if left == right:
+        if left == right:  # q is in alpha1, not in ext
             fail("collision monomials are not distinct")
         # Derivation replay: both collision monomials arise from the product
         # base·ext·alpha1, one via the hypothetical relation (base,ext) ->

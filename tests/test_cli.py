@@ -526,6 +526,25 @@ class TestSearch:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert [r.msg.split(":")[0] for r in caplog.records] == ["search"]
 
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # stdout is a pipe whose read end is already closed, as when the
+        # reader (``| head``) has exited: status 1 and nothing on stderr
+        f = tmp_path / "k33.json"
+        covers = [[m, t] for m in "abc" for t in "xyz"]
+        f.write_text(json.dumps({"elements": list("abcxyz"), "covers": covers}))
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "aslattice.cli", "--json", "--no-timestamp", "search",
+                 str(f)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
     @pytest.mark.parametrize("degree", ["2", "3", "4"])
     def test_text_names_the_degree_bound(self, capsys, v_file, degree):
         code, out, _ = run(capsys, "search", v_file, "--max-degree", degree)
@@ -538,10 +557,7 @@ class TestSearch:
         # the 3-antichain's search makes 37 tests, so a budget of 1 is exceeded
         f = tmp_path / "anti.json"
         f.write_text(json.dumps({"elements": ["a", "b", "c"], "covers": []}))
-        search = uniqueness.search_compatible_asls
-        monkeypatch.setattr(
-            uniqueness, "search_compatible_asls", lambda lat, **kw: search(lat, node_budget=1, **kw)
-        )
+        monkeypatch.setattr(uniqueness, "MAX_SEARCH_TESTS", 1)
         code, out, err = run(capsys, "search", str(f))
         assert code == 2
         assert out == ""

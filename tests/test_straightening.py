@@ -318,22 +318,25 @@ class TestAxioms:
             search_compatible_asls(lat)
 
     def test_axiom_check_lists_degrees_in_one_walk(self, monkeypatch):
-        # one bound check for degrees 1..d, then one walk: no per-degree list
-        checks = []
+        # one bound check for degrees 1..d, then one listing, of degree d
+        # (which checks its own bound): the lower degrees are its prefixes
+        checks, listed = [], []
         check = straightening.check_multichain_entries
 
         def counted(lat, lengths):
             checks.append(lengths)
             check(lat, lengths)
 
-        def refuse(lat, length):
-            raise AssertionError("multichains listed one degree at a time")
+        def listing(lat, length):
+            listed.append(length)
+            return multichains(lat, length)
 
         monkeypatch.setattr(straightening, "check_multichain_entries", counted)
-        monkeypatch.setattr(straightening, "multichains", refuse)
+        monkeypatch.setattr(straightening, "multichains", listing)
         lat = enumerate_ideals(sum_of_chains(2, 1))
         rep = verify_asl_axioms(lat, ORDER, max_degree=4)
-        assert checks == [range(1, 5)]
+        assert listed == [4]
+        assert checks == [range(1, 5), range(4, 5)]
         assert rep.standard_monomial_counts == {
             d: len(multichains(lat, d)) for d in range(1, 5)
         }

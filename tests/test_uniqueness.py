@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -6,6 +7,7 @@ import logging
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ import oracles
 from aslattice import (
     BudgetExceeded,
     CapacityExceeded,
+    IdealLattice,
     InvalidCertificate,
     PreconditionViolated,
     RealizationKind,
@@ -284,11 +287,12 @@ class TestSearch:
             for kind in RealizationKind:
                 assert straightening_relations(lat, kind) in systems
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         # the 3-antichain's search makes 37 tests (the V's makes none)
         lat = enumerate_ideals(antichain(3))
+        monkeypatch.setattr(uniqueness, "MAX_SEARCH_TESTS", 1)
         with pytest.raises(BudgetExceeded):
-            search_compatible_asls(lat, node_budget=1)
+            search_compatible_asls(lat)
 
     def test_matches_residual_oracle(self, v_poset, lam_poset, n_poset):
         # same systems in the same order as the exact integer search
@@ -318,16 +322,18 @@ class TestSearch:
              906),
         ],
     )
-    def test_node_count_pinned(self, elements, covers, tests):
+    def test_node_count_pinned(self, monkeypatch, elements, covers, tests):
         # push-and-collide tests of the forward-checking search, in the
         # degree-2 filters and at assignment (the V and the Λ have one pair,
         # whose root list and first assignment are not tested, so their
         # searches make no test)
         lat = enumerate_ideals(build_poset(elements, covers))
         if tests:
+            monkeypatch.setattr(uniqueness, "MAX_SEARCH_TESTS", tests - 1)
             with pytest.raises(BudgetExceeded):
-                search_compatible_asls(lat, node_budget=tests - 1)
-        search_compatible_asls(lat, node_budget=tests)
+                search_compatible_asls(lat)
+        monkeypatch.setattr(uniqueness, "MAX_SEARCH_TESTS", tests)
+        search_compatible_asls(lat)
 
     def test_k33_finishes(self):
         # three minima under three maxima: 28 systems within the default
@@ -571,6 +577,27 @@ class TestSearch:
         ]
         assert sorted(calls) == ["check", "check", "list"]
 
+    def test_containing_table_built_once(self, monkeypatch):
+        # one lattice serves a search, an is_realizable call and an axiom
+        # check, each at degree 3: its ⊆-table is built the first time and
+        # read from then on
+        built = []
+        build = IdealLattice.__dict__["containing"].func
+
+        def counted(lat):
+            built.append(lat)
+            return build(lat)
+
+        table = functools.cached_property(counted)
+        table.__set_name__(IdealLattice, "containing")
+        monkeypatch.setattr(IdealLattice, "containing", table)
+        lat = enumerate_ideals(sum_of_chains(2, 1))
+        pm = straightening_relations(lat, RealizationKind.ORDER)
+        assert search_compatible_asls(lat) == [pm]
+        assert is_realizable(lat, pm) is not None
+        straightening.verify_asl_axioms(lat, RealizationKind.ORDER, max_degree=3)
+        assert built == [lat]
+
     def test_null_space_membership_matches_residual(self, lam_poset):
         # row-space membership through the integer null space agrees with the
         # exact integer echelon on random subsets of candidate rows
@@ -674,7 +701,7 @@ class TestSearch:
                         assert pushed is not None, (p, d)
                         assert not _collides(chains, gathers, *pushed), (p, d, a, b, lo, hi)
 
-    def test_same_tree_as_residual_oracle(self):
+    def test_same_tree_as_residual_oracle(self, monkeypatch):
         # degree 3 on every lattice with n <= 4: the same systems in the
         # same order as the oracle, from a tree of exactly the pinned number
         # of push-and-collide tests, listed in corpus order
@@ -684,11 +711,13 @@ class TestSearch:
         assert len(lats) == len(pinned)
         for lat, tests in zip(lats, pinned):
             want = oracles.search_by_residuals(lat, 3)
-            got = search_compatible_asls(lat, max_degree=3, node_budget=tests)
+            monkeypatch.setattr(uniqueness, "MAX_SEARCH_TESTS", tests)
+            got = search_compatible_asls(lat, max_degree=3)
             assert [s.rhs for s in got] == want, lat.poset
             if tests:  # a search with at most one pair makes no test
+                monkeypatch.setattr(uniqueness, "MAX_SEARCH_TESTS", tests - 1)
                 with pytest.raises(BudgetExceeded):
-                    search_compatible_asls(lat, max_degree=3, node_budget=tests - 1)
+                    search_compatible_asls(lat, max_degree=3)
 
     def test_search_ideal_bound(self):
         lat = enumerate_ideals(antichain(7))  # 128 ideals, raised before any work
@@ -929,6 +958,98 @@ class TestCertificates:
             certificate_from_json({"format": "bogus"}, p)
         with pytest.raises(InvalidCertificate):
             certificate_from_json({"format": "uniqueness-certificate/1", "elements": ["zz"]}, p)
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _outside_union(side, j, alt, wit):
+    """q inside the union, so not strictly inside the alternative."""
+    return alt, (wit[0], _bits(j)[0])
+
+
+def _adjoin_non_minimal(side, j, alt, wit):
+    """No covered element, and q not side-minimal."""
+    q = [x for x in _bits(alt & ~j) if not side.minimal_mask >> x & 1]
+    return (alt, (None, q[0])) if q else None
+
+
+def _p_not_covered(side, j, alt, wit):
+    """p maximal in the union, and q not a cover of it."""
+    q = wit[1]
+    p = [x for x in _bits(side.maxels(j)) if not side.cover_mask[x] >> q & 1]
+    return (alt, (p[0], q)) if p else None
+
+
+def _p_outside_union(side, j, alt, wit):
+    """p outside the union, and q a cover of it strictly inside the alternative."""
+    pairs = [(x, y) for x in _bits(alt & ~j) for y in _bits(side.cover_mask[x] & alt & ~j)]
+    return (alt, pairs[0]) if pairs else None
+
+
+class TestReplayLogicalChecks:
+    """The logical checks of replay, each made to reject on its own.
+
+    Build and replay share ``_Side.alternatives``, the alternatives of a
+    union with their deterministic witnesses.  Faking it the same way for
+    both makes every comparison with the deterministic derivation pass, so
+    a wrong derivation is caught only by the logical check that follows.
+    The checks that no such fake reaches say at the check which earlier
+    checks imply them."""
+
+    @staticmethod
+    def fake(monkeypatch, side_name, rewrite):
+        """``rewrite(side, union, alt, witness)`` gives an entry's new
+        ``(alt, witness)`` on one side, or None to keep it."""
+        real = uniqueness._Side.alternatives
+
+        def alternatives(self, m):
+            alts = real(self, m)
+            if self.name != side_name:
+                return alts
+            return [rewrite(self, m, alt, wit) or (alt, wit) for alt, wit in alts]
+
+        monkeypatch.setattr(uniqueness._Side, "alternatives", alternatives)
+
+    @pytest.mark.parametrize("side", ["join", "meet"])
+    @pytest.mark.parametrize(
+        "rewrite, message",
+        [
+            (lambda side, j, alt, wit: (j, wit),
+             "alternative is not a closed strict superset of the union"),
+            (_outside_union, "adjoined element is not strictly inside the alternative"),
+            (_adjoin_non_minimal, "adjoined element without covered element must be minimal"),
+            (_p_not_covered, "q does not cover p"),
+            (_p_outside_union, "p is not maximal in the union"),
+        ],
+        ids=["union-as-alternative", "q-in-union", "q-not-minimal", "q-not-cover",
+             "p-outside-union"],
+    )
+    def test_faked_derivation_rejected(self, monkeypatch, side, rewrite, message):
+        p = sum_of_chains(3, 1)
+        self.fake(monkeypatch, side, rewrite)
+        cert = uniqueness_certificate(enumerate_ideals(p))
+        ok, reason = validate_certificate(p, cert)
+        assert not ok
+        assert re.fullmatch(rf"step \d+ \({side} side\): {re.escape(message)}", reason), reason
+
+    @pytest.mark.parametrize("side", ["join", "meet"])
+    def test_missing_witness_rejected(self, monkeypatch, side):
+        # the builder refuses a union with no witness, so only replay is faked
+        p = sum_of_chains(3, 1)
+        cert = uniqueness_certificate(enumerate_ideals(p))
+        self.fake(monkeypatch, side, lambda side, j, alt, wit: (alt, None))
+        ok, reason = validate_certificate(p, cert)
+        assert not ok
+        assert re.fullmatch(rf"step \d+ \({side} side\): no admissible witness elements exist",
+                            reason), reason
+
+    def test_not_sum_of_chains_rejected(self, v_poset):
+        # no builder issues this certificate; replay refuses it before any step
+        cert = UniquenessCertificate(poset=v_poset, steps=())
+        ok, reason = validate_certificate(v_poset, cert)
+        assert (ok, reason) == (False, "poset is not a direct sum of chains")
 
 
 def partitions(n: int, top: int | None = None):
