@@ -23,10 +23,12 @@ before their key is computed:
   complete.
 
 Neither rule decides that two kept children are isomorphic, so the
-per-level dict of keys stays the only judge of isomorphism and the output
-is the same set of classes, yielded in key order.  The naive labeled
-generator used to validate this lives with the tests, as an independent
-oracle.
+per-level set of keys stays the only judge of isomorphism and the output
+is the same set of classes, yielded in key order.  A level is held as its
+keys alone: each class's poset is built once, from its key, where it is
+used (as a parent, in key order, or as an output) and dropped after.  The
+naive labeled generator used to validate this lives with the tests, as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -119,12 +121,14 @@ def generate_posets(n: int):
     import logging  # here, not at the top: it adds about 5 ms to importing the package
 
     log = logging.getLogger("aslattice")
-    level: dict[bytes, Poset] = {b"\x00": build_poset(["p0"], [])}
+    # levels keep keys only; parents are rebuilt in key order, so the calls
+    # made do not depend on the hash seed
+    level = iter([(b"\x00", build_poset(["p0"], []))])
     for size in range(2, n + 1):
-        nxt: dict[bytes, Poset] = {}
+        keys: set[bytes] = set()
         new_bit = 1 << (size - 1)
         considered = by_deletion = by_twins = 0
-        for parent in level.values():
+        for _, parent in level:
             lt, pred = _strict_masks(parent)
             need = _deletion_table(lt, pred)
             twins = _twin_steps(lt, pred)
@@ -139,18 +143,16 @@ def generate_posets(n: int):
                     continue
                 new_lt = [m | new_bit if down_set >> i & 1 else m for i, m in enumerate(lt)]
                 new_lt.append(0)
-                key = _kernels.canonical_key(new_lt, pred + [down_set])
-                if key not in nxt:
-                    nxt[key] = _poset_from_key(key)
+                keys.add(_kernels.canonical_key(new_lt, pred + [down_set]))
         log.debug(
             "generate size %d: %d extensions, %d skipped by the deletion rule, "
             "%d by the twin rule, %d keyed, %d classes",
             size, considered, by_deletion, by_twins,
-            considered - by_deletion - by_twins, len(nxt),
+            considered - by_deletion - by_twins, len(keys),
         )
-        level = nxt
-    for key in sorted(level):
-        yield CanonicalPoset(poset=level[key], canonical_key=key)
+        level = ((key, _poset_from_key(key)) for key in sorted(keys))
+    for key, poset in level:
+        yield CanonicalPoset(poset=poset, canonical_key=key)
 
 
 @dataclass

@@ -45,14 +45,9 @@ class IdealLattice:
                 f"relation table over {len(ids):,} ideals has {pairs:,} pairs, "
                 f"over the bound of {MAX_RELATION_PAIRS:,}"
             )
-        out = []
-        for i in range(len(ids)):
-            a = ids[i]
-            for j in range(i + 1, len(ids)):
-                b = ids[j]
-                if a & ~b and b & ~a:
-                    out.append((a, b))
-        return tuple(out)
+        # a later ideal b is no smaller than a and differs from it, so it
+        # never lies inside a: b & ~a is never 0 and only a & ~b is tested
+        return tuple((a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if a & ~b)
 
     @cached_property
     def lattice_covers(self) -> tuple[tuple[int, int], ...]:
@@ -109,9 +104,10 @@ class IdealLattice:
     @cached_property
     def induction_pairs(self) -> tuple[tuple[int, int], ...]:
         """Incomparable pairs by nondecreasing induction parameter, ties in
-        position order: the order of certificate steps and of search."""
-        p = self.poset
-        return tuple(sorted(self.incomparable_pairs, key=lambda ab: induction_parameter(p, *ab)))
+        position order: the order of certificate steps and of search.  n is
+        the same for every pair, so the parameter n - |a △ b| is sorted on
+        as -|a △ b|."""
+        return tuple(sorted(self.incomparable_pairs, key=lambda ab: -(ab[0] ^ ab[1]).bit_count()))
 
 
 def is_ideal(p: Poset, mask: int) -> bool:

@@ -17,6 +17,7 @@ from aslattice import (
     generate_posets,
     is_direct_sum_of_chains,
 )
+from aslattice import genposets, posets
 from aslattice.genposets import _decide, _poset_from_key
 from conftest import CORPUS_FAULTS, TWO_ANTICHAIN_DOC, antichain, chain, corpus
 
@@ -134,6 +135,36 @@ class TestGeneration:
         assert sum(1 for _ in generate_posets(7)) == 2045
         # keying every extension of every parent makes 6,377 calls
         assert calls == 2774
+
+    def test_generation_is_lazy(self, monkeypatch):
+        # each class is built once, from its key, when it is extended or
+        # yielded; only the seed point goes through build_poset
+        built = seeds = 0
+        from_key, build = genposets._poset_from_key, posets.build_poset
+
+        def counting_from_key(key):
+            nonlocal built
+            built += 1
+            return from_key(key)
+
+        def counting_build(*args, **kwargs):
+            nonlocal seeds
+            seeds += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(genposets, "_poset_from_key", counting_from_key)
+        for module in (posets, genposets):
+            monkeypatch.setattr(module, "build_poset", counting_build)
+        # the parents are the classes of sizes 2..6, all built before the
+        # first class of size 7 is yielded
+        parents = sum(KNOWN_CLASS_COUNTS[size] for size in range(2, 7))
+        assert parents == 404
+        k = 0
+        for k, _ in enumerate(generate_posets(7), 1):
+            assert built == parents + k
+        assert k == 2045
+        assert built == 2449
+        assert seeds == 1
 
     def test_eight_points(self):
         classes = sums_of_chains = 0

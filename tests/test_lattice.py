@@ -261,6 +261,19 @@ class TestPairsAndStructure:
         lat = enumerate_ideals(p)
         assert len(lat.incomparable_pairs) == 1
 
+    def test_pairs_match_two_sided_definition(self):
+        # one test per pair is enough; the definition tests both sides
+        for p in corpus(6):
+            lat = enumerate_ideals(p)
+            ids = lat.ideals
+            expected = [
+                (a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if a & ~b and b & ~a
+            ]
+            assert list(lat.incomparable_pairs) == expected
+            assert list(lat.induction_pairs) == sorted(
+                lat.incomparable_pairs, key=lambda ab: induction_parameter(p, *ab)
+            )
+
     def test_birkhoff_roundtrip(self):
         # join-irreducibles of the ideal lattice recover the poset
         for p in corpus(6):
