@@ -183,13 +183,13 @@ def _witness_json(p: posets.Poset, kinds, pair, rhs_a, rhs_b) -> dict:
 
 @contextlib.contextmanager
 def _gc_paused():
-    """Pause the cyclic collector while ``unique`` decides uniqueness and
-    builds the certificate, and while ``validate-cert`` decodes, parses and
-    replays one.  Certificate records and documents hold no reference
-    cycles, so reference counting frees them all the same; with the
-    collector on, the millions of containers they allocate set off full
-    passes that find nothing.  Writing needs no pause: the file is
-    streamed in text chunks, and no container outlives its chunk."""
+    """Pause the cyclic collector while ``validate-cert`` decodes, parses
+    and replays a certificate.  The parsed certificate is held whole, and
+    its records hold no reference cycles, so reference counting frees them
+    all the same; with the collector on, the millions of containers it
+    keeps set off full passes that find nothing.  ``unique`` needs no
+    pause: its certificate's steps are built as the file is written, and
+    no container outlives its step."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -276,8 +276,7 @@ def cmd_compare(args) -> int:
 def cmd_unique(args) -> int:
     p = _load(args.poset)
     lat = enumerate_ideals(p)
-    with _gc_paused():
-        res = uniqueness.check_unique(lat)
+    res = uniqueness.check_unique(lat)
     if res.unique:
         if args.certificate:
             try:

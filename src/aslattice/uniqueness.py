@@ -28,11 +28,11 @@ products coincide under the hypothetical system.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations, compress
 from math import gcd
-from operator import add, itemgetter
+from operator import add, eq, itemgetter
 from typing import NamedTuple
 
 from aslattice.errors import (
@@ -519,8 +519,11 @@ class CertificateStep(NamedTuple):
 
 @dataclass(frozen=True)
 class UniquenessCertificate:
+    """A certificate's poset and steps.  A parsed certificate holds its
+    steps as a tuple; a built one builds them when they are read."""
+
     poset: Poset
-    steps: tuple[CertificateStep, ...]
+    steps: Sequence[CertificateStep]
 
 
 class _Side:
@@ -644,6 +647,10 @@ def uniqueness_certificate(lat: IdealLattice) -> UniquenessCertificate:
     parameter is zero admit no alternatives, so they carry no refutations.
     Raises CapacityExceeded, before building anything, when the certificate
     would hold more than MAX_CERTIFICATE_REFUTATIONS refutations.
+
+    The steps are built each time they are read (see ``_Steps``), so a
+    reader that streams them, such as replay or ``certificate_to_json``,
+    never holds the whole certificate; ``tuple(cert.steps)`` keeps them.
     """
     p = lat.poset
     _, size = certificate_size(p)
@@ -653,11 +660,46 @@ def uniqueness_certificate(lat: IdealLattice) -> UniquenessCertificate:
             f"over the budget of {MAX_CERTIFICATE_REFUTATIONS:,}"
         )
     canonical = straightening_relations(lat, RealizationKind.ORDER)  # the system proved unique
-    sides = (_Side(lat, dual=False), _Side(lat, dual=True))
-    steps = []
-    for a, b in lat.induction_pairs:
+    return UniquenessCertificate(poset=p, steps=_Steps(lat, canonical))
+
+
+class _Steps(Sequence):
+    """The steps of a built certificate, one per induction pair, each built
+    from its pair when it is read: ``len`` builds nothing, iteration builds
+    one step at a time and keeps none, and an index or a slice builds only
+    the steps it names (a slice as a tuple).  Two views of the lattice, the
+    join side and the meet side, serve every step.  Compares and hashes as
+    ``tuple(self)``, so a built certificate equals its parsed copy."""
+
+    def __init__(self, lat: IdealLattice, canonical: PairMap):
+        self._lat = lat
+        self._rhs = canonical.rhs
+        self._sides = (_Side(lat, dual=False), _Side(lat, dual=True))
+
+    def __len__(self) -> int:
+        return len(self._lat.induction_pairs)
+
+    def __iter__(self) -> Iterator[CertificateStep]:
+        return map(self._step, self._lat.induction_pairs)
+
+    def __getitem__(self, i):
+        pairs = self._lat.induction_pairs
+        if isinstance(i, slice):
+            return tuple(map(self._step, pairs[i]))
+        return self._step(pairs[i])
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Steps)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def _step(self, pair: tuple[int, int]) -> CertificateStep:
+        a, b = pair
         refs = []
-        for side in sides:
+        for side in self._sides:
             sa, sb = side.to_side(a), side.to_side(b)
             j, m = sa | sb, sa & sb
             name = side.name
@@ -680,15 +722,12 @@ def uniqueness_certificate(lat: IdealLattice) -> UniquenessCertificate:
                         ((m, ext, base | alpha1), (m, alpha1, alt)),
                     )
                 )
-        steps.append(
-            CertificateStep(
-                pair=(a, b),
-                k=induction_parameter(p, a, b),
-                rhs=canonical.rhs[(a, b)],
-                refutations=tuple(refs),
-            )
+        return CertificateStep(
+            pair=pair,
+            k=induction_parameter(self._lat.poset, a, b),
+            rhs=self._rhs[pair],
+            refutations=tuple(refs),
         )
-    return UniquenessCertificate(poset=p, steps=tuple(steps))
 
 
 def _fail(msg: str):
@@ -716,33 +755,56 @@ def validate_certificate(p: Poset, cert: UniquenessCertificate) -> tuple[bool, s
 
 
 def _validate(p: Poset, cert: UniquenessCertificate):
+    """Replay in one pass over the steps, which may be built as they are
+    read.  Each step's pair must be the replay lattice's induction pair of
+    its index, so a prior pair's index is its position in that order.  The
+    first fault in a step's content is kept while later steps are checked
+    for their pairs only, and is raised at the end: a wrong, missing or
+    extra pair anywhere takes precedence, as when all pairs were compared
+    before any content."""
     if cert.poset != p:
         _fail("certificate was issued for a different poset")
     if not is_direct_sum_of_chains(p):
         _fail("poset is not a direct sum of chains")
     lat = enumerate_ideals(p)
     sides = (_Side(lat, dual=False), _Side(lat, dual=True))
-    if [s.pair for s in cert.steps] != list(lat.induction_pairs):
-        _fail("steps do not list the incomparable pairs in certificate order")
-    index_of_pair = {s.pair: i for i, s in enumerate(cert.steps)}
-
+    pairs = lat.induction_pairs
+    index_of_pair = {pair: i for i, pair in enumerate(pairs)}
+    order = "steps do not list the incomparable pairs in certificate order"
+    fault = None
+    count = 0
     for idx, step in enumerate(cert.steps):
-        a, b = step.pair
-        k = induction_parameter(p, a, b)
-        if step.k != k:
-            _fail(f"step {idx}: stored parameter {step.k} differs from {k}")
-        if step.rhs != (a & b, a | b):
-            _fail(f"step {idx}: right-hand side is not the canonical one")
-        views = [(side, side.to_side(a), side.to_side(b)) for side in sides]
-        expected = sum(len(side.alternatives(sa | sb)) for side, sa, sb in views)
-        if len(step.refutations) != expected:
-            _fail(f"step {idx}: expected {expected} refutations, found {len(step.refutations)}")
-        start = 0
-        for side, sa, sb in views:
-            stop = start + len(side.alternatives(sa | sb))
-            if stop > start:
-                _validate_side(lat, index_of_pair, idx, step, step.refutations[start:stop], side, sa, sb)
-            start = stop
+        if idx == len(pairs) or step.pair != pairs[idx]:
+            _fail(order)
+        count += 1
+        if fault is None:
+            try:
+                _validate_step(lat, sides, index_of_pair, idx, step)
+            except Exception as exc:  # any: raised below unless a later pair's fault wins
+                fault = exc
+    if count != len(pairs):
+        _fail(order)
+    if fault is not None:
+        raise fault
+
+
+def _validate_step(lat, sides, index_of_pair, idx: int, step: CertificateStep):
+    a, b = step.pair
+    k = induction_parameter(lat.poset, a, b)
+    if step.k != k:
+        _fail(f"step {idx}: stored parameter {step.k} differs from {k}")
+    if step.rhs != (a & b, a | b):
+        _fail(f"step {idx}: right-hand side is not the canonical one")
+    views = [(side, side.to_side(a), side.to_side(b)) for side in sides]
+    expected = sum(len(side.alternatives(sa | sb)) for side, sa, sb in views)
+    if len(step.refutations) != expected:
+        _fail(f"step {idx}: expected {expected} refutations, found {len(step.refutations)}")
+    start = 0
+    for side, sa, sb in views:
+        stop = start + len(side.alternatives(sa | sb))
+        if stop > start:
+            _validate_side(lat, index_of_pair, idx, step, step.refutations[start:stop], side, sa, sb)
+        start = stop
 
 
 def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb: int):

@@ -1036,9 +1036,11 @@ class TestReplayLogicalChecks:
 
     @pytest.mark.parametrize("side", ["join", "meet"])
     def test_missing_witness_rejected(self, monkeypatch, side):
-        # the builder refuses a union with no witness, so only replay is faked
+        # the builder refuses a union with no witness, so only replay is faked;
+        # the steps are built when read, so they are kept before the fake
         p = sum_of_chains(3, 1)
-        cert = uniqueness_certificate(enumerate_ideals(p))
+        built = uniqueness_certificate(enumerate_ideals(p))
+        cert = UniquenessCertificate(poset=p, steps=tuple(built.steps))
         self.fake(monkeypatch, side, lambda side, j, alt, wit: (alt, None))
         ok, reason = validate_certificate(p, cert)
         assert not ok
@@ -1050,6 +1052,101 @@ class TestReplayLogicalChecks:
         cert = UniquenessCertificate(poset=v_poset, steps=())
         ok, reason = validate_certificate(v_poset, cert)
         assert (ok, reason) == (False, "poset is not a direct sum of chains")
+
+
+class TestReplayPrecedence:
+    """Replay reads the steps once, in order; a fault in an early step's
+    content still gives way to a wrong, missing or extra pair later."""
+
+    ORDER = (False, "steps do not list the incomparable pairs in certificate order")
+
+    @pytest.fixture
+    def faulty(self):
+        """A poset, its certificate's steps with the first refutation of
+        the first step that has any changed in ``q``, and that step."""
+        p = sum_of_chains(3, 1)
+        steps = list(uniqueness_certificate(enumerate_ideals(p)).steps)
+        e = next(i for i, s in enumerate(steps) if s.refutations)
+        ref = steps[e].refutations[0]
+        bad_ref = ref._replace(q=next(x for x in range(p.n) if x != ref.q))
+        steps[e] = steps[e]._replace(refutations=(bad_ref, *steps[e].refutations[1:]))
+        assert e < len(steps) - 2
+        return p, steps, e
+
+    def replay(self, p, steps):
+        cert = UniquenessCertificate(poset=p, steps=tuple(steps))
+        got = validate_certificate(p, cert)
+        assert got == oracles.validate_certificate_reference(p, cert)
+        return got
+
+    def test_content_fault_alone(self, faulty):
+        p, steps, e = faulty
+        ok, reason = self.replay(p, steps)
+        assert not ok and reason.startswith(f"step {e} (")
+
+    def test_later_wrong_pair_wins(self, faulty):
+        p, steps, _ = faulty
+        steps[-1] = steps[-1]._replace(pair=steps[-2].pair)
+        assert self.replay(p, steps) == self.ORDER
+
+    def test_missing_last_step_wins(self, faulty):
+        p, steps, _ = faulty
+        assert self.replay(p, steps[:-1]) == self.ORDER
+
+    def test_extra_step_wins(self, faulty):
+        p, steps, _ = faulty
+        assert self.replay(p, [*steps, steps[-1]]) == self.ORDER
+
+    def test_missing_last_step_wins_over_malformed_step(self, faulty):
+        # an early step whose refutations have no length fails with a
+        # TypeError, which the missing step still overrides
+        p, steps, e = faulty
+        steps[e] = steps[e]._replace(refutations=None)
+        assert self.replay(p, steps[:-1]) == self.ORDER
+
+
+class TestLazySteps:
+    """A built certificate's steps are built when read."""
+
+    def test_len_builds_no_refutation(self, monkeypatch):
+        made = []
+        real = uniqueness.Refutation
+
+        def counted(*fields):
+            made.append(fields)
+            return real(*fields)
+
+        monkeypatch.setattr(uniqueness, "Refutation", counted)
+        p = antichain(4)
+        steps, refutations = certificate_size(p)
+        cert = uniqueness_certificate(enumerate_ideals(p))
+        assert len(cert.steps) == steps
+        assert made == []
+        assert sum(len(s.refutations) for s in cert.steps) == refutations == len(made)
+
+    def test_index_and_slices_match_tuple(self):
+        cert = uniqueness_certificate(enumerate_ideals(sum_of_chains(2, 1, 1)))
+        steps = tuple(cert.steps)
+        n = len(steps)
+        for i in [0, 1, n - 1, -1, -n]:
+            assert cert.steps[i] == steps[i]
+        for part in [slice(None), slice(2, 5), slice(None, None, -3), slice(n - 2, n + 5),
+                     slice(5, 2)]:
+            got = cert.steps[part]
+            assert type(got) is tuple and got == steps[part]
+        with pytest.raises(IndexError):
+            cert.steps[n]
+
+    def test_equals_and_hashes_like_parsed_copy(self):
+        p = sum_of_chains(2, 1, 1)
+        cert = uniqueness_certificate(enumerate_ideals(p))
+        parsed = certificate_from_json(certificate_doc(cert), p)
+        assert type(parsed.steps) is tuple
+        assert cert == parsed and parsed == cert
+        assert hash(cert) == hash(parsed)
+        assert cert == uniqueness_certificate(enumerate_ideals(p))
+        assert cert != UniquenessCertificate(poset=p, steps=parsed.steps[:-1])
+        assert cert.steps != list(parsed.steps)  # compares as a tuple does
 
 
 def partitions(n: int, top: int | None = None):
