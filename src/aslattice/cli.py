@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import json
 import os
@@ -360,7 +361,10 @@ def cmd_hasse(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept: each parse
+    returns a new namespace and leaves the parser as it was."""
     top = argparse.ArgumentParser(
         prog="aslattice",
         description="Ideal lattices, polytopes, and straightening relation systems of finite posets.",
@@ -431,8 +435,7 @@ def _utf8_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     _utf8_stdout()
     try:
         code = args.func(args)

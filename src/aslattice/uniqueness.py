@@ -932,10 +932,13 @@ class _Memo(dict):
 
 
 _STEP = '{"pair":[%s,%s],"k":%d,"rhs":[%s,%s],"refutations":[%s]}'
-_REFUTATION = (
-    '{"side":%s,"alternative":%s,"swapped":%s,"p":%s,"q":%s,"alpha1":%s,'
-    '"prior_pair":[%s,%s],"collision":[[%s],[%s]]}'
+_REFUTATION_HEAD = (
+    '{"side":%s,"alternative":%s,"swapped":%s,"p":%s,"q":%s,"alpha1":%s,"prior_pair":[%s,%s],'
 )
+# The written shape: both collision sides hold three entries, as in every
+# built certificate.  Other lengths come only from a parsed certificate.
+_REFUTATION = _REFUTATION_HEAD + '"collision":[[%s,%s,%s],[%s,%s,%s]]}'
+_REFUTATION_ANY = _REFUTATION_HEAD + '"collision":[[%s],[%s]]}'
 
 
 def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
@@ -943,7 +946,9 @@ def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
     from its records: the header, one chunk per step, then the closing
     brackets.  Their join is ``json.dumps(doc, separators=(",", ":"))``
     of the certificate document, byte for byte; no document is built.
-    Each mask's label array and each element is encoded once."""
+    Each mask's label array and each element is encoded once, and each
+    refutation is formatted by one ``%`` over the written shape; a step
+    that holds another shape takes the general template."""
     p = cert.poset
     labels = p.labels
     head = json.dumps({"format": CERT_FORMAT, **poset_to_json(p)}, separators=(",", ":"))
@@ -953,15 +958,36 @@ def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
     words = _Memo(json.dumps)  # sides and flags
     sep = ""
     for (a, b), k, (lo, hi), refs in cert.steps:
-        yield sep + _STEP % (
-            arrays[a],
-            arrays[b],
-            k,
-            arrays[lo],
-            arrays[hi],
-            ",".join(
+        try:
+            body = ",".join(
                 [
                     _REFUTATION
+                    % (
+                        words[side],
+                        arrays[alt],
+                        words[swapped],
+                        elems[rp],
+                        elems[q],
+                        arrays[alpha1],
+                        arrays[base],
+                        arrays[ext],
+                        arrays[l0],
+                        arrays[l1],
+                        arrays[l2],
+                        arrays[r0],
+                        arrays[r1],
+                        arrays[r2],
+                    )
+                    for side, alt, swapped, rp, q, alpha1, (base, ext), (
+                        (l0, l1, l2),
+                        (r0, r1, r2),
+                    ) in refs
+                ]
+            )
+        except ValueError:  # a collision side of another length
+            body = ",".join(
+                [
+                    _REFUTATION_ANY
                     % (
                         words[side],
                         arrays[alt],
@@ -976,8 +1002,8 @@ def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
                     )
                     for side, alt, swapped, rp, q, alpha1, (base, ext), (left, right) in refs
                 ]
-            ),
-        )
+            )
+        yield sep + _STEP % (arrays[a], arrays[b], k, arrays[lo], arrays[hi], body)
         sep = ","
     yield "]}"
 
@@ -988,8 +1014,11 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
 
     A certificate repeats few label arrays, so a plain list is looked up
     in the mask cache directly, and its labels are checked only when the
-    cache first misses it; the other helpers run only on a value of the
-    wrong type.  Fields are read and checked in one fixed order (a step's
+    cache first misses it.  Each refutation is read in one step at its
+    written shape: its eight fields at once, a prior pair of two arrays and
+    two collision sides of three, under inline type guards.  A refutation
+    of any other shape or type is read again field by field with the
+    helpers.  Fields are read and checked in one fixed order (a step's
     refutations before its pair, parameter and right-hand side), and the
     first failed check gives the message."""
 
@@ -1026,6 +1055,28 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
     def masks_of(arrays) -> tuple[int, ...]:
         return tuple([masks[tuple(a)] if type(a) is list else mask(a) for a in arrays])
 
+    def refutation(r) -> Refutation:
+        """One refutation read field by field with the helpers, which raise
+        the first fault in field order."""
+        side = r["side"]
+        if side not in ("join", "meet"):
+            _fail(f"refutation side {side!r} is not 'join' or 'meet'")
+        alt = mask(r["alternative"])
+        swapped = typed(r["swapped"], bool, "swapped flag")
+        rp = r["p"]
+        if rp is not None:
+            rp = element(rp)
+        q = element(r["q"])
+        alpha1 = mask(r["alpha1"])
+        prior = masks_of(two(r["prior_pair"], "prior pair"))
+        left, right = two(r["collision"], "collision")
+        collision = (masks_of(left), masks_of(right))
+        return Refutation(side, alt, swapped, rp, q, alpha1, prior, collision)
+
+    fields = itemgetter(
+        "side", "alternative", "swapped", "p", "q", "alpha1", "prior_pair", "collision"
+    )
+
     try:
         if doc.get("format") != CERT_FORMAT:
             _fail("unrecognized certificate format")
@@ -1040,25 +1091,54 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
         for s in doc["steps"]:
             refs = []
             for r in s["refutations"]:
-                side = r["side"]
-                if side not in ("join", "meet"):
-                    _fail(f"refutation side {side!r} is not 'join' or 'meet'")
-                alt = r["alternative"]
-                alt = masks[tuple(alt)] if type(alt) is list else mask(alt)
-                swapped = r["swapped"]
-                if type(swapped) is not bool:
-                    typed(swapped, bool, "swapped flag")
-                rp = r["p"]
-                if rp is not None:
-                    rp = index[rp] if type(rp) is str and rp in index else element(rp)
-                q = r["q"]
-                q = index[q] if type(q) is str and q in index else element(q)
-                alpha1 = r["alpha1"]
-                alpha1 = masks[tuple(alpha1)] if type(alpha1) is list else mask(alpha1)
-                prior = masks_of(two(r["prior_pair"], "prior pair"))
-                left, right = two(r["collision"], "collision")
-                collision = (masks_of(left), masks_of(right))
-                refs.append(Refutation(side, alt, swapped, rp, q, alpha1, prior, collision))
+                # The written shape in one step.  A fault anywhere in it, or
+                # a guard that fails, rereads the refutation with the helpers.
+                # In that shape prior_pair[1] and r1 repeat alpha1, r2 the
+                # alternative and r0 l0: an equal array is not looked up.
+                try:
+                    side, alt, swapped, rp, q, alpha1, prior, collision = fields(r)
+                    (b0, b1) = prior
+                    (l0, l1, l2), (r0, r1, r2) = collision
+                    if (
+                        (side != "join" and side != "meet")
+                        or (swapped is not True and swapped is not False)
+                        or (rp is not None and type(rp) is not str)
+                        or type(q) is not str
+                        or type(alt) is not list
+                        or type(alpha1) is not list
+                        or type(prior) is not list
+                        or type(b0) is not list
+                        or type(b1) is not list
+                        or type(collision) is not list
+                        or type(l0) is not list
+                        or type(l1) is not list
+                        or type(l2) is not list
+                        or type(r0) is not list
+                        or type(r1) is not list
+                        or type(r2) is not list
+                    ):
+                        raise ValueError
+                    a, a1, m = masks[tuple(alt)], masks[tuple(alpha1)], masks[tuple(l0)]
+                    ref = Refutation(
+                        side,
+                        a,
+                        swapped,
+                        rp if rp is None else index[rp],
+                        index[q],
+                        a1,
+                        (masks[tuple(b0)], a1 if b1 == alpha1 else masks[tuple(b1)]),
+                        (
+                            (m, masks[tuple(l1)], masks[tuple(l2)]),
+                            (
+                                m if r0 == l0 else masks[tuple(r0)],
+                                a1 if r1 == alpha1 else masks[tuple(r1)],
+                                a if r2 == alt else masks[tuple(r2)],
+                            ),
+                        ),
+                    )
+                except Exception:  # any: the reread raises the first fault, or reads the shape
+                    ref = refutation(r)
+                refs.append(ref)
             steps.append(
                 CertificateStep(
                     masks_of(two(s["pair"], "step pair")),

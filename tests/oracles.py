@@ -23,7 +23,14 @@ from aslattice import (
 )
 from aslattice.genposets import MAX_CANONICAL_N, CanonicalPoset, _strict_masks
 from aslattice.ideals import induction_parameter
-from aslattice.uniqueness import CERT_FORMAT, _Side
+from aslattice.uniqueness import (
+    CERT_FORMAT,
+    CertificateStep,
+    Refutation,
+    UniquenessCertificate,
+    _Memo,
+    _Side,
+)
 
 
 def ideal_sets(p):
@@ -646,3 +653,101 @@ def certificate_doc_reference(cert):
             for s in cert.steps
         ],
     }
+
+
+# --- the certificate parser, field by field ---
+# certificate_from_json as it stood before it read each refutation at its
+# written shape in one step.  Kept only as a reference: the parser gives
+# the same certificate or the same InvalidCertificate text on any document.
+
+
+def certificate_from_json_reference(doc: dict, p: Poset) -> UniquenessCertificate:
+    """Parse a certificate against a poset; structural problems raise
+    InvalidCertificate.
+
+    A certificate repeats few label arrays, so a plain list is looked up
+    in the mask cache directly, and its labels are checked only when the
+    cache first misses it; the other helpers run only on a value of the
+    wrong type.  Fields are read and checked in one fixed order (a step's
+    refutations before its pair, parameter and right-hand side), and the
+    first failed check gives the message."""
+
+    def checked_mask(key: tuple) -> int:
+        labels = list(key)
+        if not all(isinstance(x, str) for x in key):
+            _fail(f"label array {labels!r} holds a non-string")
+        m = p.mask_of(key)
+        if p.labels_of(m) != labels:
+            _fail(f"label array {labels!r} is not in canonical index order")
+        return m
+
+    masks = _Memo(checked_mask)  # label tuple -> mask, checked on first use
+    index = p.label_index
+
+    def mask(labels) -> int:
+        if not isinstance(labels, list):
+            _fail(f"label array {labels!r} is not a list")
+        return masks[tuple(labels)]
+
+    def element(value) -> int:
+        return p.index_of(typed(value, str, "element"))
+
+    def typed(value, kind, what):
+        if type(value) is not kind:  # exact: bool is a subclass of int
+            _fail(f"{what} {value!r} has type {type(value).__name__}, not {kind.__name__}")
+        return value
+
+    def two(value, what):
+        if not isinstance(value, list) or len(value) != 2:
+            _fail(f"{what} {value!r} is not a list of exactly two entries")
+        return value
+
+    def masks_of(arrays) -> tuple[int, ...]:
+        return tuple([masks[tuple(a)] if type(a) is list else mask(a) for a in arrays])
+
+    try:
+        if doc.get("format") != CERT_FORMAT:
+            _fail("unrecognized certificate format")
+        if doc["elements"] != list(p.labels):
+            _fail("certificate elements do not match the poset")
+        if not all(isinstance(c, list) for c in doc["covers"]):
+            _fail("certificate covers are not label pairs")
+        covers = {(p.index_of(a), p.index_of(b)) for a, b in doc["covers"]}
+        if covers != set(p.covers):
+            _fail("certificate covers do not match the poset")
+        steps = []
+        for s in doc["steps"]:
+            refs = []
+            for r in s["refutations"]:
+                side = r["side"]
+                if side not in ("join", "meet"):
+                    _fail(f"refutation side {side!r} is not 'join' or 'meet'")
+                alt = r["alternative"]
+                alt = masks[tuple(alt)] if type(alt) is list else mask(alt)
+                swapped = r["swapped"]
+                if type(swapped) is not bool:
+                    typed(swapped, bool, "swapped flag")
+                rp = r["p"]
+                if rp is not None:
+                    rp = index[rp] if type(rp) is str and rp in index else element(rp)
+                q = r["q"]
+                q = index[q] if type(q) is str and q in index else element(q)
+                alpha1 = r["alpha1"]
+                alpha1 = masks[tuple(alpha1)] if type(alpha1) is list else mask(alpha1)
+                prior = masks_of(two(r["prior_pair"], "prior pair"))
+                left, right = two(r["collision"], "collision")
+                collision = (masks_of(left), masks_of(right))
+                refs.append(Refutation(side, alt, swapped, rp, q, alpha1, prior, collision))
+            steps.append(
+                CertificateStep(
+                    masks_of(two(s["pair"], "step pair")),
+                    typed(s["k"], int, "step parameter"),
+                    masks_of(two(s["rhs"], "step right-hand side")),
+                    tuple(refs),
+                )
+            )
+        return UniquenessCertificate(poset=p, steps=tuple(steps))
+    except InvalidCertificate:
+        raise
+    except Exception as exc:  # malformed structure, unknown labels, ...
+        raise InvalidCertificate(f"malformed certificate: {exc}") from exc

@@ -658,6 +658,43 @@ if hasattr(sys, "get_int_max_str_digits"):  # Python 3.11+ limits int literals t
     UNREADABLE.append(pytest.param(b"1" * 5_000, id="int-past-digit-limit"))
 
 
+class TestParserKept:
+    """The argument parser is built once per process; no call's options
+    reach the next call."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_json_then_text(self, capsys, v_file):
+        code, out, _ = run(capsys, "--json", "analyze", v_file)
+        assert code == 0
+        assert json.loads(out)["elements"] == 3
+        code, out, _ = run(capsys, "analyze", v_file)
+        assert code == 0
+        assert "elements: 3" in out
+        assert not out.startswith("{")
+
+    def test_certificate_option_not_kept(self, capsys, soc_file, tmp_path):
+        cert = tmp_path / "c.json"
+        code, out, _ = run(capsys, "unique", soc_file, "--certificate", str(cert))
+        assert code == 0
+        assert "certificate written to" in out
+        cert.unlink()
+        code, out, _ = run(capsys, "unique", soc_file)
+        assert code == 0
+        assert "certificate written to" not in out
+        assert not cert.exists()
+
+    def test_usage_error_then_command(self, capsys, v_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["vertices", v_file])  # missing required --polytope
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "vertices", v_file, "--polytope", "order")
+        assert code == 0
+        assert out
+
+
 class TestErrorsAndDeterminism:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/poset.json")

@@ -1306,6 +1306,263 @@ class TestCertificateShapes:
         }
 
 
+def _parsed_or_message(parse, doc, p):
+    """A parse's certificate, or the text of the InvalidCertificate it raised."""
+    try:
+        return parse(doc, p)
+    except InvalidCertificate as exc:
+        return f"InvalidCertificate: {exc}"
+
+
+def _set(field, make):
+    """An edit that sets a field to ``make`` of its current value."""
+
+    def edit(site):
+        site[field] = make(site[field])
+
+    return edit
+
+
+def _set_entry(field, i, make):
+    """An edit that sets entry i of a field to ``make`` of its current value."""
+
+    def edit(site):
+        site[field][i] = make(site[field][i])
+
+    return edit
+
+
+def _set_side_entry(side, i, value):
+    def edit(site):
+        site["collision"][side][i] = value
+
+    return edit
+
+
+def _set_entry_of_side(side, i, make):
+    """An edit that sets entry i of a collision side to ``make(side, i)``."""
+
+    def edit(site):
+        entries = site["collision"][side]
+        entries[i] = make(entries, i)
+
+    return edit
+
+
+class _Label(str):
+    """A label that is not of type str."""
+
+
+def _label_array_edits(field):
+    return [
+        (f"{field}-string", _set(field, lambda v: "".join(v) or "c0_0")),
+        (f"{field}-shorter", _set(field, lambda v: v[:-1])),
+        (f"{field}-dict", _set(field, lambda v: dict.fromkeys(v, 1))),
+        (f"{field}-int-label", _set(field, lambda v: [0, *v[1:]])),
+        (f"{field}-unknown-label", _set(field, lambda v: [*v, "zz"])),
+        (f"{field}-non-canonical", _set(field, lambda v: v[::-1] if len(v) > 1 else v + v)),
+    ]
+
+
+def _both(first, second):
+    def edit(site):
+        first(site)
+        second(site)
+
+    return edit
+
+
+def _delete(*fields):
+    def edit(site):
+        for field in fields:
+            del site[field]
+
+    return edit
+
+
+# Malformed values, each a change of a field's shape or type: criterion 5's
+# mutants keep every shape, so these reach the parser's reread path.
+REFUTATION_EDITS = [
+    ("side-other", _set("side", lambda v: "both")),
+    ("side-empty", _set("side", lambda v: "")),
+    ("side-upper", _set("side", lambda v: v.upper())),
+    ("side-none", _set("side", lambda v: None)),
+    ("side-int", _set("side", lambda v: 0)),
+    ("side-bool", _set("side", lambda v: True)),
+    ("side-list", _set("side", lambda v: [v])),
+    ("side-dict", _set("side", lambda v: {v: 1})),
+    *_label_array_edits("alternative"),
+    *_label_array_edits("alpha1"),
+    ("swapped-0", _set("swapped", lambda v: 0)),
+    ("swapped-1", _set("swapped", lambda v: 1)),
+    ("swapped-string", _set("swapped", lambda v: "true")),
+    ("swapped-none", _set("swapped", lambda v: None)),
+    ("p-str-subclass", _set("p", lambda v: _Label(v))),
+    ("p-int", _set("p", lambda v: 0)),
+    ("p-list", _set("p", lambda v: [v])),
+    ("p-unknown", _set("p", lambda v: "zz")),
+    ("q-str-subclass", _set("q", lambda v: _Label(v))),
+    ("q-int", _set("q", lambda v: 0)),
+    ("q-list", _set("q", lambda v: [v])),
+    ("q-unknown", _set("q", lambda v: "zz")),
+    ("q-none", _set("q", lambda v: None)),
+    ("prior-string", _set("prior_pair", lambda v: "ab")),
+    ("prior-dict", _set("prior_pair", lambda v: {"a": v[0], "b": v[1]})),
+    ("prior-int", _set("prior_pair", lambda v: 2)),
+    ("prior-one", _set("prior_pair", lambda v: v[:1])),
+    ("prior-three", _set("prior_pair", lambda v: [*v, v[0]])),
+    ("prior-tuple", _set("prior_pair", tuple)),
+    *[
+        (f"prior-{i}-{kind}", _set_entry("prior_pair", i, make))
+        for i in range(2)
+        for kind, make in [
+            ("string", lambda v: "c0_0"),
+            ("joined", "".join),
+            ("int", lambda v: 0),
+            ("nested", lambda v: [v]),
+            ("shorter", lambda v: v[:-1]),
+        ]
+    ],
+    ("collision-string", _set("collision", lambda v: "ab")),
+    ("collision-dict", _set("collision", lambda v: {"l": v[0], "r": v[1]})),
+    ("collision-int", _set("collision", lambda v: 2)),
+    ("collision-one", _set("collision", lambda v: v[:1])),
+    ("collision-three", _set("collision", lambda v: [*v, v[1]])),
+    ("collision-tuple", _set("collision", tuple)),
+    *[
+        (f"collision-{s}-{kind}", _set_entry("collision", s, make))
+        for s in range(2)
+        for kind, make in [
+            ("int", lambda v: 3),
+            ("string", lambda v: "abc"),
+            ("dict", lambda v: {"a": v[0], "b": v[1], "c": v[2]}),
+            ("two", lambda v: v[:2]),
+            ("four", lambda v: [*v, v[-1]]),
+            ("tuple", lambda v: tuple(v)),
+        ]
+    ],
+    *[
+        (f"collision-{s}-{i}-{kind}", _set_side_entry(s, i, value))
+        for s in range(2)
+        for i in range(3)
+        for kind, value in [("string", "c0_0"), ("int", 0), ("none", None)]
+    ],
+    *[
+        (f"collision-{s}-{i}-{kind}", _set_entry_of_side(s, i, make))
+        for s in range(2)
+        for i in range(3)
+        for kind, make in [
+            ("joined", lambda side, i: "".join(side[i])),
+            ("shorter", lambda side, i: side[i][:-1]),
+            ("next", lambda side, i: list(side[(i + 1) % 3])),
+        ]
+    ],
+    # faults in two fields, or a missing field: the first in field order wins
+    ("missing-side", _delete("side")),
+    ("missing-collision", _delete("collision")),
+    ("side-and-missing-alpha1", _both(_set("side", lambda v: "x"), _delete("alpha1"))),
+    ("p-and-collision", _both(_set("p", lambda v: 0), _set("collision", lambda v: 2))),
+    ("alpha1-and-prior", _both(_set("alpha1", str), _set("prior_pair", lambda v: []))),
+    ("q-and-collision-entry", _both(_set("q", lambda v: ["zz"]), _set_side_entry(1, 0, 0))),
+]
+
+STEP_EDITS = [
+    *[
+        (f"{field}-{kind}", _set(field, lambda v, value=value: value))
+        for field in ("pair", "rhs", "k")
+        for kind, value in [("bool", True), ("float", 1.5), ("string", "c0_0")]
+    ],
+    *[
+        (f"{field}-0-{kind}", _set_entry(field, 0, lambda v, value=value: value))
+        for field in ("pair", "rhs")
+        for kind, value in [("bool", False), ("float", 0.5), ("string", "c0_0")]
+    ],
+]
+
+
+class TestParserOffShape:
+    """The parser reads each refutation at its written shape in one step and
+    rereads any other with its helpers: every malformed value gives the
+    reference parser's certificate or message."""
+
+    @pytest.fixture(scope="class", params=["c0_0", "a"], ids=["sum-of-chains", "letters"])
+    def soc(self, request):
+        # sum_of_chains(2, 1), and the same poset with one-letter labels,
+        # where a string of labels iterates like a label list
+        p = sum_of_chains(2, 1)
+        if request.param == "a":
+            p = build_poset(["a", "b", "c"], [("a", "b")])
+        return p, certificate_doc(uniqueness_certificate(enumerate_ideals(p)))
+
+    def test_written_shape_parses_like_reference(self, soc):
+        p, doc = soc
+        got = certificate_from_json(doc, p)
+        assert got == oracles.certificate_from_json_reference(doc, p)
+        assert validate_certificate(p, got) == (True, "ok")
+
+    @pytest.mark.parametrize("edit", [e for _, e in REFUTATION_EDITS],
+                             ids=[name for name, _ in REFUTATION_EDITS])
+    def test_refutation_field(self, soc, edit):
+        p, doc = soc
+        steps = doc["steps"]
+        sites = [(si, ri) for si, s in enumerate(steps) for ri in range(len(s["refutations"]))]
+        assert len(sites) == 2  # one join and one meet refutation
+        for si, ri in sites:
+            bad = copy.deepcopy(doc)
+            edit(bad["steps"][si]["refutations"][ri])
+            want = _parsed_or_message(oracles.certificate_from_json_reference, bad, p)
+            assert _parsed_or_message(certificate_from_json, bad, p) == want, (si, ri)
+
+    @pytest.mark.parametrize("edit", [e for _, e in STEP_EDITS],
+                             ids=[name for name, _ in STEP_EDITS])
+    def test_step_field(self, soc, edit):
+        p, doc = soc
+        for si in range(len(doc["steps"])):
+            bad = copy.deepcopy(doc)
+            edit(bad["steps"][si])
+            want = _parsed_or_message(oracles.certificate_from_json_reference, bad, p)
+            assert isinstance(want, str)
+            assert _parsed_or_message(certificate_from_json, bad, p) == want, si
+
+    @pytest.mark.parametrize("value", ["x", 3, None, ["side"], []], ids=repr)
+    def test_refutation_not_an_object(self, soc, value):
+        p, doc = soc
+        bad = copy.deepcopy(doc)
+        bad["steps"][1]["refutations"][0] = value
+        want = _parsed_or_message(oracles.certificate_from_json_reference, bad, p)
+        assert isinstance(want, str)
+        assert _parsed_or_message(certificate_from_json, bad, p) == want
+
+
+class TestWriterOffShape:
+    """A parsed certificate may hold collision sides of other lengths than
+    three; the writer's general template gives the reference bytes."""
+
+    @pytest.mark.parametrize("lengths", ["two", "four", "mixed"])
+    def test_bytes_match_reference_encoder(self, lengths):
+        # é is written escaped, b"q with an escaped quote, a newline as \n
+        chains = [["é", 'b"q'], ["x\ny"], ["z"]]
+        p = build_poset(
+            [x for c in chains for x in c], [cover for c in chains for cover in zip(c, c[1:])]
+        )
+        doc = certificate_doc(uniqueness_certificate(enumerate_ideals(p)))
+        refs = [r for s in doc["steps"] for r in s["refutations"]]
+        for i, r in enumerate(refs):
+            change = {"two": 0, "four": 1, "mixed": i % 3}[lengths]
+            side = r["collision"][i % 2]
+            if change == 0:
+                del side[1]
+            elif change == 1:
+                side.append(side[-1])
+        cert = certificate_from_json(doc, p)
+        sides = {len(c) for s in cert.steps for r in s.refutations for c in r.collision}
+        assert sides == {"two": {2, 3}, "four": {3, 4}, "mixed": {2, 3, 4}}[lengths]
+        text = "".join(certificate_to_json(cert))
+        assert text == json.dumps(oracles.certificate_doc_reference(cert), separators=(",", ":"))
+        assert json.loads(text) == doc
+        assert validate_certificate(p, cert)[0] is False
+
+
 def mutate_once(doc: dict, rng: random.Random) -> dict:
     """Return a copy of a certificate document with one field changed to a
     different value of the same shape.  Only the containers on the path to
