@@ -2,18 +2,21 @@
 
 The three functions here are the hot inner loops of the whole package:
 relation closure, order-ideal enumeration, and canonical-key search.  All
-of them operate on plain integer bitmasks, and each is one plain pass:
-the key search tries candidates in ``(code, v)`` order, so its first leaf
-is the greedy encoding and seeds the bound without a separate descent;
-ideals are built by extending the ideals of a prefix of the elements one
-element at a time; and the ideal ``cap`` is checked before every append,
-so a refused input never holds more than ``cap`` masks.
+of them operate on plain integer bitmasks.  Ideals are built by extending
+the ideals of a prefix of the elements one element at a time, and the
+ideal ``cap`` is checked before every append, so a refused input never
+holds more than ``cap`` masks.
 
-The key search keeps its state incrementally: each element's code and
-the candidate set change only when an element is placed or taken back,
-and twins are found once per call, so a search node costs work per
-candidate and per successor of the element it places, not a scan of
-every placed and unplaced element.
+The key search is individualization-refinement (McKay and Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014) over
+ordered partitions of the placed elements: a cell is a set of placed
+elements on consecutive positions whose order is fixed only when a later
+choice depends on it.  It is exact because (a) cells cover disjoint
+position ranges, so each cell's lowest positions minimize a code
+independently; (b) candidates tied at the least code have equal counts in
+every cell, so splitting for one group raises every other group's code;
+(c) the rest of a group keeps that code once one member is placed, and
+every other candidate is larger, so the whole group is placed next.
 """
 
 # The only implementation; kept as a constant for code that records it.
@@ -26,6 +29,7 @@ for _i in range(8):
     _BITS += [_b + (_i,) for _b in _BITS]
 _BITS = tuple(_BITS)
 del _i
+_LOW = tuple((1 << k) - 1 for k in range(9))  # the k lowest bits
 
 
 def transitive_closure(up):
@@ -76,84 +80,76 @@ def enumerate_ideal_masks(down, cap):
 def canonical_key(lt, pred):
     """Lexicographically minimal adjacency encoding over linear extensions.
 
-    ``lt[i]`` / ``pred[i]`` are strict successor / predecessor bitmasks.
-    The key is one byte per position: the j-th byte encodes which earlier
-    elements of the chosen linear extension lie below the j-th one.  The
-    minimum over all linear extensions is a relabeling invariant, so two
-    posets get equal keys exactly when they are isomorphic.
+    ``lt[i]`` / ``pred[i]`` are strict successor / predecessor bitmasks
+    (the search reads ``pred``; ``lt`` gives only n).  The key is one byte
+    per position: the j-th byte encodes which earlier elements of the
+    chosen linear extension lie below the j-th one.  The minimum over all
+    linear extensions is a relabeling invariant, so two posets get equal
+    keys exactly when they are isomorphic.
 
-    The branch-and-bound search tries candidates in ``(code, v)`` order, so
-    its first leaf is the greedy encoding; a prefix tied with the best is
-    pruned only once that first leaf has set a best.  Its state is kept
-    incrementally:
-
-    * ``order[x]`` is ``code << 3 | x``, x's place in ``(code, v)`` order,
-      where ``code`` is the mask of the positions of the placed elements
-      below x.  Placing v at position ``pos`` sets that position's bit in
-      the code of each strict successor of v, and taking v back clears it.
-    * The candidate mask loses v and gains each strict successor of v, and
-      the next twin of v, whose needs are now all placed.
-    * Twins are elements with equal ``(lt, pred)``.  Each element needs its
-      predecessors and its lower-index twins placed, so of each twin class
-      only the lowest-index unplaced member is ever a candidate.
-
-    This is the search tree of trying every available element and dropping
-    a candidate whose ``(code, lt)`` repeats an earlier one: a candidate's
-    predecessors are all placed and its code lists their positions, so two
-    candidates have equal codes exactly when they have equal strict
-    down-sets, a repeated ``(code, lt)`` is exactly a twin, and the earlier
-    one in ``(code, v)`` order is the lowest-index twin, the one kept here.
+    A search node holds the placed elements as ``cells``, ``(start, mask)``
+    pairs: ``mask`` fills the positions from ``start`` in an order not
+    fixed yet.  An available element z gets its least achievable code: the
+    lowest ``|pred[z] & mask|`` positions of each cell.  With ``lo`` the
+    least of these, each ``pred`` value of the candidates coded ``lo`` is
+    one branch: split every cell into ``(mask & pred, mask & ~pred)``, in
+    that order, place the group as a new cell, and extend the key by one
+    ``lo`` per member.  A node whose key with ``lo`` appended exceeds the
+    best key's prefix is pruned.  This is exact: (a) cells cover disjoint
+    position ranges, so each cell's lowest positions minimize a code
+    independently; (b) candidates tied at ``lo`` have equal counts in every
+    cell, so splitting for one group raises the code of every other group;
+    (c) once one member of a group is placed, the others keep ``lo`` and
+    every other candidate is larger (a newly available element carries the
+    newest bit), so a minimal extension places the whole group next, in
+    any order.  Twins, with equal ``(lt, pred)``, share a group.
     """
     n = len(lt)
     if n > 8:
         raise ValueError("canonical_key supports at most 8 elements")
-    need = list(pred)
-    release = list(lt)
-    last = {}
-    for v, sig in enumerate(zip(lt, pred)):
-        u = last.get(sig)
-        if u is not None:
-            need[v] |= 1 << u
-            release[u] |= 1 << v
-        last[sig] = v
-    succ = [_BITS[m] for m in lt]
-    release = [_BITS[m] for m in release]
-    order = list(range(n))
-    cols = []
+    if not n:
+        return b""
+    key = []
     best = None
 
-    def dfs(placed, avail, equal):
+    def dfs(cells, rest, pos):
         nonlocal best
-        pos = len(cols)
-        if pos == n:
-            if best is None or cols < best:
-                best = cols[:]
+        groups = {}
+        for z in _BITS[rest]:
+            p = pred[z]
+            if not p & rest:
+                groups[p] = groups.get(p, 0) | 1 << z
+        lo = 256
+        for p in groups:
+            code = 0
+            for start, mask in cells:
+                code |= _LOW[(p & mask).bit_count()] << start
+            if code < lo:
+                lo = code
+                tied = [p]
+            elif code == lo:
+                tied.append(p)
+        if best is not None and key + [lo] > best[: pos + 1]:
             return
-        bit = 8 << pos  # this position's bit in a code, above the index
-        for c in sorted(map(order.__getitem__, _BITS[avail])):
-            code = c >> 3
-            v = c & 7
-            sub_equal = equal
-            if equal and best is not None:
-                if code > best[pos]:
-                    break
-                sub_equal = code == best[pos]
-            for x in succ[v]:
-                order[x] |= bit
-            now = placed | 1 << v
-            nxt = avail ^ 1 << v
-            for x in release[v]:
-                if not need[x] & ~now:
-                    nxt |= 1 << x
-            cols.append(code)
-            dfs(now, nxt, sub_equal)
-            cols.pop()
-            for x in succ[v]:
-                order[x] ^= bit
+        for p in tied:
+            group = groups[p]
+            size = group.bit_count()
+            key.extend([lo] * size)
+            if pos + size == n:
+                if best is None or key < best:
+                    best = key[:]
+            else:
+                split = []
+                for start, mask in cells:
+                    below = mask & p
+                    if below and below != mask:
+                        split.append((start, below))
+                        split.append((start + below.bit_count(), mask ^ below))
+                    else:
+                        split.append((start, mask))
+                split.append((pos, group))
+                dfs(split, rest ^ group, pos + size)
+            del key[pos:]
 
-    start = 0
-    for v in range(n):
-        if not need[v]:
-            start |= 1 << v
-    dfs(0, start, True)
+    dfs([], (1 << n) - 1, 0)
     return bytes(best)

@@ -37,9 +37,10 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from aslattice import _kernels
+from aslattice._kernels import _BITS
 from aslattice.errors import CapacityExceeded
 from aslattice.ideals import IdealLattice, enumerate_ideals
-from aslattice.posets import Poset, _reduction, build_poset, is_direct_sum_of_chains, poset_to_json
+from aslattice.posets import Poset, build_poset, is_direct_sum_of_chains, poset_to_json
 from aslattice.straightening import check_condition_ii, condition_ii_witnesses
 from aslattice.uniqueness import UniquenessResult, check_unique, not_unique, validate_certificate
 
@@ -76,15 +77,21 @@ _LABELS = tuple(tuple(f"p{i}" for i in range(n)) for n in range(MAX_CANONICAL_N 
 def _poset_from_key(key: bytes) -> Poset:
     """The canonically labeled poset of a key.  A key lists, for each j,
     the i < j below it: a closed order whose indices are already a linear
-    extension, so the rows are read off and only the covers computed."""
+    extension, so the rows are read off, and the covers below j are the
+    elements of ``key[j]`` below none of the others."""
     n = len(key)
     up = [1 << i for i in range(n)]
+    covers = []
     for j, code in enumerate(key):
-        while code:
-            low = code & -code
-            up[low.bit_length() - 1] |= 1 << j
-            code ^= low
-    return Poset(labels=_LABELS[n], up=tuple(up), covers=_reduction(up))
+        bit = 1 << j
+        above = 0
+        for i in _BITS[code]:
+            up[i] |= bit
+            above |= key[i]
+        for i in _BITS[code & ~above]:
+            covers.append((i, j))
+    covers.sort()
+    return Poset(labels=_LABELS[n], up=tuple(up), covers=tuple(covers))
 
 
 def _deletion_table(lt: list[int], pred: list[int]) -> list[int]:

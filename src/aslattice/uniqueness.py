@@ -918,19 +918,6 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
 CERT_FORMAT = "uniqueness-certificate/1"
 
 
-class _Memo(dict):
-    """A dict that computes a missing key's value with ``compute`` on first
-    lookup and keeps it: a certificate repeats few masks and elements."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
 _STEP = '{"pair":[%s,%s],"k":%d,"rhs":[%s,%s],"refutations":[%s]}'
 _REFUTATION_HEAD = (
     '{"side":%s,"alternative":%s,"swapped":%s,"p":%s,"q":%s,"alpha1":%s,"prior_pair":[%s,%s],'
@@ -946,18 +933,48 @@ def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
     from its records: the header, one chunk per step, then the closing
     brackets.  Their join is ``json.dumps(doc, separators=(",", ":"))``
     of the certificate document, byte for byte; no document is built.
-    Each mask's label array and each element is encoded once, and each
-    refutation is formatted by one ``%`` over the written shape; a step
-    that holds another shape takes the general template."""
+    Each mask's label array and each element is encoded once, into plain
+    dicts: a step that meets one not encoded yet encodes its own and is
+    formatted again.  Each refutation is formatted by one ``%`` over the
+    written shape; a step that holds another shape takes the general
+    template."""
     p = cert.poset
     labels = p.labels
     head = json.dumps({"format": CERT_FORMAT, **poset_to_json(p)}, separators=(",", ":"))
     yield head[:-1] + ',"steps":['
-    arrays = _Memo(lambda m: json.dumps(p.labels_of(m), separators=(",", ":")))
-    elems = _Memo(lambda i: "null" if i is None else json.dumps(labels[i]))
-    words = _Memo(json.dumps)  # sides and flags
-    sep = ""
-    for (a, b), k, (lo, hi), refs in cert.steps:
+    arrays = {}
+    elems = {None: "null"}
+    words = {}  # sides and flags
+
+    def array(m) -> None:
+        if m not in arrays:
+            arrays[m] = json.dumps(p.labels_of(m), separators=(",", ":"))
+
+    def elem(i) -> None:
+        if i not in elems:
+            elems[i] = json.dumps(labels[i])
+
+    def word(w) -> None:
+        if w not in words:
+            words[w] = json.dumps(w)
+
+    def encode(step) -> None:
+        """Encode what one step holds and is not encoded yet, in the order
+        the step is formatted, so a fault raises as it would there."""
+        (a, b), _, (lo, hi), refs = step
+        for side, alt, swapped, rp, q, alpha1, (base, ext), (left, right) in refs:
+            word(side)
+            array(alt)
+            word(swapped)
+            elem(rp)
+            elem(q)
+            for m in (alpha1, base, ext, *left, *right):
+                array(m)
+        for m in (a, b, lo, hi):
+            array(m)
+
+    def formatted(step) -> str:
+        (a, b), k, (lo, hi), refs = step
         try:
             body = ",".join(
                 [
@@ -1003,7 +1020,16 @@ def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
                     for side, alt, swapped, rp, q, alpha1, (base, ext), (left, right) in refs
                 ]
             )
-        yield sep + _STEP % (arrays[a], arrays[b], k, arrays[lo], arrays[hi], body)
+        return _STEP % (arrays[a], arrays[b], k, arrays[lo], arrays[hi], body)
+
+    sep = ""
+    for step in cert.steps:
+        try:
+            text = formatted(step)
+        except KeyError:
+            encode(step)
+            text = formatted(step)
+        yield sep + text
         sep = ","
     yield "]}"
 
@@ -1031,13 +1057,17 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
             _fail(f"label array {labels!r} is not in canonical index order")
         return m
 
-    masks = _Memo(checked_mask)  # label tuple -> mask, checked on first use
+    masks = {}  # label tuple -> mask, checked on first use
     index = p.label_index
 
     def mask(labels) -> int:
         if not isinstance(labels, list):
             _fail(f"label array {labels!r} is not a list")
-        return masks[tuple(labels)]
+        key = tuple(labels)
+        m = masks.get(key)
+        if m is None:
+            m = masks[key] = checked_mask(key)
+        return m
 
     def element(value) -> int:
         return p.index_of(typed(value, str, "element"))
@@ -1053,7 +1083,10 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
         return value
 
     def masks_of(arrays) -> tuple[int, ...]:
-        return tuple([masks[tuple(a)] if type(a) is list else mask(a) for a in arrays])
+        try:
+            return tuple([masks[tuple(a)] if type(a) is list else mask(a) for a in arrays])
+        except KeyError:  # an array not met yet: read each one with its checks
+            return tuple([mask(a) for a in arrays])
 
     def refutation(r) -> Refutation:
         """One refutation read field by field with the helpers, which raise

@@ -28,7 +28,6 @@ from aslattice.uniqueness import (
     CertificateStep,
     Refutation,
     UniquenessCertificate,
-    _Memo,
     _Side,
 )
 
@@ -460,6 +459,107 @@ def brute_canonical_key(p):
     return bytes(best)
 
 
+# --- canonical key by trying every candidate ---
+# _kernels.canonical_key as it stood before its search ran over cells of
+# tied elements: a branch-and-bound over single elements in (code, v)
+# order, with twins placed in index order.  Kept only as a reference; the
+# kernel gives the same key on every input.
+
+# _BITS[m]: the indices of the set bits of m, ascending, for every mask of
+# at most 8 elements.
+_BITS = [()]
+for _i in range(8):
+    _BITS += [_b + (_i,) for _b in _BITS]
+_BITS = tuple(_BITS)
+del _i
+
+
+def canonical_key_by_extensions(lt, pred):
+    """Lexicographically minimal adjacency encoding over linear extensions.
+
+    ``lt[i]`` / ``pred[i]`` are strict successor / predecessor bitmasks.
+    The key is one byte per position: the j-th byte encodes which earlier
+    elements of the chosen linear extension lie below the j-th one.  The
+    minimum over all linear extensions is a relabeling invariant, so two
+    posets get equal keys exactly when they are isomorphic.
+
+    The branch-and-bound search tries candidates in ``(code, v)`` order, so
+    its first leaf is the greedy encoding; a prefix tied with the best is
+    pruned only once that first leaf has set a best.  Its state is kept
+    incrementally:
+
+    * ``order[x]`` is ``code << 3 | x``, x's place in ``(code, v)`` order,
+      where ``code`` is the mask of the positions of the placed elements
+      below x.  Placing v at position ``pos`` sets that position's bit in
+      the code of each strict successor of v, and taking v back clears it.
+    * The candidate mask loses v and gains each strict successor of v, and
+      the next twin of v, whose needs are now all placed.
+    * Twins are elements with equal ``(lt, pred)``.  Each element needs its
+      predecessors and its lower-index twins placed, so of each twin class
+      only the lowest-index unplaced member is ever a candidate.
+
+    This is the search tree of trying every available element and dropping
+    a candidate whose ``(code, lt)`` repeats an earlier one: a candidate's
+    predecessors are all placed and its code lists their positions, so two
+    candidates have equal codes exactly when they have equal strict
+    down-sets, a repeated ``(code, lt)`` is exactly a twin, and the earlier
+    one in ``(code, v)`` order is the lowest-index twin, the one kept here.
+    """
+    n = len(lt)
+    if n > 8:
+        raise ValueError("canonical_key supports at most 8 elements")
+    need = list(pred)
+    release = list(lt)
+    last = {}
+    for v, sig in enumerate(zip(lt, pred)):
+        u = last.get(sig)
+        if u is not None:
+            need[v] |= 1 << u
+            release[u] |= 1 << v
+        last[sig] = v
+    succ = [_BITS[m] for m in lt]
+    release = [_BITS[m] for m in release]
+    order = list(range(n))
+    cols = []
+    best = None
+
+    def dfs(placed, avail, equal):
+        nonlocal best
+        pos = len(cols)
+        if pos == n:
+            if best is None or cols < best:
+                best = cols[:]
+            return
+        bit = 8 << pos  # this position's bit in a code, above the index
+        for c in sorted(map(order.__getitem__, _BITS[avail])):
+            code = c >> 3
+            v = c & 7
+            sub_equal = equal
+            if equal and best is not None:
+                if code > best[pos]:
+                    break
+                sub_equal = code == best[pos]
+            for x in succ[v]:
+                order[x] |= bit
+            now = placed | 1 << v
+            nxt = avail ^ 1 << v
+            for x in release[v]:
+                if not need[x] & ~now:
+                    nxt |= 1 << x
+            cols.append(code)
+            dfs(now, nxt, sub_equal)
+            cols.pop()
+            for x in succ[v]:
+                order[x] ^= bit
+
+    start = 0
+    for v in range(n):
+        if not need[v]:
+            start |= 1 << v
+    dfs(0, start, True)
+    return bytes(best)
+
+
 # --- certificate replay, one refutation at a time ---
 # The validator as it stood before replay was organized per (step, side):
 # every refutation recomputes the pair's union and meet, the witness choice
@@ -659,6 +759,19 @@ def certificate_doc_reference(cert):
 # certificate_from_json as it stood before it read each refutation at its
 # written shape in one step.  Kept only as a reference: the parser gives
 # the same certificate or the same InvalidCertificate text on any document.
+
+
+class _Memo(dict):
+    """A dict that computes a missing key's value with ``compute`` on first
+    lookup and keeps it: a certificate repeats few masks and elements."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 def certificate_from_json_reference(doc: dict, p: Poset) -> UniquenessCertificate:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from aslattice import _kernels, build_poset
+from aslattice import _kernels, build_poset, generate_posets
 
 ANTICHAIN_DOWN = [1 << i for i in range(8)]  # 256 ideals
 
@@ -157,6 +157,73 @@ def test_canonical_key_twin_classes(n, relations):
         sizes.update(len(c) for c in classes.values())
         spread |= any(c[-1] - c[0] >= len(c) >= 3 for c in classes.values())
     assert spread == any(3 <= size < n for size in sizes)
+
+
+def test_canonical_key_matches_extension_search_on_generation(monkeypatch):
+    # every input that generating the eight-point classes keys
+    seen = []
+    kernel = _kernels.canonical_key
+
+    def recording(lt, pred):
+        seen.append((list(lt), list(pred)))
+        return kernel(lt, pred)
+
+    monkeypatch.setattr(_kernels, "canonical_key", recording)
+    assert sum(1 for _ in generate_posets(8)) == 16999
+    assert len(seen) == 22396
+    for lt, pred in seen:
+        assert kernel(lt, pred) == oracles.canonical_key_by_extensions(lt, pred)
+
+
+def test_canonical_key_matches_extension_search_on_random_orders():
+    rng = random.Random(29)
+    for _ in range(20000):
+        n = rng.randint(1, 8)
+        lt = _relabel(random_strict_order(rng, n), rng.sample(range(n), n))
+        _, _, pred = masks_from_lt(lt)
+        assert _kernels.canonical_key(lt, pred) == oracles.canonical_key_by_extensions(lt, pred)
+
+
+def test_canonical_key_six_point_classes_relabelled():
+    rng = random.Random(31)
+    classes = list(generate_posets(6))
+    assert len(classes) == 318
+    for cp in classes:
+        up = cp.poset.up
+        lt = _relabel([row & ~(1 << i) for i, row in enumerate(up)], rng.sample(range(6), 6))
+        _, _, pred = masks_from_lt(lt)
+        key = _kernels.canonical_key(lt, pred)
+        assert key == cp.canonical_key == oracles.brute_canonical_key(poset_from_lt(lt))
+
+
+@pytest.mark.parametrize(
+    "n, relations",
+    [
+        # a < x, a < z, b < y: x, z and y tie at the code of one element of
+        # the cell {a, b}, in groups of two and one
+        (5, [(0, 2), (0, 3), (1, 4)]),
+        # the same with groups of three and two over the cell {a, b}
+        (7, [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6)]),
+        # c < y ties with a < x; placing y splits the cell {a, b, c} into
+        # {c}, {a, b}, and x then splits {a, b}
+        (5, [(2, 3), (0, 4)]),
+        # c < y comes first and leaves the cell {a, b}, which the group
+        # {x, x'} over both of them keeps whole and w over a, c, y splits
+        (7, [(2, 3), (0, 4), (1, 4), (0, 5), (1, 5), (0, 6), (2, 6), (3, 6)]),
+    ],
+    ids=["tied-2-1", "tied-3-2", "split-earlier", "split-later"],
+)
+def test_canonical_key_tied_groups(n, relations):
+    lt = [0] * n
+    for i, j in relations:
+        lt[i] |= 1 << j
+    want = oracles.brute_canonical_key(poset_from_lt(lt))
+    rng = random.Random(37)
+    for _ in range(30):
+        lt2 = _relabel(lt, rng.sample(range(n), n))
+        _, _, pred = masks_from_lt(lt2)
+        assert _kernels.canonical_key(lt2, pred) == want
+        assert oracles.canonical_key_by_extensions(lt2, pred) == want
 
 
 def _relabelled_cases():
