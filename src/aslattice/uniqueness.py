@@ -746,6 +746,16 @@ def validate_certificate(p: Poset, cert: UniquenessCertificate) -> tuple[bool, s
     and the prior canonical one, hence a basis violation.  Replay builds
     its own lattice views, so it shares no cached value with
     uniqueness_certificate.
+
+    The witness choice fixes every field of a refutation, so replay
+    compares each record with the one it expects, and checks the
+    properties of the expected records themselves: those of a witness
+    once per group of records sharing it, those of an alternative per
+    record.  A record equal to its expected one whose checks pass would
+    pass every field-by-field check, so it gets the same verdict; any
+    other record is checked field by field, which gives the same reason
+    as before.  Records are compared by value, so a field of equal value
+    and another numeric type (``swapped=1``, a float ``q``) is accepted.
     """
     try:
         _validate(p, cert)
@@ -761,7 +771,14 @@ def _validate(p: Poset, cert: UniquenessCertificate):
     first fault in a step's content is kept while later steps are checked
     for their pairs only, and is raised at the end: a wrong, missing or
     extra pair anywhere takes precedence, as when all pairs were compared
-    before any content."""
+    before any content.
+
+    A replay that reads every step logs one DEBUG record on the
+    ``aslattice`` logger: its steps, the refutations of the steps whose
+    content was checked, the witness groups checked and the records
+    checked field by field (0 on a valid certificate)."""
+    import logging  # here, not at the top: it adds about 5 ms to importing the package
+
     if cert.poset != p:
         _fail("certificate was issued for a different poset")
     if not is_direct_sum_of_chains(p):
@@ -773,43 +790,142 @@ def _validate(p: Poset, cert: UniquenessCertificate):
     order = "steps do not list the incomparable pairs in certificate order"
     fault = None
     count = 0
+    tally = [0, 0, 0]  # refutations, witness groups, records checked field by field
     for idx, step in enumerate(cert.steps):
         if idx == len(pairs) or step.pair != pairs[idx]:
             _fail(order)
         count += 1
         if fault is None:
             try:
-                _validate_step(lat, sides, index_of_pair, idx, step)
+                _validate_step(lat, sides, index_of_pair, idx, step, tally)
             except Exception as exc:  # any: raised below unless a later pair's fault wins
                 fault = exc
     if count != len(pairs):
         _fail(order)
+    logging.getLogger("aslattice").debug(
+        "replay: %d steps, %d refutations, %d witness groups, %d records checked field by field",
+        count, *tally,
+    )
     if fault is not None:
         raise fault
 
 
-def _validate_step(lat, sides, index_of_pair, idx: int, step: CertificateStep):
+def _validate_step(lat, sides, index_of_pair, idx: int, step: CertificateStep, tally: list):
+    """Replay one step, adding its refutations, witness groups checked and
+    records checked field by field to ``tally``.  Each side's alternatives
+    to the pair are read once."""
     a, b = step.pair
     k = induction_parameter(lat.poset, a, b)
     if step.k != k:
         _fail(f"step {idx}: stored parameter {step.k} differs from {k}")
     if step.rhs != (a & b, a | b):
         _fail(f"step {idx}: right-hand side is not the canonical one")
-    views = [(side, side.to_side(a), side.to_side(b)) for side in sides]
-    expected = sum(len(side.alternatives(sa | sb)) for side, sa, sb in views)
+    views = []
+    expected = 0
+    for side in sides:
+        sa, sb = a ^ side.flip, b ^ side.flip  # side.to_side
+        alts = side.alternatives(sa | sb)
+        views.append((side, sa, sb, alts))
+        expected += len(alts)
     if len(step.refutations) != expected:
         _fail(f"step {idx}: expected {expected} refutations, found {len(step.refutations)}")
+    tally[0] += expected
     start = 0
-    for side, sa, sb in views:
-        stop = start + len(side.alternatives(sa | sb))
+    for side, sa, sb, alts in views:
+        stop = start + len(alts)
         if stop > start:
-            _validate_side(lat, index_of_pair, idx, step, step.refutations[start:stop], side, sa, sb)
+            refs = step.refutations[start:stop]
+            _validate_side(lat, index_of_pair, idx, step, refs, side, sa, sb, alts, tally)
         start = stop
 
 
-def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb: int):
+def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb: int, alts, tally):
     """Replay one step's refutations on one side, in the order of the
-    side's alternatives to the pair (sa, sb).
+    side's alternatives ``alts`` to the pair (sa, sb), counting witness
+    groups checked and records checked field by field in ``tally``.
+
+    Every field of a refutation is fixed by the poset, so each record is
+    compared, as one tuple, with the record replay expects for its
+    alternative.  What depends only on the step, the side and the witness
+    (p, q) is computed and checked once per witness group: q covers p, p
+    is side-maximal in the union and lies in ext (or, without p, q is
+    side-minimal), q lies outside the union, alpha1 is closed, adjoining q
+    keeps the intersection and grows the union by one, the prior pair is
+    incomparable, an earlier step and one parameter down, and the left
+    collision chain is a chain of closed sets whose first entry lies in
+    alpha1.  Per record remain the checks that involve its alternative: it
+    is closed and holds base ∪ alpha1, so it is a strict superset of the
+    union holding q and alpha1, the right chain is a chain of closed sets,
+    and it differs from the left one, as q is in alpha1 and not in ext.
+    A record equal to the expected one, with these checks passed, passes
+    every field-by-field check, so it gets their verdict without them.
+
+    Any other record, and every record of a group without a witness or
+    whose checks fail, goes through the field-by-field checks of
+    ``_validate_fields``, the one definition of their order and messages."""
+    closed = side.position  # the side's closed sets
+    cover_mask, minimal_mask, flip = side.cover_mask, side.minimal_mask, side.flip
+    position = lat.position
+    n_prior = lat.poset.n - step.k + 1  # a prior pair's n minus its parameter
+    name = side.name
+    sj, sm = sa | sb, sa & sb
+    top = side.maxels(sj)
+    grown = sj.bit_count() + 1
+    # witness -> (swapped, p, q, alpha1, prior pair, left chain), or None
+    # for no witness and for a group whose checks fail
+    groups: dict = {None: None}
+    for ref, alt_wit in zip(refs, alts):
+        alt, wit = alt_wit
+        expect = groups.get(wit, False)
+        if expect is False:
+            tally[1] += 1
+            p, q = wit
+            swapped = p is not None and not sb >> p & 1
+            base, ext = (sb, sa) if swapped else (sa, sb)
+            qbit = 1 << q
+            alpha1 = ext | qbit
+            joined = base | alpha1
+            expect = None
+            if (
+                (
+                    minimal_mask & qbit
+                    if p is None
+                    else cover_mask[p] & qbit and top >> p & 1 and ext >> p & 1
+                )
+                and not sj & qbit
+                and alpha1 in closed
+                and base & alpha1 == sm
+                and joined.bit_count() == grown
+                and base & ~alpha1
+                and alpha1 & ~base
+                and (base ^ alpha1).bit_count() == n_prior
+                and not sm & ~ext
+                and not ext & ~joined
+                and not sm & ~alpha1
+                and sm in closed
+                and ext in closed
+                and joined in closed
+            ):
+                x, y = base ^ flip, alpha1 ^ flip  # ideals: base is a or b, alpha1 is closed
+                prior_idx = index_of_pair.get((x, y) if position[x] < position[y] else (y, x))
+                if prior_idx is not None and prior_idx < idx:
+                    expect = swapped, p, q, alpha1, (base, alpha1), (sm, ext, joined)
+            groups[wit] = expect
+        if expect is not None:
+            swapped, p, q, alpha1, prior_pair, left = expect
+            if (
+                ref == (name, alt, swapped, p, q, alpha1, prior_pair, (left, (sm, alpha1, alt)))
+                and alt in closed
+                and not left[2] & ~alt  # base ∪ alpha1 ⊆ alt
+            ):
+                continue
+        tally[2] += 1
+        _validate_fields(lat, index_of_pair, idx, step, (ref,), side, sa, sb, (alt_wit,))
+
+
+def _validate_fields(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb: int, alts):
+    """Check one step's refutations on one side field by field, in the
+    order of the side's alternatives ``alts`` to the pair (sa, sb).
 
     Each record is unpacked once, and what is the same for the whole side
     is read once: the side's closed sets and covers, the union's
@@ -831,7 +947,7 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
     def fail(msg: str):
         _fail(f"step {idx} ({r_side} side): {msg}")
 
-    for ref, (alt, wit) in zip(refs, side.alternatives(sj)):
+    for ref, (alt, wit) in zip(refs, alts):
         r_side, r_alt, swapped, r_p, q, alpha1, prior_pair, collision = ref
         if r_side != name or r_alt != alt:
             fail("refutation list does not match the enumerated alternatives")

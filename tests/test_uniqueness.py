@@ -1255,7 +1255,7 @@ class TestCertificateShapes:
                     replayed += 1
         assert replayed == 1228  # the other 572 mutants fail to parse
 
-    @pytest.mark.parametrize("lengths", [(2, 1), (1, 1, 1), (3, 1)])
+    @pytest.mark.parametrize("lengths", [(2, 1), (1, 1, 1), (3, 1), (2, 2), (2, 1, 1)])
     def test_replay_matches_reference_on_every_field_change(self, lengths):
         # every refutation field set to every other value of its kind, in
         # memory (no parser in between): the same verdict and reason as the
@@ -1304,6 +1304,65 @@ class TestCertificateShapes:
             "stored prior pair mismatch",
             "collision monomials differ from the replayed ones",
         }
+
+    @pytest.mark.parametrize("lengths", [(2, 2), (2, 1, 1)])
+    @pytest.mark.parametrize("fault", ["every element covers all", "no minimal element"])
+    def test_replay_matches_reference_when_its_own_views_are_faulty(
+        self, monkeypatch, lengths, fault
+    ):
+        # the certificate is built with sound views, then both validators
+        # replay it with the same faulty meet-side view: with every element
+        # covering all, some witness groups fail their checks (alpha1 not
+        # closed); without minimal elements, some alternatives have no
+        # witness.  Their records go through the field-by-field checks.
+        p = sum_of_chains(*lengths)
+        built = uniqueness_certificate(enumerate_ideals(p))
+        cert = UniquenessCertificate(poset=p, steps=tuple(built.steps))
+        init = uniqueness._Side.__init__
+
+        def faulty(self, lat, dual):
+            init(self, lat, dual)
+            if dual and fault == "every element covers all":
+                self.cover_mask = (lat.poset.full_mask,) * lat.poset.n
+            elif dual:
+                self.minimal_mask = 0
+
+        monkeypatch.setattr(uniqueness._Side, "__init__", faulty)
+        got = validate_certificate(p, cert)
+        assert got == oracles.validate_certificate_reference(p, cert)
+        if fault == "every element covers all" or lengths == (2, 1, 1):
+            assert not got[0]  # (2, 2) has no meet-side record without p
+
+    @pytest.mark.parametrize("field", ["q", "alpha1"])
+    def test_float_of_equal_value_accepted(self, field):
+        # records are compared by value, as a swapped of 1 is, so a float q
+        # or alpha1 of equal value is accepted (a parsed or built
+        # certificate holds ints)
+        p = sum_of_chains(2, 1, 1)
+        steps = list(uniqueness_certificate(enumerate_ideals(p)).steps)
+        si = next(i for i, s in enumerate(steps) if s.refutations)
+        refs = list(steps[si].refutations)
+        refs[0] = refs[0]._replace(**{field: float(getattr(refs[0], field))})
+        steps[si] = steps[si]._replace(refutations=tuple(refs))
+        assert validate_certificate(p, UniquenessCertificate(poset=p, steps=tuple(steps))) == (
+            True, "ok")
+
+    def test_replay_logs_records_checked_field_by_field(self, caplog):
+        p = sum_of_chains(2, 2, 1)
+        steps = list(uniqueness_certificate(enumerate_ideals(p)).steps)
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            assert validate_certificate(p, UniquenessCertificate(poset=p, steps=tuple(steps)))[0]
+            si = next(i for i, s in enumerate(steps) if len(s.refutations) > 1)
+            refs = list(steps[si].refutations)
+            refs[1] = refs[1]._replace(alternative=refs[0].alternative)
+            steps[si] = steps[si]._replace(refutations=tuple(refs))
+            assert not validate_certificate(p, UniquenessCertificate(poset=p, steps=tuple(steps)))[0]
+        valid, mutant = [r.getMessage() for r in caplog.records if r.name == "aslattice"]
+        assert valid == ("replay: 63 steps, 162 refutations, 114 witness groups, "
+                         "0 records checked field by field")
+        slow = re.fullmatch(r"replay: 63 steps, \d+ refutations, \d+ witness groups, "
+                            r"(\d+) records checked field by field", mutant)
+        assert slow and int(slow[1]) >= 1
 
 
 def _parsed_or_message(parse, doc, p):
