@@ -77,15 +77,14 @@ def enumerate_ideal_masks(down, cap):
     return out
 
 
-def canonical_key(lt, pred):
+def canonical_key(pred):
     """Lexicographically minimal adjacency encoding over linear extensions.
 
-    ``lt[i]`` / ``pred[i]`` are strict successor / predecessor bitmasks
-    (the search reads ``pred``; ``lt`` gives only n).  The key is one byte
-    per position: the j-th byte encodes which earlier elements of the
-    chosen linear extension lie below the j-th one.  The minimum over all
-    linear extensions is a relabeling invariant, so two posets get equal
-    keys exactly when they are isomorphic.
+    ``pred[i]`` is the strict predecessor bitmask of element i.  The key
+    is one byte per position: the j-th byte encodes which earlier elements
+    of the chosen linear extension lie below the j-th one.  The minimum
+    over all linear extensions is a relabeling invariant, so two posets
+    get equal keys exactly when they are isomorphic.
 
     A search node holds the placed elements as ``cells``, ``(start, mask)``
     pairs: ``mask`` fills the positions from ``start`` in an order not
@@ -102,9 +101,9 @@ def canonical_key(lt, pred):
     (c) once one member of a group is placed, the others keep ``lo`` and
     every other candidate is larger (a newly available element carries the
     newest bit), so a minimal extension places the whole group next, in
-    any order.  Twins, with equal ``(lt, pred)``, share a group.
+    any order.  Elements with equal ``pred`` share a group.
     """
-    n = len(lt)
+    n = len(pred)
     if n > 8:
         raise ValueError("canonical_key supports at most 8 elements")
     if not n:

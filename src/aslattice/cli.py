@@ -92,6 +92,16 @@ class _Chunks:
             raise _WholeDocument
         self.pos += 1
 
+    def skip(self, text: str) -> bool:
+        """Step past ``text`` if the file holds it at the cursor, as it is:
+        whitespace is not skipped.  Whether it did."""
+        while len(self.buf) - self.pos < len(text) and not self.eof:
+            self._more()
+        if self.buf.startswith(text, self.pos):
+            self.pos += len(text)
+            return True
+        return False
+
     def value(self):
         """The next JSON value.  A failed decode is retried on a longer
         buffer, and so is one that ends at the buffer's end, since a number
@@ -110,14 +120,13 @@ class _Chunks:
 
 
 def _certificate_stream(fh):
-    """``(header, steps)`` of a certificate file whose top-level object
-    ends with its ``"steps"`` array: the keys before that array decoded,
-    and an iterator that decodes the array's entries one at a time.  A
-    header key that repeats keeps its last value, as with ``json.load``.
-    Raises _WholeDocument, up front or from the iterator, on any read or
-    decode failure, on a top-level value other than an object, and on an
-    object without ``"steps"``, with a ``"steps"`` value other than an
-    array or with a key after it."""
+    """``(header, src)`` of a certificate file whose top-level object ends
+    with its ``"steps"`` array: the keys before that array decoded, and the
+    file as ``_Chunks`` with its cursor inside the array.  A header key
+    that repeats keeps its last value, as with ``json.load``.  Raises
+    _WholeDocument on any read or decode failure, on a top-level value
+    other than an object, and on an object without ``"steps"`` or with a
+    ``"steps"`` value other than an array."""
     src = _Chunks(fh)
     src.take("{")
     header = {}
@@ -126,24 +135,69 @@ def _certificate_stream(fh):
         src.take(":")
         if key == "steps":
             src.take("[")
-            return header, _steps(src)
+            return header, src
         header[key] = src.value()
         src.take(",")
     raise _WholeDocument
 
 
 def _steps(src: _Chunks):
-    """The rest of the steps array, entry by entry, then the end of the
-    file: the object's closing brace and nothing after it but whitespace."""
+    """The rest of the steps array, entry by entry, then ``_end``."""
     if src.peek() != "]":
         yield src.value()
         while src.peek() == ",":
             src.pos += 1
             yield src.value()
+    _end(src)
+
+
+def _end(src: _Chunks) -> None:
+    """The end of the file after the steps: the array's and the object's
+    closing brackets and nothing after them but whitespace, or
+    _WholeDocument."""
     src.take("]")
     src.take("}")
     if src.peek():
         raise _WholeDocument
+
+
+def _accepted_as_text(path: str, p: posets.Poset) -> bool:
+    """Whether a certificate file is valid as text: its header parses with
+    ``certificate_from_json``, and after it the file holds exactly the
+    writer's text of the steps replay expects (``validate_certificate``
+    with ``text``), then ends.  No step is decoded or parsed, and nothing
+    is held but the step being compared.  False says nothing about the
+    file's verdict.  Logs one DEBUG record on the ``aslattice`` logger:
+    the steps whose text matched, and where the text first differed."""
+    import logging  # here, not at the top: it adds about 5 ms to importing the package
+
+    matched = 0
+    note = "the header was not read"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header, src = _certificate_stream(fh)
+            note = "the header did not parse"
+            cert = uniqueness.certificate_from_json({**header, "steps": []}, p)
+
+            def match(text: str) -> bool:
+                nonlocal matched
+                if (matched and not src.skip(",")) or not src.skip(text):
+                    return False
+                matched += 1
+                return True
+
+            ok, note = uniqueness.validate_certificate(p, cert, text=match)
+            if ok:
+                note = "the file did not end after them"
+                _end(src)
+                note = "ACCEPTED without parsing"
+    except (OSError, AslatticeError, _WholeDocument):
+        ok = False
+    logging.getLogger("aslattice").debug(
+        "validate-cert text: %d steps matched; %s%s",
+        matched, note, "" if ok else "; the parsed path ran",
+    )
+    return ok
 
 
 def _read_certificate(path: str, p: posets.Poset) -> uniqueness.UniquenessCertificate:
@@ -156,7 +210,8 @@ def _read_certificate(path: str, p: posets.Poset) -> uniqueness.UniquenessCertif
     reported."""
     try:
         with open(path, encoding="utf-8") as fh:
-            header, steps = _certificate_stream(fh)
+            header, src = _certificate_stream(fh)
+            steps = _steps(src)
             try:
                 return uniqueness.certificate_from_json({**header, "steps": steps}, p)
             except AslatticeError:
@@ -184,13 +239,12 @@ def _witness_json(p: posets.Poset, kinds, pair, rhs_a, rhs_b) -> dict:
 
 @contextlib.contextmanager
 def _gc_paused():
-    """Pause the cyclic collector while ``validate-cert`` decodes, parses
-    and replays a certificate.  The parsed certificate is held whole, and
-    its records hold no reference cycles, so reference counting frees them
-    all the same; with the collector on, the millions of containers it
-    keeps set off full passes that find nothing.  ``unique`` needs no
-    pause: its certificate's steps are built as the file is written, and
-    no container outlives its step."""
+    """Pause the cyclic collector while ``validate-cert`` parses and
+    replays a certificate it holds whole, which a file that is not valid
+    as text needs.  Certificate records hold no reference cycles, so
+    reference counting frees them all the same; with the collector on, the
+    millions of containers kept set off full passes that find nothing.
+    The text path holds one step at a time and needs no pause."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -305,14 +359,25 @@ def cmd_unique(args) -> int:
 
 
 @_gc_paused()
-def cmd_validate_cert(args) -> int:
-    p = _load(args.poset)
+def _validate_parsed(path: str, p: posets.Poset) -> tuple[bool, str]:
+    """The verdict of a certificate file read from its first byte, parsed
+    and replayed; the certificate is freed before the collector resumes."""
     try:
-        cert = _read_certificate(args.certificate, p)
+        cert = _read_certificate(path, p)
     except AslatticeError as exc:
-        _emit(args, {"valid": False, "reason": str(exc)}, [f"REJECTED: {exc}"])
-        return 1
-    ok, reason = uniqueness.validate_certificate(p, cert)
+        return False, str(exc)
+    return uniqueness.validate_certificate(p, cert)
+
+
+def cmd_validate_cert(args) -> int:
+    """ACCEPTED for a file valid as text (``_accepted_as_text``); any other
+    file gets the parsed path's verdict, which gives every rejection and
+    its reason."""
+    p = _load(args.poset)
+    if _accepted_as_text(args.certificate, p):
+        ok, reason = True, "ok"
+    else:
+        ok, reason = _validate_parsed(args.certificate, p)
     doc = {"valid": ok, "reason": reason}
     _emit(args, doc, ["ACCEPTED" if ok else f"REJECTED: {reason}"])
     return 0 if ok else 1

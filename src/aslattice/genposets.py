@@ -65,8 +65,7 @@ def canonical_form(p: Poset) -> CanonicalPoset:
     """Canonical key of a poset; equal keys characterize isomorphism."""
     if p.n > MAX_CANONICAL_N:
         raise CapacityExceeded(f"canonical form limited to {MAX_CANONICAL_N} elements")
-    lt, pred = _strict_masks(p)
-    key = _kernels.canonical_key(lt, pred)
+    key = _kernels.canonical_key(_strict_masks(p)[1])
     return CanonicalPoset(poset=p, canonical_key=key)
 
 
@@ -133,7 +132,6 @@ def generate_posets(n: int):
     level = iter([(b"\x00", build_poset(["p0"], []))])
     for size in range(2, n + 1):
         keys: set[bytes] = set()
-        new_bit = 1 << (size - 1)
         considered = by_deletion = by_twins = 0
         for _, parent in level:
             lt, pred = _strict_masks(parent)
@@ -148,9 +146,7 @@ def generate_posets(n: int):
                 if twins and any(down_set & j and not down_set & i for i, j in twins):
                     by_twins += 1
                     continue
-                new_lt = [m | new_bit if down_set >> i & 1 else m for i, m in enumerate(lt)]
-                new_lt.append(0)
-                keys.add(_kernels.canonical_key(new_lt, pred + [down_set]))
+                keys.add(_kernels.canonical_key(pred + [down_set]))
         log.debug(
             "generate size %d: %d extensions, %d skipped by the deletion rule, "
             "%d by the twin rule, %d keyed, %d classes",

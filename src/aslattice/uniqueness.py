@@ -734,7 +734,7 @@ def _fail(msg: str):
     raise InvalidCertificate(msg)
 
 
-def validate_certificate(p: Poset, cert: UniquenessCertificate) -> tuple[bool, str]:
+def validate_certificate(p: Poset, cert: UniquenessCertificate, text=None) -> tuple[bool, str]:
     """Replay a certificate using only lattice operations.
 
     Checks structure (coverage of exactly the incomparable pairs in the
@@ -748,20 +748,42 @@ def validate_certificate(p: Poset, cert: UniquenessCertificate) -> tuple[bool, s
     uniqueness_certificate.
 
     The witness choice fixes every field of a refutation, so replay
-    compares each record with the one it expects, and checks the
-    properties of the expected records themselves: those of a witness
-    once per group of records sharing it, those of an alternative per
-    record.  A record equal to its expected one whose checks pass would
-    pass every field-by-field check, so it gets the same verdict; any
-    other record is checked field by field, which gives the same reason
-    as before.  Records are compared by value, so a field of equal value
-    and another numeric type (``swapped=1``, a float ``q``) is accepted.
+    compares each record with the one it expects (``_expected_records``),
+    whose checks it runs on the expected values.  A record equal to its
+    expected one whose checks pass would pass every field-by-field check,
+    so it gets the same verdict; any other record is checked field by
+    field, which gives the same reason as before.  Records are compared by
+    value, so a field of equal value and another numeric type
+    (``swapped=1``, a float ``q``) is accepted.
+
+    With ``text``, a function that consumes a string if the certificate
+    file holds it next and returns whether it did, replay reads the file's
+    steps as text, not ``cert.steps``: each step it expects, its checks
+    passed, is written as ``certificate_to_json`` writes it and passed to
+    ``text``.  (True, "ok") then means the steps are exactly a valid
+    certificate's; (False, reason) says only where they are not, and the
+    verdict needs the parsed steps.
     """
     try:
-        _validate(p, cert)
+        if text is None:
+            _validate(p, cert)
+        else:
+            _validate_text(p, cert, text)
     except InvalidCertificate as exc:
         return False, str(exc)
     return True, "ok"
+
+
+def _replay_views(p: Poset, cert: UniquenessCertificate):
+    """``(lat, sides, index_of_pair)`` of a replay: the poset's lattice,
+    its join and meet views, and each induction pair's index."""
+    if cert.poset != p:
+        _fail("certificate was issued for a different poset")
+    if not is_direct_sum_of_chains(p):
+        _fail("poset is not a direct sum of chains")
+    lat = enumerate_ideals(p)
+    sides = (_Side(lat, dual=False), _Side(lat, dual=True))
+    return lat, sides, {pair: i for i, pair in enumerate(lat.induction_pairs)}
 
 
 def _validate(p: Poset, cert: UniquenessCertificate):
@@ -779,14 +801,8 @@ def _validate(p: Poset, cert: UniquenessCertificate):
     checked field by field (0 on a valid certificate)."""
     import logging  # here, not at the top: it adds about 5 ms to importing the package
 
-    if cert.poset != p:
-        _fail("certificate was issued for a different poset")
-    if not is_direct_sum_of_chains(p):
-        _fail("poset is not a direct sum of chains")
-    lat = enumerate_ideals(p)
-    sides = (_Side(lat, dual=False), _Side(lat, dual=True))
+    lat, sides, index_of_pair = _replay_views(p, cert)
     pairs = lat.induction_pairs
-    index_of_pair = {pair: i for i, pair in enumerate(pairs)}
     order = "steps do not list the incomparable pairs in certificate order"
     fault = None
     count = 0
@@ -808,6 +824,29 @@ def _validate(p: Poset, cert: UniquenessCertificate):
     )
     if fault is not None:
         raise fault
+
+
+def _validate_text(p: Poset, cert: UniquenessCertificate, text):
+    """Replay against a certificate's text (see ``validate_certificate``):
+    each induction pair's expected step, built from the replay views as
+    ``_validate_step`` reads them, is written by ``_step_text`` and must be
+    the next text.  The first step whose checks fail or whose text differs
+    raises."""
+    lat, sides, index_of_pair = _replay_views(p, cert)
+    step_text = _step_text(p)
+    for idx, (a, b) in enumerate(lat.induction_pairs):
+        k = induction_parameter(p, a, b)
+        refs = []
+        for side in sides:
+            sa, sb = a ^ side.flip, b ^ side.flip  # side.to_side
+            alts = side.alternatives(sa | sb)
+            if alts:
+                records = _expected_records(lat, index_of_pair, idx, k, side, sa, sb, alts)[0]
+                if not all(records):
+                    _fail(f"step {idx} ({side.name} side): a replayed refutation fails its checks")
+                refs += records
+        if not text(step_text(((a, b), k, (a & b, a | b), refs))):
+            _fail(f"step {idx}: the text differs from the replayed step")
 
 
 def _validate_step(lat, sides, index_of_pair, idx: int, step: CertificateStep, tally: list):
@@ -835,20 +874,37 @@ def _validate_step(lat, sides, index_of_pair, idx: int, step: CertificateStep, t
         stop = start + len(alts)
         if stop > start:
             refs = step.refutations[start:stop]
-            _validate_side(lat, index_of_pair, idx, step, refs, side, sa, sb, alts, tally)
+            records, groups = _expected_records(lat, index_of_pair, idx, k, side, sa, sb, alts)
+            tally[1] += groups
+            if not all(records) or refs != tuple(records):
+                _validate_side(lat, index_of_pair, idx, step, refs, side, sa, sb, alts, records,
+                               tally)
         start = stop
 
 
-def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb: int, alts, tally):
-    """Replay one step's refutations on one side, in the order of the
-    side's alternatives ``alts`` to the pair (sa, sb), counting witness
-    groups checked and records checked field by field in ``tally``.
+def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa, sb, alts, records, tally):
+    """Replay one step's refutations on one side one at a time, in the
+    order of the side's alternatives ``alts`` to the pair (sa, sb), where
+    they do not all equal the ``records`` replay expects.  A record that
+    differs from its expected one, or has none, goes through
+    ``_validate_fields``, the one definition of the field-by-field checks'
+    order and messages, and is counted in ``tally``."""
+    for ref, record, alt_wit in zip(refs, records, alts):
+        if record is not None and ref == record:
+            continue
+        tally[2] += 1
+        _validate_fields(lat, index_of_pair, idx, step, (ref,), side, sa, sb, (alt_wit,))
 
-    Every field of a refutation is fixed by the poset, so each record is
-    compared, as one tuple, with the record replay expects for its
-    alternative.  What depends only on the step, the side and the witness
-    (p, q) is computed and checked once per witness group: q covers p, p
-    is side-maximal in the union and lies in ext (or, without p, q is
+
+def _expected_records(lat, index_of_pair, idx: int, k: int, side: _Side, sa: int, sb: int, alts):
+    """``(records, groups)``: for each of the side's alternatives ``alts``
+    to the pair (sa, sb) of step ``idx``, parameter ``k``, the refutation
+    replay expects, or None where its checks fail or it has no witness;
+    and the number of witness groups checked.
+
+    What depends only on the step, the side and the witness (p, q) is
+    computed and checked once per witness group: q covers p, p is
+    side-maximal in the union and lies in ext (or, without p, q is
     side-minimal), q lies outside the union, alpha1 is closed, adjoining q
     keeps the intersection and grows the union by one, the prior pair is
     incomparable, an earlier step and one parameter down, and the left
@@ -857,16 +913,11 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
     is closed and holds base ∪ alpha1, so it is a strict superset of the
     union holding q and alpha1, the right chain is a chain of closed sets,
     and it differs from the left one, as q is in alpha1 and not in ext.
-    A record equal to the expected one, with these checks passed, passes
-    every field-by-field check, so it gets their verdict without them.
-
-    Any other record, and every record of a group without a witness or
-    whose checks fail, goes through the field-by-field checks of
-    ``_validate_fields``, the one definition of their order and messages."""
+    A record equal to the expected one passes every field-by-field check."""
     closed = side.position  # the side's closed sets
     cover_mask, minimal_mask, flip = side.cover_mask, side.minimal_mask, side.flip
     position = lat.position
-    n_prior = lat.poset.n - step.k + 1  # a prior pair's n minus its parameter
+    n_prior = lat.poset.n - k + 1  # a prior pair's n minus its parameter
     name = side.name
     sj, sm = sa | sb, sa & sb
     top = side.maxels(sj)
@@ -874,11 +925,11 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
     # witness -> (swapped, p, q, alpha1, prior pair, left chain), or None
     # for no witness and for a group whose checks fail
     groups: dict = {None: None}
-    for ref, alt_wit in zip(refs, alts):
-        alt, wit = alt_wit
+    records = []
+    append = records.append
+    for alt, wit in alts:
         expect = groups.get(wit, False)
         if expect is False:
-            tally[1] += 1
             p, q = wit
             swapped = p is not None and not sb >> p & 1
             base, ext = (sb, sa) if swapped else (sa, sb)
@@ -913,14 +964,11 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb
             groups[wit] = expect
         if expect is not None:
             swapped, p, q, alpha1, prior_pair, left = expect
-            if (
-                ref == (name, alt, swapped, p, q, alpha1, prior_pair, (left, (sm, alpha1, alt)))
-                and alt in closed
-                and not left[2] & ~alt  # base ∪ alpha1 ⊆ alt
-            ):
+            if alt in closed and not left[2] & ~alt:  # base ∪ alpha1 ⊆ alt
+                append((name, alt, swapped, p, q, alpha1, prior_pair, (left, (sm, alpha1, alt))))
                 continue
-        tally[2] += 1
-        _validate_fields(lat, index_of_pair, idx, step, (ref,), side, sa, sb, (alt_wit,))
+        append(None)
+    return records, len(groups) - 1
 
 
 def _validate_fields(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb: int, alts):
@@ -1046,18 +1094,30 @@ _REFUTATION_ANY = _REFUTATION_HEAD + '"collision":[[%s],[%s]]}'
 
 def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
     """The certificate as compact JSON text, yielded in chunks straight
-    from its records: the header, one chunk per step, then the closing
-    brackets.  Their join is ``json.dumps(doc, separators=(",", ":"))``
-    of the certificate document, byte for byte; no document is built.
-    Each mask's label array and each element is encoded once, into plain
-    dicts: a step that meets one not encoded yet encodes its own and is
-    formatted again.  Each refutation is formatted by one ``%`` over the
-    written shape; a step that holds another shape takes the general
-    template."""
+    from its records: the header, one chunk per step (``_step_text``),
+    then the closing brackets.  Their join is ``json.dumps(doc,
+    separators=(",", ":"))`` of the certificate document, byte for byte;
+    no document is built."""
     p = cert.poset
-    labels = p.labels
     head = json.dumps({"format": CERT_FORMAT, **poset_to_json(p)}, separators=(",", ":"))
     yield head[:-1] + ',"steps":['
+    step_text = _step_text(p)
+    sep = ""
+    for step in cert.steps:
+        yield sep + step_text(step)
+        sep = ","
+    yield "]}"
+
+
+def _step_text(p: Poset):
+    """The function that writes one step of a certificate of ``p`` as
+    compact JSON text: the one definition of a step's bytes, which the
+    writer and the text replay share.  Each mask's label array and each
+    element is encoded once, into plain dicts: a step that meets one not
+    encoded yet encodes its own and is formatted again.  Each refutation
+    is formatted by one ``%`` over the written shape; a step that holds
+    another shape takes the general template."""
+    labels = p.labels
     arrays = {}
     elems = {None: "null"}
     words = {}  # sides and flags
@@ -1138,16 +1198,14 @@ def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
             )
         return _STEP % (arrays[a], arrays[b], k, arrays[lo], arrays[hi], body)
 
-    sep = ""
-    for step in cert.steps:
+    def step_text(step) -> str:
         try:
-            text = formatted(step)
+            return formatted(step)
         except KeyError:
             encode(step)
-            text = formatted(step)
-        yield sep + text
-        sep = ","
-    yield "]}"
+            return formatted(step)
+
+    return step_text
 
 
 def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:

@@ -227,13 +227,10 @@ def exhaustive_generate(n: int):
     for size in range(2, n + 1):
         nxt: dict[bytes, Poset] = {}
         for parent in level.values():
-            lt, pred = _strict_masks(parent)
+            pred = _strict_masks(parent)[1]
             lat = enumerate_ideals(parent)
             for down_set in lat.ideals:
-                new_lt = [m | (1 << (size - 1)) if down_set >> i & 1 else m for i, m in enumerate(lt)]
-                new_lt.append(0)
-                new_pred = list(pred) + [down_set]
-                key = _kernels.canonical_key(new_lt, new_pred)
+                key = _kernels.canonical_key(list(pred) + [down_set])
                 if key not in nxt:
                     nxt[key] = poset_from_key_by_build(key)
         level = nxt

@@ -5,6 +5,8 @@ import json
 import logging
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,9 +14,10 @@ import tracemalloc
 import pytest
 
 from aslattice import build_poset, certificate_to_json, enumerate_ideals, uniqueness_certificate
-from aslattice import cli, ideals, uniqueness
+from aslattice import cli, ideals, poset_to_json, uniqueness
 from aslattice.cli import main
-from conftest import CORPUS_FAULTS, TWO_ANTICHAIN_DOC, antichain
+from conftest import CORPUS_FAULTS, TWO_ANTICHAIN_DOC, antichain, certificate_doc, sum_of_chains
+from test_uniqueness import mutate_once
 
 V_DOC = {"elements": ["p", "p'", "q"], "covers": [["p", "q"], ["p'", "q"]]}
 SOC_DOC = {"elements": ["a", "b", "c"], "covers": [["a", "b"]]}
@@ -23,6 +26,8 @@ ESC_DOC = {
     "elements": ['"', "\\", "a,b]", "é"],
     "covers": [['"', "a,b]"], ["\\", "a,b]"], ["\\", "é"]],
 }
+# labels that the certificate's JSON text escapes
+ESCAPED_DOC = {"elements": ["é", 'b"q', "c", "d"], "covers": [["é", 'b"q']]}
 LONE_SURROGATE_DOC = {"elements": ["a", "\ud800"], "covers": [["a", "\ud800"]]}
 
 
@@ -375,8 +380,18 @@ LAYOUTS = {
 }
 
 
+# the layouts whose steps are the writer's text, accepted without a parse
+TEXT_LAYOUTS = {"compact", "header-key-repeated", "header-number", "trailing-newline"}
+
+
 def _give_way(fh):
     raise cli._WholeDocument
+
+
+def _text_record(caplog) -> str:
+    """The text path's one DEBUG record."""
+    (got,) = [r.getMessage() for r in caplog.records if r.msg.startswith("validate-cert text")]
+    return got
 
 
 class TestCertificateReader:
@@ -425,18 +440,23 @@ class TestCertificateReader:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_reads_cut_anywhere(
-        self, capsys, monkeypatch, soc_file, cert_path, whole_document, loaded, chunk
+        self, capsys, caplog, monkeypatch, soc_file, cert_path, whole_document, loaded, chunk
     ):
-        # reads this short cut every token somewhere, numbers included, and
-        # the stream holds wherever it held on whole reads
+        # reads this short cut every token somewhere, numbers included, the
+        # stream holds wherever it held on whole reads, and the text path
+        # accepts exactly the layouts whose steps are the writer's text
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         text = _certificate_text(SOC_POSET)
         argv = ("validate-cert", str(cert_path), soc_file)
         for layout, (rewrite, streamed) in LAYOUTS.items():
             cert_path.write_text(rewrite(text))
             loaded.clear()
-            got = run(capsys, *argv)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="aslattice"):
+                got = run(capsys, *argv)
             assert (str(cert_path) not in loaded) is streamed, layout
+            accepted = _text_record(caplog).endswith("ACCEPTED without parsing")
+            assert accepted is (layout in TEXT_LAYOUTS), layout
             assert got == whole_document(capsys, *argv), layout
 
     @pytest.mark.parametrize(
@@ -456,9 +476,13 @@ class TestCertificateReader:
         ids=["truncated", "brace-cut", "trailing-garbage", "second-document", "bom",
              "digits", "nesting", "step-fault-then-garbage", "header-fault-then-cut"],
     )
-    def test_decode_failure_is_json_loads_message(self, capsys, soc_file, cert_path, rewrite):
+    def test_decode_failure_is_json_loads_message(
+        self, capsys, soc_file, cert_path, whole_document, rewrite
+    ):
         cert_path.write_text(rewrite(_certificate_text(SOC_POSET)), encoding="utf-8")
         self._assert_json_load_message(capsys, soc_file, cert_path)
+        argv = ("validate-cert", str(cert_path), soc_file)
+        assert run(capsys, *argv) == whole_document(capsys, *argv)
 
     def test_bad_utf8_past_first_chunk(self, capsys, soc_file, cert_path):
         head, tail = _certificate_text(SOC_POSET).split('"steps":[', 1)
@@ -489,9 +513,90 @@ class TestCertificateReader:
         monkeypatch.setattr(json, "load", refuse)
         assert run(capsys, "validate-cert", str(cert_path), soc_file) == (0, "ACCEPTED\n", "")
 
+    @pytest.mark.parametrize("doc", [SOC_DOC, ESCAPED_DOC], ids=["plain", "escaped-labels"])
+    def test_compact_file_never_parsed(
+        self, capsys, caplog, monkeypatch, tmp_path, cert_path, doc
+    ):
+        # only the header is parsed: no step reaches the parser or the
+        # stream's decoder
+        poset_path = tmp_path / "p.json"
+        poset_path.write_text(json.dumps(doc))
+        run(capsys, "unique", str(poset_path), "--certificate", str(cert_path))
+        parsed, parse = [], uniqueness.certificate_from_json
+
+        def counting(doc, p):
+            def each(steps):
+                for step in steps:
+                    parsed.append(step)
+                    yield step
+
+            return parse({**doc, "steps": each(doc["steps"])}, p)
+
+        def refuse(src):
+            raise AssertionError("a step decoded")
+
+        monkeypatch.setattr(uniqueness, "certificate_from_json", counting)
+        monkeypatch.setattr(cli, "_steps", refuse)
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            assert run(capsys, "validate-cert", str(cert_path), str(poset_path)) == (
+                0, "ACCEPTED\n", "")
+        assert parsed == []
+        assert _text_record(caplog).endswith(" steps matched; ACCEPTED without parsing")
+
+    def test_compact_mutants_as_whole_document(self, capsys, tmp_path, cert_path, whole_document):
+        # criterion 5's mutants, written compact: the text path accepts none
+        rng = random.Random(65537)
+        poset_path = tmp_path / "p.json"
+        for p in (SOC_POSET, sum_of_chains(2, 1, 1), sum_of_chains(2, 2)):
+            poset_path.write_text(json.dumps(poset_to_json(p)))
+            doc = certificate_doc(uniqueness_certificate(enumerate_ideals(p)))
+            argv = ("--json", "--no-timestamp", "validate-cert", str(cert_path), str(poset_path))
+            for _ in range(40):
+                cert_path.write_text(json.dumps(mutate_once(doc, rng), separators=(",", ":")))
+                got = run(capsys, *argv)
+                assert got == whole_document(capsys, *argv)
+                assert got[0] == 1
+
+    def test_one_token_edits_as_whole_document(self, capsys, tmp_path, cert_path, whole_document):
+        p = sum_of_chains(2, 1, 1)
+        poset_path = tmp_path / "p.json"
+        poset_path.write_text(json.dumps(poset_to_json(p)))
+        text = _certificate_text(p)
+        head = text.split('"steps":[')[0] + '"steps":['
+        steps = [json.dumps(s, separators=(",", ":")) for s in json.loads(text)["steps"]]
+        body = ",".join(steps)
+        rng = random.Random(71)
+
+        def at(pattern, replace):
+            """The body with one occurrence of ``pattern``, drawn, rewritten."""
+            m = rng.choice(list(re.finditer(pattern, body)))
+            return body[: m.start()] + replace(m[0]) + body[m.end() :]
+
+        def other(options, x):
+            return rng.choice([o for o in options if o != x])
+
+        labels = [f'"{x}"' for x in p.labels]
+        edits = {
+            "label": lambda: at(r'"c\d_\d"', lambda x: other(labels, x)),
+            "k-digit": lambda: at(r'(?<="k":)\d', lambda d: other("0123456789", d)),
+            "false-to-true": lambda: at("false", lambda _: "true"),
+            "added-space": lambda: at(".", lambda c: rng.choice([" " + c, c + " "])),
+            "dropped-last-step": lambda: ",".join(steps[:-1]),
+            "extra-step": lambda: ",".join(steps + [rng.choice(steps)]),
+        }
+        argv = ("validate-cert", str(cert_path), str(poset_path))
+        for name, edit in edits.items():
+            for _ in range(6):
+                edited = edit()
+                assert edited != body, name
+                cert_path.write_text(head + edited + "]}")
+                got = run(capsys, *argv)
+                assert got == whole_document(capsys, *argv), name
+                assert got[0] == 1 or name == "added-space", name
+
     def test_peak_memory_bounded(self, capsys, tmp_path):
         # the 6-antichain's 1.7 MB certificate: decoded whole it peaked at
-        # 22 MB of traced allocations, streamed at 3 MB
+        # 22 MB of traced allocations, streamed at 3 MB, read as text at 0.5 MB
         p = antichain(6)
         poset_path, cert_path = tmp_path / "a6.json", tmp_path / "a6-cert.json"
         poset_path.write_text(json.dumps({"elements": list(p.labels), "covers": []}))
@@ -503,7 +608,7 @@ class TestCertificateReader:
         finally:
             tracemalloc.stop()
         assert result == (0, "ACCEPTED\n", "")
-        assert peak < 8_000_000
+        assert peak < 2_000_000
 
 
 class TestSearch:

@@ -1173,6 +1173,53 @@ def shape_certificates():
     ]
 
 
+def _read_as_text(p, take):
+    """``validate_certificate`` against a text whose steps ``take`` judges."""
+    return validate_certificate(p, UniquenessCertificate(poset=p, steps=()), text=take)
+
+
+class TestTextReplay:
+    """Replay against a certificate's text accepts exactly the writer's
+    text of the steps it expects."""
+
+    def test_steps_are_the_writers_text(self, shape_certificates):
+        for parts, p, cert in shape_certificates:
+            texts = []
+            assert _read_as_text(p, lambda t: texts.append(t) is None) == (True, "ok"), parts
+            _, *steps, _ = certificate_to_json(cert)
+            assert texts == [s.removeprefix(",") for s in steps], parts
+
+    def test_stops_at_the_first_text_that_differs(self):
+        p = sum_of_chains(2, 1, 1)
+        offered = []
+
+        def take(text):
+            offered.append(text)
+            return len(offered) < 4
+
+        assert _read_as_text(p, take) == (False, "step 3: the text differs from the replayed step")
+        assert len(offered) == 4
+
+    def test_failed_checks_offer_no_text(self, monkeypatch):
+        # a witness that replay's checks refuse: no text is offered, so the
+        # text path cannot accept
+        p = sum_of_chains(2, 1)
+        first = next(i for i, s in enumerate(uniqueness_certificate(enumerate_ideals(p)).steps)
+                     if s.refutations and s.refutations[0].side == "join")
+        monkeypatch.setattr(uniqueness, "_witness", lambda side, j, alt: (None, 0))
+        offered = []
+        assert _read_as_text(p, lambda t: offered.append(t) is None) == (
+            False, f"step {first} (join side): a replayed refutation fails its checks")
+        assert len(offered) == first
+
+    def test_poset_faults_are_reasons(self, v_poset):
+        assert _read_as_text(v_poset, lambda t: True) == (
+            False, "poset is not a direct sum of chains")
+        other = UniquenessCertificate(poset=chain(2), steps=())
+        assert validate_certificate(antichain(2), other, text=lambda t: True) == (
+            False, "certificate was issued for a different poset")
+
+
 class TestCertificateShapes:
     def test_certificates_pinned(self, shape_certificates):
         # SHA-256 over the compact JSON of every shape's certificate, one
