@@ -649,8 +649,9 @@ def uniqueness_certificate(lat: IdealLattice) -> UniquenessCertificate:
     would hold more than MAX_CERTIFICATE_REFUTATIONS refutations.
 
     The steps are built each time they are read (see ``_Steps``), so a
-    reader that streams them, such as replay or ``certificate_to_json``,
-    never holds the whole certificate; ``tuple(cert.steps)`` keeps them.
+    reader that streams them, such as replay, never holds the whole
+    certificate; ``tuple(cert.steps)`` keeps them.  ``certificate_to_json``
+    writes a built certificate without building its steps.
     """
     p = lat.poset
     _, size = certificate_size(p)
@@ -758,11 +759,12 @@ def validate_certificate(p: Poset, cert: UniquenessCertificate, text=None) -> tu
 
     With ``text``, a function that consumes a string if the certificate
     file holds it next and returns whether it did, replay reads the file's
-    steps as text, not ``cert.steps``: each step it expects, its checks
-    passed, is written as ``certificate_to_json`` writes it and passed to
-    ``text``.  (True, "ok") then means the steps are exactly a valid
-    certificate's; (False, reason) says only where they are not, and the
-    verdict needs the parsed steps.
+    steps as text, not ``cert.steps``: the text of each step it expects,
+    its checks passed, is written without building its records
+    (``_step_texts``, which ``certificate_to_json`` writes a built
+    certificate with) and passed to ``text``.  (True, "ok") then means the
+    steps are exactly a valid certificate's; (False, reason) says only
+    where they are not, and the verdict needs the parsed steps.
     """
     try:
         if text is None:
@@ -782,8 +784,12 @@ def _replay_views(p: Poset, cert: UniquenessCertificate):
     if not is_direct_sum_of_chains(p):
         _fail("poset is not a direct sum of chains")
     lat = enumerate_ideals(p)
-    sides = (_Side(lat, dual=False), _Side(lat, dual=True))
-    return lat, sides, {pair: i for i, pair in enumerate(lat.induction_pairs)}
+    return lat, (_Side(lat, dual=False), _Side(lat, dual=True)), _pair_index(lat)
+
+
+def _pair_index(lat: IdealLattice) -> dict[tuple[int, int], int]:
+    """Each induction pair's index: its step's in a certificate."""
+    return {pair: i for i, pair in enumerate(lat.induction_pairs)}
 
 
 def _validate(p: Poset, cert: UniquenessCertificate):
@@ -802,6 +808,7 @@ def _validate(p: Poset, cert: UniquenessCertificate):
     import logging  # here, not at the top: it adds about 5 ms to importing the package
 
     lat, sides, index_of_pair = _replay_views(p, cert)
+    views = [(side, _group_checks(lat, side, index_of_pair)) for side in sides]
     pairs = lat.induction_pairs
     order = "steps do not list the incomparable pairs in certificate order"
     fault = None
@@ -813,7 +820,7 @@ def _validate(p: Poset, cert: UniquenessCertificate):
         count += 1
         if fault is None:
             try:
-                _validate_step(lat, sides, index_of_pair, idx, step, tally)
+                _validate_step(lat, views, index_of_pair, idx, step, tally)
             except Exception as exc:  # any: raised below unless a later pair's fault wins
                 fault = exc
     if count != len(pairs):
@@ -828,29 +835,17 @@ def _validate(p: Poset, cert: UniquenessCertificate):
 
 def _validate_text(p: Poset, cert: UniquenessCertificate, text):
     """Replay against a certificate's text (see ``validate_certificate``):
-    each induction pair's expected step, built from the replay views as
-    ``_validate_step`` reads them, is written by ``_step_text`` and must be
-    the next text.  The first step whose checks fail or whose text differs
-    raises."""
-    lat, sides, index_of_pair = _replay_views(p, cert)
-    step_text = _step_text(p)
-    for idx, (a, b) in enumerate(lat.induction_pairs):
-        k = induction_parameter(p, a, b)
-        refs = []
-        for side in sides:
-            sa, sb = a ^ side.flip, b ^ side.flip  # side.to_side
-            alts = side.alternatives(sa | sb)
-            if alts:
-                records = _expected_records(lat, index_of_pair, idx, k, side, sa, sb, alts)[0]
-                if not all(records):
-                    _fail(f"step {idx} ({side.name} side): a replayed refutation fails its checks")
-                refs += records
-        if not text(step_text(((a, b), k, (a & b, a | b), refs))):
+    the text of each step replay expects (``_step_texts``, from the replay
+    views) must be the next text.  The first step whose checks fail or
+    whose text differs raises."""
+    for idx, step in enumerate(_step_texts(*_replay_views(p, cert))):
+        if not text(step):
             _fail(f"step {idx}: the text differs from the replayed step")
 
 
-def _validate_step(lat, sides, index_of_pair, idx: int, step: CertificateStep, tally: list):
-    """Replay one step, adding its refutations, witness groups checked and
+def _validate_step(lat, views, index_of_pair, idx: int, step: CertificateStep, tally: list):
+    """Replay one step with ``views``, each side and its group checks
+    (``_group_checks``), adding its refutations, witness groups checked and
     records checked field by field to ``tally``.  Each side's alternatives
     to the pair are read once."""
     a, b = step.pair
@@ -859,22 +854,22 @@ def _validate_step(lat, sides, index_of_pair, idx: int, step: CertificateStep, t
         _fail(f"step {idx}: stored parameter {step.k} differs from {k}")
     if step.rhs != (a & b, a | b):
         _fail(f"step {idx}: right-hand side is not the canonical one")
-    views = []
+    parts = []
     expected = 0
-    for side in sides:
+    for side, checks in views:
         sa, sb = a ^ side.flip, b ^ side.flip  # side.to_side
         alts = side.alternatives(sa | sb)
-        views.append((side, sa, sb, alts))
+        parts.append((side, checks, sa, sb, alts))
         expected += len(alts)
     if len(step.refutations) != expected:
         _fail(f"step {idx}: expected {expected} refutations, found {len(step.refutations)}")
     tally[0] += expected
     start = 0
-    for side, sa, sb, alts in views:
+    for side, checks, sa, sb, alts in parts:
         stop = start + len(alts)
         if stop > start:
             refs = step.refutations[start:stop]
-            records, groups = _expected_records(lat, index_of_pair, idx, k, side, sa, sb, alts)
+            records, groups = _expected_records(checks(idx, sa, sb, alts), side, sa, sb, alts)
             tally[1] += groups
             if not all(records) or refs != tuple(records):
                 _validate_side(lat, index_of_pair, idx, step, refs, side, sa, sb, alts, records,
@@ -896,40 +891,69 @@ def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa, sb, alt
         _validate_fields(lat, index_of_pair, idx, step, (ref,), side, sa, sb, (alt_wit,))
 
 
-def _expected_records(lat, index_of_pair, idx: int, k: int, side: _Side, sa: int, sb: int, alts):
+def _expected_records(groups: dict, side: _Side, sa: int, sb: int, alts):
     """``(records, groups)``: for each of the side's alternatives ``alts``
-    to the pair (sa, sb) of step ``idx``, parameter ``k``, the refutation
-    replay expects, or None where its checks fail or it has no witness;
-    and the number of witness groups checked.
+    to the pair (sa, sb), the refutation replay expects, or None where its
+    checks fail or it has no witness; and the number of witness groups
+    checked.  ``groups`` holds the witness groups' shared fields, checked
+    once per group (``_group_checks``).
 
-    What depends only on the step, the side and the witness (p, q) is
-    computed and checked once per witness group: q covers p, p is
-    side-maximal in the union and lies in ext (or, without p, q is
+    Per record remain the checks that involve its alternative: it is closed
+    and holds base ∪ alpha1, so it is a strict superset of the union
+    holding q and alpha1, the right chain is a chain of closed sets, and it
+    differs from the left one, as q is in alpha1 and not in ext.  A record
+    equal to the expected one passes every field-by-field check."""
+    closed = side.position  # the side's closed sets
+    name = side.name
+    sm = sa & sb
+    records = []
+    append = records.append
+    for alt, wit in alts:
+        expect = groups[wit]
+        if expect is not None:
+            swapped, p, q, alpha1, prior_pair, left = expect
+            if alt in closed and not left[2] & ~alt:  # base ∪ alpha1 ⊆ alt
+                append((name, alt, swapped, p, q, alpha1, prior_pair, (left, (sm, alpha1, alt))))
+                continue
+        append(None)
+    return records, len(groups) - 1
+
+
+def _group_checks(lat: IdealLattice, side: _Side, index_of_pair):
+    """The witness-group checks of one side of a replay on the lattice
+    ``lat``, given each induction pair's index: a function ``groups(idx,
+    sa, sb, alts)`` that maps each witness (p, q) of the side's
+    alternatives ``alts`` to the pair (sa, sb) of step ``idx`` to what its
+    refutations share, ``(swapped, p, q, alpha1, prior pair, left
+    chain)``, or to None where the group's checks fail; the key None (an
+    alternative without a witness) maps to None.
+
+    The one definition of the checks that depend only on the step, the
+    side and the witness, which replay runs once per group: q covers p, p
+    is side-maximal in the union and lies in ext (or, without p, q is
     side-minimal), q lies outside the union, alpha1 is closed, adjoining q
     keeps the intersection and grows the union by one, the prior pair is
     incomparable, an earlier step and one parameter down, and the left
     collision chain is a chain of closed sets whose first entry lies in
-    alpha1.  Per record remain the checks that involve its alternative: it
-    is closed and holds base ∪ alpha1, so it is a strict superset of the
-    union holding q and alpha1, the right chain is a chain of closed sets,
-    and it differs from the left one, as q is in alpha1 and not in ext.
-    A record equal to the expected one passes every field-by-field check."""
+    alpha1.  What is the same for the whole side is read once, here, and
+    what is the same for a union once per union."""
     closed = side.position  # the side's closed sets
     cover_mask, minimal_mask, flip = side.cover_mask, side.minimal_mask, side.flip
     position = lat.position
-    n_prior = lat.poset.n - k + 1  # a prior pair's n minus its parameter
-    name = side.name
-    sj, sm = sa | sb, sa & sb
-    top = side.maxels(sj)
-    grown = sj.bit_count() + 1
-    # witness -> (swapped, p, q, alpha1, prior pair, left chain), or None
-    # for no witness and for a group whose checks fail
-    groups: dict = {None: None}
-    records = []
-    append = records.append
-    for alt, wit in alts:
-        expect = groups.get(wit, False)
-        if expect is False:
+    # union -> its alternatives' distinct witnesses, side-maximal elements
+    # and size plus one
+    unions: dict = {}
+
+    def groups(idx: int, sa: int, sb: int, alts) -> dict:
+        sj, sm = sa | sb, sa & sb
+        union = unions.get(sj)
+        if union is None:
+            wits = dict.fromkeys(wit for _, wit in alts if wit is not None)
+            union = unions[sj] = list(wits), side.maxels(sj), sj.bit_count() + 1
+        wits, top, grown = union
+        n_prior = (sa ^ sb).bit_count() + 1  # n minus a prior pair's parameter
+        out: dict = {None: None}
+        for wit in wits:
             p, q = wit
             swapped = p is not None and not sb >> p & 1
             base, ext = (sb, sa) if swapped else (sa, sb)
@@ -961,14 +985,10 @@ def _expected_records(lat, index_of_pair, idx: int, k: int, side: _Side, sa: int
                 prior_idx = index_of_pair.get((x, y) if position[x] < position[y] else (y, x))
                 if prior_idx is not None and prior_idx < idx:
                     expect = swapped, p, q, alpha1, (base, alpha1), (sm, ext, joined)
-            groups[wit] = expect
-        if expect is not None:
-            swapped, p, q, alpha1, prior_pair, left = expect
-            if alt in closed and not left[2] & ~alt:  # base ∪ alpha1 ⊆ alt
-                append((name, alt, swapped, p, q, alpha1, prior_pair, (left, (sm, alpha1, alt))))
-                continue
-        append(None)
-    return records, len(groups) - 1
+            out[wit] = expect
+        return out
+
+    return groups
 
 
 def _validate_fields(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb: int, alts):
@@ -1093,30 +1113,118 @@ _REFUTATION_ANY = _REFUTATION_HEAD + '"collision":[[%s],[%s]]}'
 
 
 def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
-    """The certificate as compact JSON text, yielded in chunks straight
-    from its records: the header, one chunk per step (``_step_text``),
-    then the closing brackets.  Their join is ``json.dumps(doc,
-    separators=(",", ":"))`` of the certificate document, byte for byte;
-    no document is built."""
+    """The certificate as compact JSON text, yielded in chunks: the
+    header, one chunk per step, then the closing brackets.  Their join is
+    ``json.dumps(doc, separators=(",", ":"))`` of the certificate
+    document, byte for byte; no document is built.
+
+    A built certificate's steps are written as the text replay writes the
+    steps it expects (``_step_texts``), from the builder's lattice and
+    views, without a record per refutation: its checks run as they are
+    written, and a step whose checks fail raises InvalidCertificate before
+    any of its text is yielded.  Steps held as records (parsed, or
+    ``tuple(cert.steps)``) are written by ``_step_text``."""
     p = cert.poset
     head = json.dumps({"format": CERT_FORMAT, **poset_to_json(p)}, separators=(",", ":"))
     yield head[:-1] + ',"steps":['
-    step_text = _step_text(p)
+    steps = cert.steps
+    if isinstance(steps, _Steps):
+        texts = _step_texts(steps._lat, steps._sides, _pair_index(steps._lat))
+    else:
+        texts = map(_step_text(p), steps)
     sep = ""
-    for step in cert.steps:
-        yield sep + step_text(step)
+    for text in texts:
+        yield sep + text
         sep = ","
     yield "]}"
 
 
+# A refutation's fields from "swapped" to the right collision chain's
+# second entry, which its witness group shares.
+_GROUP = (
+    ',"swapped":%s,"p":%s,"q":%s,"alpha1":%s,"prior_pair":[%s,%s],"collision":[[%s,%s,%s],[%s,%s,'
+)
+
+
+def _step_texts(lat: IdealLattice, sides, index_of_pair) -> Iterator[str]:
+    """The compact JSON text of each step replay expects on the lattice
+    ``lat``, with its join and meet views ``sides`` and each induction
+    pair's index, in induction order; each step's checks run before it is
+    yielded, and the first step whose checks fail raises.
+
+    No refutation record is built.  Every closed set's label array, an
+    ideal or its complement, is encoded once.  Per witness group the group
+    checks run once (``_group_checks``), and what its refutations share is
+    formatted with one ``%``; per refutation remain the two checks of its
+    alternative (closed, holding base ∪ alpha1) and the splice of its
+    array, which the written shape holds twice (the alternative and the
+    right chain's last entry).  The text is ``_step_text``'s of the
+    records ``_expected_records`` gives."""
+    p = lat.poset
+    arrays = {m: json.dumps(p.labels_of(m), separators=(",", ":")) for s in sides for m in s.ideals}
+    elems = [json.dumps(x) for x in p.labels]
+    views = [
+        (
+            side,
+            {m: arrays[m] for m in side.ideals},  # the side's closed sets' arrays
+            '{"side":%s,"alternative":' % json.dumps(side.name),
+            _group_checks(lat, side, index_of_pair),
+        )
+        for side in sides
+    ]
+    for idx, (a, b) in enumerate(lat.induction_pairs):
+        body = []
+        append = body.append
+        for side, closed, head, checks in views:
+            sa, sb = a ^ side.flip, b ^ side.flip  # side.to_side
+            alts = side.alternatives(sa | sb)
+            if not alts:
+                continue
+            groups = checks(idx, sa, sb, alts)
+            shared = {}  # witness -> (base ∪ alpha1, the group's text)
+            for alt, wit in alts:
+                group = shared.get(wit)
+                if group is None:
+                    expect = groups[wit]
+                    if expect is None:
+                        break
+                    swapped, rp, q, alpha1, (base, _), (sm, ext, joined) = expect
+                    a1, s0 = arrays[alpha1], arrays[sm]
+                    group = shared[wit] = joined, _GROUP % (
+                        "true" if swapped else "false",
+                        "null" if rp is None else elems[rp],
+                        elems[q],
+                        a1,
+                        arrays[base],
+                        a1,
+                        s0,
+                        arrays[ext],
+                        arrays[joined],
+                        s0,
+                        a1,
+                    )
+                joined, text = group
+                arr = closed.get(alt)
+                if arr is None or joined & ~alt:
+                    break
+                append(f"{head}{arr}{text}{arr}]]}}")
+            else:
+                continue
+            _fail(f"step {idx} ({side.name} side): a replayed refutation fails its checks")
+        k = induction_parameter(p, a, b)
+        yield _STEP % (arrays[a], arrays[b], k, arrays[a & b], arrays[a | b], ",".join(body))
+
+
 def _step_text(p: Poset):
-    """The function that writes one step of a certificate of ``p`` as
-    compact JSON text: the one definition of a step's bytes, which the
-    writer and the text replay share.  Each mask's label array and each
-    element is encoded once, into plain dicts: a step that meets one not
-    encoded yet encodes its own and is formatted again.  Each refutation
-    is formatted by one ``%`` over the written shape; a step that holds
-    another shape takes the general template."""
+    """The function that writes one step of a certificate of ``p``, held
+    as records, as compact JSON text: the writer of parsed certificates
+    and of steps kept with ``tuple(cert.steps)``, the only one that writes
+    any record.  Each mask's label array and each element is encoded once,
+    into plain dicts: a step that meets one not encoded yet encodes its own
+    and is formatted again.  Each refutation is formatted by one ``%`` over
+    the written shape; a step that holds another shape takes the general
+    template.  On the steps replay expects it gives ``_step_texts``'s
+    bytes, which the tests check on every built certificate they write."""
     labels = p.labels
     arrays = {}
     elems = {None: "null"}

@@ -17,6 +17,7 @@ import pytest
 import aslattice
 import oracles
 from aslattice import (
+    AslatticeError,
     BudgetExceeded,
     CapacityExceeded,
     IdealLattice,
@@ -1173,6 +1174,21 @@ def shape_certificates():
     ]
 
 
+def _fault_meet_views(monkeypatch, fault):
+    """Make every meet-side view made from now on faulty: with ``fault``
+    "every element covers all", or else with no minimal element."""
+    init = uniqueness._Side.__init__
+
+    def faulty(self, lat, dual):
+        init(self, lat, dual)
+        if dual and fault == "every element covers all":
+            self.cover_mask = (lat.poset.full_mask,) * lat.poset.n
+        elif dual:
+            self.minimal_mask = 0
+
+    monkeypatch.setattr(uniqueness._Side, "__init__", faulty)
+
+
 def _read_as_text(p, take):
     """``validate_certificate`` against a text whose steps ``take`` judges."""
     return validate_certificate(p, UniquenessCertificate(poset=p, steps=()), text=take)
@@ -1236,10 +1252,14 @@ class TestCertificateShapes:
 
     def test_chunks_match_reference_encoder(self, shape_certificates):
         # the header, one chunk per step and the closing brackets join to
-        # the compact dump of the reference document
-        for parts, _, cert in shape_certificates:
+        # the compact dump of the reference document; a built certificate
+        # is written without records, the same steps held as records by
+        # the record writer, and both give the same chunks
+        for parts, p, cert in shape_certificates:
             chunks = list(certificate_to_json(cert))
             assert len(chunks) == len(cert.steps) + 2, parts
+            held = UniquenessCertificate(poset=p, steps=tuple(cert.steps))
+            assert list(certificate_to_json(held)) == chunks, parts
             want = json.dumps(oracles.certificate_doc_reference(cert), separators=(",", ":"))
             assert "".join(chunks) == want, parts
 
@@ -1252,8 +1272,38 @@ class TestCertificateShapes:
         assert is_direct_sum_of_chains(p)
         cert = uniqueness_certificate(enumerate_ideals(p))
         text = "".join(certificate_to_json(cert))
+        held = UniquenessCertificate(poset=p, steps=tuple(cert.steps))
+        assert text == "".join(certificate_to_json(held))
         assert text == json.dumps(oracles.certificate_doc_reference(cert), separators=(",", ":"))
         assert validate_certificate(p, certificate_from_json(json.loads(text), p)) == (True, "ok")
+
+    @pytest.mark.parametrize("lengths", [(2, 2), (2, 1, 1)])
+    @pytest.mark.parametrize("fault", ["every element covers all", "no minimal element"])
+    def test_writer_checks_the_builders_views(self, monkeypatch, lengths, fault):
+        # the certificate is built with the faulty meet-side views of
+        # test_replay_matches_reference_when_its_own_views_are_faulty; the
+        # writer runs the text replay's checks on the builder's views, so it
+        # stops at the first step whose checks fail, before writing it, as
+        # the text replay does on the same views
+        p = sum_of_chains(*lengths)
+        _fault_meet_views(monkeypatch, fault)
+        cert = uniqueness_certificate(enumerate_ideals(p))
+        replayed = []
+        ok, reason = _read_as_text(p, lambda t: replayed.append(t) is None)
+        chunks = []
+        if ok:  # (2, 2) has no meet-side record without p
+            assert (lengths, fault) == ((2, 2), "no minimal element")
+            chunks = list(certificate_to_json(cert))
+            held = UniquenessCertificate(poset=p, steps=tuple(cert.steps))
+            assert chunks == list(certificate_to_json(held))
+            chunks.pop()  # the closing brackets
+        else:
+            assert re.fullmatch(
+                r"step \d+ \(meet side\): a replayed refutation fails its checks", reason), reason
+            with pytest.raises(AslatticeError, match=re.escape(reason)):
+                for chunk in certificate_to_json(cert):
+                    chunks.append(chunk)
+        assert [c.removeprefix(",") for c in chunks[1:]] == replayed  # the steps after the header
 
     def test_size_matches_built_certificates(self, shape_certificates):
         for parts, p, cert in shape_certificates:
@@ -1365,16 +1415,7 @@ class TestCertificateShapes:
         p = sum_of_chains(*lengths)
         built = uniqueness_certificate(enumerate_ideals(p))
         cert = UniquenessCertificate(poset=p, steps=tuple(built.steps))
-        init = uniqueness._Side.__init__
-
-        def faulty(self, lat, dual):
-            init(self, lat, dual)
-            if dual and fault == "every element covers all":
-                self.cover_mask = (lat.poset.full_mask,) * lat.poset.n
-            elif dual:
-                self.minimal_mask = 0
-
-        monkeypatch.setattr(uniqueness._Side, "__init__", faulty)
+        _fault_meet_views(monkeypatch, fault)
         got = validate_certificate(p, cert)
         assert got == oracles.validate_certificate_reference(p, cert)
         if fault == "every element covers all" or lengths == (2, 1, 1):
