@@ -1103,27 +1103,21 @@ CERT_FORMAT = "uniqueness-certificate/1"
 
 
 _STEP = '{"pair":[%s,%s],"k":%d,"rhs":[%s,%s],"refutations":[%s]}'
-_REFUTATION_HEAD = (
-    '{"side":%s,"alternative":%s,"swapped":%s,"p":%s,"q":%s,"alpha1":%s,"prior_pair":[%s,%s],'
-)
-# The written shape: both collision sides hold three entries, as in every
-# built certificate.  Other lengths come only from a parsed certificate.
-_REFUTATION = _REFUTATION_HEAD + '"collision":[[%s,%s,%s],[%s,%s,%s]]}'
-_REFUTATION_ANY = _REFUTATION_HEAD + '"collision":[[%s],[%s]]}'
 
 
 def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
     """The certificate as compact JSON text, yielded in chunks: the
     header, one chunk per step, then the closing brackets.  Their join is
     ``json.dumps(doc, separators=(",", ":"))`` of the certificate
-    document, byte for byte; no document is built.
+    document, byte for byte; no whole document is built.
 
     A built certificate's steps are written as the text replay writes the
     steps it expects (``_step_texts``), from the builder's lattice and
     views, without a record per refutation: its checks run as they are
     written, and a step whose checks fail raises InvalidCertificate before
     any of its text is yielded.  Steps held as records (parsed, or
-    ``tuple(cert.steps)``) are written by ``_step_text``."""
+    ``tuple(cert.steps)``) are written by ``_step_text``, one
+    ``json.dumps`` of each step's document."""
     p = cert.poset
     head = json.dumps({"format": CERT_FORMAT, **poset_to_json(p)}, separators=(",", ":"))
     yield head[:-1] + ',"steps":['
@@ -1157,9 +1151,9 @@ def _step_texts(lat: IdealLattice, sides, index_of_pair) -> Iterator[str]:
     checks run once (``_group_checks``), and what its refutations share is
     formatted with one ``%``; per refutation remain the two checks of its
     alternative (closed, holding base ∪ alpha1) and the splice of its
-    array, which the written shape holds twice (the alternative and the
-    right chain's last entry).  The text is ``_step_text``'s of the
-    records ``_expected_records`` gives."""
+    array, which a refutation's text holds twice (the alternative and the
+    right chain's last entry).  The text equals what ``_step_text`` writes
+    for the records ``_expected_records`` gives."""
     p = lat.poset
     arrays = {m: json.dumps(p.labels_of(m), separators=(",", ":")) for s in sides for m in s.ideals}
     elems = [json.dumps(x) for x in p.labels]
@@ -1217,101 +1211,35 @@ def _step_texts(lat: IdealLattice, sides, index_of_pair) -> Iterator[str]:
 
 def _step_text(p: Poset):
     """The function that writes one step of a certificate of ``p``, held
-    as records, as compact JSON text: the writer of parsed certificates
-    and of steps kept with ``tuple(cert.steps)``, the only one that writes
-    any record.  Each mask's label array and each element is encoded once,
-    into plain dicts: a step that meets one not encoded yet encodes its own
-    and is formatted again.  Each refutation is formatted by one ``%`` over
-    the written shape; a step that holds another shape takes the general
-    template.  On the steps replay expects it gives ``_step_texts``'s
-    bytes, which the tests check on every built certificate they write."""
+    as records, as compact JSON text: one ``json.dumps`` of the step's
+    document, with its keys in document order.  It writes parsed
+    certificates and steps kept with ``tuple(cert.steps)``; on the steps
+    replay expects it gives ``_step_texts``'s bytes, which the tests check
+    on every built certificate they write."""
     labels = p.labels
-    arrays = {}
-    elems = {None: "null"}
-    words = {}  # sides and flags
-
-    def array(m) -> None:
-        if m not in arrays:
-            arrays[m] = json.dumps(p.labels_of(m), separators=(",", ":"))
-
-    def elem(i) -> None:
-        if i not in elems:
-            elems[i] = json.dumps(labels[i])
-
-    def word(w) -> None:
-        if w not in words:
-            words[w] = json.dumps(w)
-
-    def encode(step) -> None:
-        """Encode what one step holds and is not encoded yet, in the order
-        the step is formatted, so a fault raises as it would there."""
-        (a, b), _, (lo, hi), refs = step
-        for side, alt, swapped, rp, q, alpha1, (base, ext), (left, right) in refs:
-            word(side)
-            array(alt)
-            word(swapped)
-            elem(rp)
-            elem(q)
-            for m in (alpha1, base, ext, *left, *right):
-                array(m)
-        for m in (a, b, lo, hi):
-            array(m)
-
-    def formatted(step) -> str:
-        (a, b), k, (lo, hi), refs = step
-        try:
-            body = ",".join(
-                [
-                    _REFUTATION
-                    % (
-                        words[side],
-                        arrays[alt],
-                        words[swapped],
-                        elems[rp],
-                        elems[q],
-                        arrays[alpha1],
-                        arrays[base],
-                        arrays[ext],
-                        arrays[l0],
-                        arrays[l1],
-                        arrays[l2],
-                        arrays[r0],
-                        arrays[r1],
-                        arrays[r2],
-                    )
-                    for side, alt, swapped, rp, q, alpha1, (base, ext), (
-                        (l0, l1, l2),
-                        (r0, r1, r2),
-                    ) in refs
-                ]
-            )
-        except ValueError:  # a collision side of another length
-            body = ",".join(
-                [
-                    _REFUTATION_ANY
-                    % (
-                        words[side],
-                        arrays[alt],
-                        words[swapped],
-                        elems[rp],
-                        elems[q],
-                        arrays[alpha1],
-                        arrays[base],
-                        arrays[ext],
-                        ",".join(map(arrays.__getitem__, left)),
-                        ",".join(map(arrays.__getitem__, right)),
-                    )
-                    for side, alt, swapped, rp, q, alpha1, (base, ext), (left, right) in refs
-                ]
-            )
-        return _STEP % (arrays[a], arrays[b], k, arrays[lo], arrays[hi], body)
+    labs = p.labels_of
 
     def step_text(step) -> str:
-        try:
-            return formatted(step)
-        except KeyError:
-            encode(step)
-            return formatted(step)
+        (a, b), k, (lo, hi), refs = step
+        doc = {
+            "pair": [labs(a), labs(b)],
+            "k": k,
+            "rhs": [labs(lo), labs(hi)],
+            "refutations": [
+                {
+                    "side": side,
+                    "alternative": labs(alt),
+                    "swapped": swapped,
+                    "p": None if rp is None else labels[rp],
+                    "q": labels[q],
+                    "alpha1": labs(alpha1),
+                    "prior_pair": [labs(base), labs(ext)],
+                    "collision": [list(map(labs, left)), list(map(labs, right))],
+                }
+                for side, alt, swapped, rp, q, alpha1, (base, ext), (left, right) in refs
+            ],
+        }
+        return json.dumps(doc, separators=(",", ":"))
 
     return step_text
 
@@ -1320,15 +1248,12 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
     """Parse a certificate against a poset; structural problems raise
     InvalidCertificate.
 
-    A certificate repeats few label arrays, so a plain list is looked up
-    in the mask cache directly, and its labels are checked only when the
-    cache first misses it.  Each refutation is read in one step at its
-    written shape: its eight fields at once, a prior pair of two arrays and
-    two collision sides of three, under inline type guards.  A refutation
-    of any other shape or type is read again field by field with the
-    helpers.  Fields are read and checked in one fixed order (a step's
-    refutations before its pair, parameter and right-hand side), and the
-    first failed check gives the message."""
+    A certificate repeats few label arrays, so each list is looked up in
+    a mask cache, and its labels are checked only when the cache first
+    misses it.  Every refutation is read field by field with the helpers.
+    Fields are read and checked in one fixed order (a step's refutations
+    before its pair, parameter and right-hand side), and the first failed
+    check gives the message."""
 
     def checked_mask(key: tuple) -> int:
         labels = list(key)
@@ -1340,7 +1265,6 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
         return m
 
     masks = {}  # label tuple -> mask, checked on first use
-    index = p.label_index
 
     def mask(labels) -> int:
         if not isinstance(labels, list):
@@ -1365,14 +1289,11 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
         return value
 
     def masks_of(arrays) -> tuple[int, ...]:
-        try:
-            return tuple([masks[tuple(a)] if type(a) is list else mask(a) for a in arrays])
-        except KeyError:  # an array not met yet: read each one with its checks
-            return tuple([mask(a) for a in arrays])
+        return tuple([mask(a) for a in arrays])
 
     def refutation(r) -> Refutation:
-        """One refutation read field by field with the helpers, which raise
-        the first fault in field order."""
+        """One refutation; the helpers raise the first fault in field
+        order."""
         side = r["side"]
         if side not in ("join", "meet"):
             _fail(f"refutation side {side!r} is not 'join' or 'meet'")
@@ -1388,10 +1309,6 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
         collision = (masks_of(left), masks_of(right))
         return Refutation(side, alt, swapped, rp, q, alpha1, prior, collision)
 
-    fields = itemgetter(
-        "side", "alternative", "swapped", "p", "q", "alpha1", "prior_pair", "collision"
-    )
-
     try:
         if doc.get("format") != CERT_FORMAT:
             _fail("unrecognized certificate format")
@@ -1404,62 +1321,13 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
             _fail("certificate covers do not match the poset")
         steps = []
         for s in doc["steps"]:
-            refs = []
-            for r in s["refutations"]:
-                # The written shape in one step.  A fault anywhere in it, or
-                # a guard that fails, rereads the refutation with the helpers.
-                # In that shape prior_pair[1] and r1 repeat alpha1, r2 the
-                # alternative and r0 l0: an equal array is not looked up.
-                try:
-                    side, alt, swapped, rp, q, alpha1, prior, collision = fields(r)
-                    (b0, b1) = prior
-                    (l0, l1, l2), (r0, r1, r2) = collision
-                    if (
-                        (side != "join" and side != "meet")
-                        or (swapped is not True and swapped is not False)
-                        or (rp is not None and type(rp) is not str)
-                        or type(q) is not str
-                        or type(alt) is not list
-                        or type(alpha1) is not list
-                        or type(prior) is not list
-                        or type(b0) is not list
-                        or type(b1) is not list
-                        or type(collision) is not list
-                        or type(l0) is not list
-                        or type(l1) is not list
-                        or type(l2) is not list
-                        or type(r0) is not list
-                        or type(r1) is not list
-                        or type(r2) is not list
-                    ):
-                        raise ValueError
-                    a, a1, m = masks[tuple(alt)], masks[tuple(alpha1)], masks[tuple(l0)]
-                    ref = Refutation(
-                        side,
-                        a,
-                        swapped,
-                        rp if rp is None else index[rp],
-                        index[q],
-                        a1,
-                        (masks[tuple(b0)], a1 if b1 == alpha1 else masks[tuple(b1)]),
-                        (
-                            (m, masks[tuple(l1)], masks[tuple(l2)]),
-                            (
-                                m if r0 == l0 else masks[tuple(r0)],
-                                a1 if r1 == alpha1 else masks[tuple(r1)],
-                                a if r2 == alt else masks[tuple(r2)],
-                            ),
-                        ),
-                    )
-                except Exception:  # any: the reread raises the first fault, or reads the shape
-                    ref = refutation(r)
-                refs.append(ref)
+            refs = tuple([refutation(r) for r in s["refutations"]])
             steps.append(
                 CertificateStep(
                     masks_of(two(s["pair"], "step pair")),
                     typed(s["k"], int, "step parameter"),
                     masks_of(two(s["rhs"], "step right-hand side")),
-                    tuple(refs),
+                    refs,
                 )
             )
         return UniquenessCertificate(poset=p, steps=tuple(steps))

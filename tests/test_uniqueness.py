@@ -885,13 +885,20 @@ class TestCertificates:
         ok, _ = validate_certificate(p, certificate_from_json(tampered, p))
         assert not ok
 
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, shape_certificates):
         p = sum_of_chains(2, 2)
         cert = uniqueness_certificate(enumerate_ideals(p))
         doc = certificate_doc(cert)
         again = certificate_from_json(doc, p)
         assert again == cert
         assert validate_certificate(p, again)[0]
+        # every shape's written text parses to the built steps, and to the
+        # reference parser's certificate
+        for parts, p, cert in shape_certificates:
+            doc = certificate_doc(cert)
+            again = certificate_from_json(doc, p)
+            assert again.steps == tuple(cert.steps), parts
+            assert again == oracles.certificate_from_json_reference(doc, p), parts
 
     @pytest.mark.parametrize(
         "field, old, new",
@@ -1628,9 +1635,9 @@ STEP_EDITS = [
 
 
 class TestParserOffShape:
-    """The parser reads each refutation at its written shape in one step and
-    rereads any other with its helpers: every malformed value gives the
-    reference parser's certificate or message."""
+    """The parser reads every refutation field by field with its helpers:
+    every malformed value gives the reference parser's certificate or
+    message."""
 
     @pytest.fixture(scope="class", params=["c0_0", "a"], ids=["sum-of-chains", "letters"])
     def soc(self, request):
@@ -1683,7 +1690,8 @@ class TestParserOffShape:
 
 class TestWriterOffShape:
     """A parsed certificate may hold collision sides of other lengths than
-    three; the writer's general template gives the reference bytes."""
+    three; the record writer's one ``json.dumps`` per step gives the
+    reference bytes."""
 
     @pytest.mark.parametrize("lengths", ["two", "four", "mixed"])
     def test_bytes_match_reference_encoder(self, lengths):
