@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain, groupby
 
 from aslattice import _kernels
 from aslattice._kernels import _BITS
 from aslattice.errors import CapacityExceeded
-from aslattice.ideals import IdealLattice, enumerate_ideals
+from aslattice.ideals import enumerate_ideals
 from aslattice.posets import Poset, build_poset, is_direct_sum_of_chains, poset_to_json
-from aslattice.straightening import check_condition_ii, condition_ii_witnesses
+from aslattice.straightening import check_condition_ii, condition_ii_witnesses, cover_witness
 from aslattice.uniqueness import UniquenessResult, check_unique, not_unique, validate_certificate
 
 MAX_CANONICAL_N = 8
@@ -119,21 +120,27 @@ def _twin_steps(lt: list[int], pred: list[int]) -> list[tuple[int, int]]:
     return steps
 
 
-def generate_posets(n: int):
+def generate_posets(n: int, *, min_n: int | None = None):
     """Yield every isomorphism class of n-element posets exactly once, as
-    canonically labeled posets in key order."""
+    canonically labeled posets in key order.  With ``min_n``, the classes
+    of every size from ``min_n`` to n come out of the same walk, size by
+    size: each class of a smaller size is yielded once its children have
+    been keyed, so the walk holds no level of posets."""
     if not 1 <= n <= MAX_CANONICAL_N:
         raise CapacityExceeded(f"generation supports 1..{MAX_CANONICAL_N} elements")
+    first = n if min_n is None else min_n
+    if not 1 <= first <= n:
+        raise ValueError(f"min_n must lie in 1..{n}")
     import logging  # here, not at the top: it adds about 5 ms to importing the package
 
     log = logging.getLogger("aslattice")
     # levels keep keys only; parents are rebuilt in key order, so the calls
     # made do not depend on the hash seed
     level = iter([(b"\x00", build_poset(["p0"], []))])
-    for size in range(2, n + 1):
+    for size in range(1, n):
         keys: set[bytes] = set()
         considered = by_deletion = by_twins = 0
-        for _, parent in level:
+        for key, parent in level:
             lt, pred = _strict_masks(parent)
             need = _deletion_table(lt, pred)
             twins = _twin_steps(lt, pred)
@@ -147,10 +154,12 @@ def generate_posets(n: int):
                     by_twins += 1
                     continue
                 keys.add(_kernels.canonical_key(pred + [down_set]))
+            if size >= first:
+                yield CanonicalPoset(poset=parent, canonical_key=key)
         log.debug(
             "generate size %d: %d extensions, %d skipped by the deletion rule, "
             "%d by the twin rule, %d keyed, %d classes",
-            size, considered, by_deletion, by_twins,
+            size + 1, considered, by_deletion, by_twins,
             considered - by_deletion - by_twins, len(keys),
         )
         level = ((key, _poset_from_key(key)) for key in sorted(keys))
@@ -197,37 +206,45 @@ class CorpusReport:
         }
 
 
-def _decide(lat: IdealLattice, soc: bool) -> tuple[bool, UniquenessResult | None]:
+def _decide(p: Poset, soc: bool) -> tuple[bool, UniquenessResult | None, bool]:
     """Condition (ii) and the uniqueness verdict of one class, given its
-    sum-of-chains flag; the verdict is None when condition (ii) disagrees
-    with the flag.  A sum of chains runs ``check_condition_ii`` and
-    ``check_unique``.  Any other class needs one ``relations_equal`` scan
-    in most cases: its first condition-(ii) witness decides condition (ii)
-    and is the NOT_UNIQUE witness that ``check_unique`` would report."""
+    sum-of-chains flag, and whether a witness built from covers decided
+    them; the verdict is None when condition (ii) disagrees with the flag.
+    A sum of chains builds its lattice and runs ``check_condition_ii`` and
+    ``check_unique``.  Any other class is decided by ``cover_witness``
+    without a lattice.  That witness differs in general from the first in
+    pair order, which ``check_unique`` reports; only the verdict is the
+    same.  If no witness is built (no class with n <= 8 comes to this),
+    the class builds its lattice and the ``relations_equal`` scans decide,
+    so no verdict is presumed."""
     if soc:
+        lat = enumerate_ideals(p)
         cii = check_condition_ii(lat).equal
-        return cii, check_unique(lat) if cii else None
-    witness = next(condition_ii_witnesses(lat), None)
+        return cii, check_unique(lat) if cii else None, False
+    witness = cover_witness(p)
+    if witness is not None:
+        return False, not_unique(witness), True
+    witness = next(condition_ii_witnesses(enumerate_ideals(p)), None)
     if witness is None:
-        return True, None
-    return False, not_unique(witness)
+        return True, None, False
+    return False, not_unique(witness), False
 
 
-def _verify_one(p: Poset) -> tuple[bool, bool, str | None, bool, bool]:
+def _verify_one(p: Poset) -> tuple[bool, bool, str | None, bool, bool, bool]:
     """Per-poset corpus checks; returns (sum_of_chains, condition_ii,
-    failure detail, unique_checked, certificate_validated)."""
-    lat = enumerate_ideals(p)
+    failure detail, unique_checked, certificate_validated, built_witness)."""
     soc = is_direct_sum_of_chains(p)
-    cii, res = _decide(lat, soc)
+    cii, res, built = _decide(p, soc)
     if soc != cii:
-        return soc, cii, f"condition (ii) {cii} but sum-of-chains {soc}", False, False
+        return soc, cii, f"condition (ii) {cii} but sum-of-chains {soc}", False, False, built
     if res.unique != soc:
-        return soc, cii, f"uniqueness verdict {res.unique} but sum-of-chains {soc}", True, False
+        detail = f"uniqueness verdict {res.unique} but sum-of-chains {soc}"
+        return soc, cii, detail, True, False, built
     if res.unique:
         ok, reason = validate_certificate(p, res.certificate)
         if not ok:
-            return soc, cii, f"certificate rejected: {reason}", True, False
-    return soc, cii, None, True, res.unique
+            return soc, cii, f"certificate rejected: {reason}", True, False, built
+    return soc, cii, None, True, res.unique, built
 
 
 def corpus_verify(
@@ -236,33 +253,51 @@ def corpus_verify(
 ) -> CorpusReport:
     """Check the equivalence of the three characterizations over every
     isomorphism class up to ``max_n`` elements; counterexamples (there
-    should be none) land in the report."""
+    should be none) land in the report.  One DEBUG record on the
+    ``aslattice`` logger says how the classes were decided and in which
+    mode."""
     if not 1 <= max_n <= MAX_CORPUS_N:  # below 1 nothing would be checked
         raise CapacityExceeded(f"corpus verification supports 1..{MAX_CORPUS_N} elements")
+    import logging  # here, not at the top: see generate_posets
+
     report = CorpusReport(max_n=max_n)
+    built = 0
     start = time.perf_counter()
-    for n, posets, results in _verified_levels(max_n, parallel):
+    for n, posets, results, mode in _verified_levels(max_n, parallel):
         tally = CorpusTally(n=n)
-        for p, (soc, _cii, detail, checked, validated) in zip(posets, results):
+        for p, (soc, cii, detail, checked, validated, witnessed) in zip(posets, results):
             tally.posets += 1
             tally.sums_of_chains += soc
-            tally.condition_ii_true += _cii
+            tally.condition_ii_true += cii
             tally.unique_checked += checked
             tally.certificates_validated += validated
+            built += witnessed
             if detail is not None:
                 report.counterexamples.append(CorpusCounterexample(poset=p, detail=detail))
         report.tallies.append(tally)
     report.elapsed_s = time.perf_counter() - start
+    classes = sum(t.posets for t in report.tallies)
+    non_sums = classes - sum(t.sums_of_chains for t in report.tallies)
+    logging.getLogger("aslattice").debug(
+        "corpus max-n %d: %d classes, %d non-sums decided by a built witness, "
+        "%d by the scan fallback, %d ideal lattices built to decide, mode %s",
+        max_n, classes, built, non_sums - built, classes - built, mode,
+    )
     return report
 
 
 def _verified_levels(max_n: int, parallel: bool):
-    """Yield ``(n, classes, results)`` for n = 1..max_n, with each class's
-    ``_verify_one`` result in class order.  With ``parallel`` one process
+    """Yield ``(n, classes, results, mode)`` for n = 1..max_n, with each
+    class's ``_verify_one`` result in class order and the mode the level
+    ran in: ``serial``, ``parallel`` or ``serial after pool failure``.  The
+    levels come from one generation walk.  With ``parallel`` one process
     pool serves the whole run, mapping each size in about sixteen chunks
     per worker (class costs vary widely).  If no pool can be opened or
     used, one WARNING is logged and the sizes left run serially."""
-    n = 1
+    walk = groupby(generate_posets(max_n, min_n=1), key=lambda cp: cp.poset.n)
+    levels = ((n, [cp.poset for cp in level]) for n, level in walk)
+    mode = "serial"
+    pending = []  # the level a failed pool left unverified
     if parallel:
         import concurrent.futures
         import os
@@ -270,18 +305,19 @@ def _verified_levels(max_n: int, parallel: bool):
         workers = os.cpu_count() or 1
         try:
             with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                while n <= max_n:
-                    posets = [cp.poset for cp in generate_posets(n)]
+                mode = "parallel"
+                for n, posets in levels:
+                    pending = [(n, posets)]
                     chunk = -(-len(posets) // (16 * workers))
                     results = list(pool.map(_verify_one, posets, chunksize=chunk))
-                    n += 1
-                    yield n - 1, posets, results
+                    pending = []
+                    yield n, posets, results, mode
         except (OSError, NotImplementedError) as exc:
             import logging
 
             logging.getLogger("aslattice").warning(
                 "corpus --parallel: no process pool (%s); verifying serially", exc
             )
-    for n in range(n, max_n + 1):
-        posets = [cp.poset for cp in generate_posets(n)]
-        yield n, posets, [_verify_one(p) for p in posets]
+            mode = "serial after pool failure"
+    for n, posets in chain(pending, levels):
+        yield n, posets, [_verify_one(p) for p in posets], mode

@@ -173,6 +173,38 @@ def relations_equal(lat: IdealLattice, kind_a: RealizationKind, kind_b: Realizat
     return True, None
 
 
+
+def cover_witness(p: Poset):
+    """A condition-(ii) witness ``(kinds, pair, rhs_a, rhs_b)`` built from
+    two covers of one element, before any lattice exists, or None.
+
+    Take the first element x with two upper covers, and its first two, y
+    and z.  The ideals ↓y and ↓z are incomparable, and x is maximal in
+    ↓y ∩ ↓z but in neither ↓y nor ↓z, so by the deviation test above ORDER
+    and CHAIN differ on that pair.  If no element has two upper covers,
+    two lower covers y and z of the first such x give P∖↑y and P∖↑z, on
+    which ORDER and CHAIN_DUAL differ dually.  The pair is in lattice
+    position order.  Both right-hand sides are computed by definition and
+    the witness is returned only when they differ, so no verdict rests on
+    the argument; None also when every element has at most one upper and
+    one lower cover, which makes the poset a direct sum of chains.  The
+    witness is not in general the first in pair order, which
+    ``condition_ii_witnesses`` yields.
+    """
+    two = next((c for c in p.upper_cover if len(c) > 1), None)
+    if two is not None:
+        kind, pair = RealizationKind.CHAIN, [p.down[y] for y in two[:2]]
+    else:
+        two = next((c for c in p.lower_cover if len(c) > 1), None)
+        if two is None:
+            return None
+        kind, pair = RealizationKind.CHAIN_DUAL, [p.full_mask & ~p.up[y] for y in two[:2]]
+    a, b = sorted(pair, key=lambda m: (m.bit_count(), m))
+    rhs_a = _relation_rhs(p, RealizationKind.ORDER, a, b)
+    rhs_b = _relation_rhs(p, kind, a, b)
+    return ((RealizationKind.ORDER, kind), (a, b), rhs_a, rhs_b) if rhs_a != rhs_b else None
+
+
 _CONDITION_ORDER = (
     (RealizationKind.ORDER, RealizationKind.CHAIN),
     (RealizationKind.ORDER, RealizationKind.CHAIN_DUAL),

@@ -17,9 +17,11 @@ from aslattice import (
     enumerate_ideals,
     generate_posets,
     is_direct_sum_of_chains,
+    straightening_relations,
 )
 from aslattice import genposets, posets
 from aslattice.genposets import _decide, _poset_from_key
+from aslattice.straightening import cover_witness
 from conftest import CORPUS_FAULTS, TWO_ANTICHAIN_DOC, antichain, chain, corpus
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
@@ -101,6 +103,19 @@ class TestGeneration:
                 1 for cp in generate_posets(n) if is_direct_sum_of_chains(cp.poset)
             )
             assert count == oracles.partition_count(n)
+
+    def test_min_n_yields_every_level_of_one_walk(self):
+        got = [(cp.canonical_key, cp.poset) for cp in generate_posets(6, min_n=1)]
+        want = [(cp.canonical_key, cp.poset) for n in range(1, 7) for cp in generate_posets(n)]
+        assert got == want
+        assert [cp.canonical_key for cp in generate_posets(5, min_n=4)] == [
+            cp.canonical_key for n in (4, 5) for cp in generate_posets(n)
+        ]
+
+    @pytest.mark.parametrize("min_n", [0, 6])
+    def test_min_n_bounds(self, min_n):
+        with pytest.raises(ValueError):
+            list(generate_posets(5, min_n=min_n))
 
     def test_bounds(self):
         with pytest.raises(CapacityExceeded):
@@ -242,6 +257,38 @@ class TestCorpus:
             doc.pop("elapsed_s")
         assert serial == fallback
 
+    def test_pool_failing_mid_run_hands_its_level_to_the_serial_loop(self, monkeypatch, caplog):
+        import concurrent.futures
+
+        class FailsOnSecondSize:
+            def __init__(self, workers):
+                self.sizes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                self.sizes += 1
+                if self.sizes == 2:
+                    raise OSError("pool broke")
+                return map(fn, items)
+
+        serial = corpus_verify(max_n=4).to_json()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailsOnSecondSize)
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            fallback = corpus_verify(max_n=4, parallel=True).to_json()
+        for doc in (serial, fallback):
+            doc.pop("elapsed_s")
+        assert fallback == serial
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            "corpus --parallel: no process pool (pool broke); verifying serially"
+        ]
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("corpus max-n")]
+        assert record.args[-1] == "serial after pool failure"
+
     def test_peak_memory_bounded(self):
         # each certificate is replayed as its steps are built: when the
         # 7-antichain's was built whole first, it alone held 14.5 MB of the
@@ -261,12 +308,96 @@ class TestCorpus:
             corpus_verify(max_n=9)
 
     def test_verdicts_match_check_unique(self):
-        # one condition-(ii) scan gives the verdict and witness check_unique reports
+        # the corpus decides each class as check_unique and condition (ii) do,
+        # every non-sum from a witness built from its covers
         for p in corpus(6):
             lat = enumerate_ideals(p)
-            cii, res = _decide(lat, is_direct_sum_of_chains(p))
+            soc = is_direct_sum_of_chains(p)
+            cii, res, built = _decide(p, soc)
             assert cii == check_condition_ii(lat).equal
-            assert res == check_unique(lat)
+            assert res.unique == check_unique(lat).unique
+            assert built == (not soc)
+
+    def test_built_witness_pair_is_incomparable(self):
+        for p in corpus(6):
+            if not is_direct_sum_of_chains(p):
+                pair = cover_witness(p)[1]
+                assert pair in enumerate_ideals(p).incomparable_pairs, p
+
+    def test_built_witness_sides_are_the_relation_entries(self):
+        # both right-hand sides are those of the full relation tables, and differ
+        for p in corpus(6):
+            if not is_direct_sum_of_chains(p):
+                lat = enumerate_ideals(p)
+                (ka, kb), pair, rhs_a, rhs_b = cover_witness(p)
+                assert straightening_relations(lat, ka).rhs[pair] == rhs_a
+                assert straightening_relations(lat, kb).rhs[pair] == rhs_b
+                assert rhs_a != rhs_b
+
+    def test_every_non_sum_through_seven_gets_a_built_witness(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            assert corpus_verify(max_n=7).ok
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("corpus max-n")]
+        # 2,450 classes, 44 sums of chains: no non-sum falls back to the scan
+        assert record.args == (7, 2450, 2406, 0, 44, "serial")
+
+    def test_scan_fallback_gives_the_same_report(self, monkeypatch):
+        want = corpus_verify(max_n=6).to_json()
+        monkeypatch.setattr(genposets, "cover_witness", lambda p: None)
+        got = corpus_verify(max_n=6).to_json()
+        for doc in (want, got):
+            doc.pop("elapsed_s")
+        assert got == want
+
+    @pytest.mark.parametrize("fault, detail", CORPUS_FAULTS)
+    def test_counterexample_reported_through_the_scan(self, monkeypatch, fault, detail):
+        fault(monkeypatch)
+        monkeypatch.setattr(genposets, "cover_witness", lambda p: None)
+        doc = corpus_verify(max_n=2).to_json()
+        assert doc["counterexamples"] == [{**TWO_ANTICHAIN_DOC, "detail": detail}]
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_one_generation_walk(self, monkeypatch, parallel):
+        calls = 0
+        key = _kernels.canonical_key
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return key(*args)
+
+        monkeypatch.setattr(_kernels, "canonical_key", counting)
+        assert len(list(generate_posets(7))) == 2045
+        keyed, calls = calls, 0
+        assert corpus_verify(max_n=7, parallel=parallel).ok
+        # one walk keys each level once: 2,774 keys, against 3,338 when
+        # every size was generated from the single point again
+        assert calls == keyed == 2774
+
+    @pytest.mark.parametrize(
+        "parallel, mode", [(False, "serial"), (True, "parallel")]
+    )
+    def test_one_debug_record_per_run(self, caplog, parallel, mode):
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            doc = corpus_verify(max_n=5, parallel=parallel).to_json()
+        records = [r for r in caplog.records if r.getMessage().startswith("corpus max-n")]
+        assert len(records) == 1
+        # 87 classes, 18 sums of chains, 69 non-sums, each decided by a built witness
+        assert records[0].args == (5, 87, 69, 0, 18, mode)
+        assert sum(t["posets"] for t in doc["per_n"]) == 87
+
+    def test_debug_record_names_pool_failure(self, monkeypatch, caplog):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            corpus_verify(max_n=3, parallel=True)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("corpus max-n")]
+        assert record.args[-1] == "serial after pool failure"
+        assert "non-sums decided by a built witness" in record.getMessage()
 
     @pytest.mark.parametrize("max_n", [0, -1])
     def test_max_n_below_one_rejected(self, max_n):

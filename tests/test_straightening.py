@@ -12,6 +12,7 @@ from aslattice import (
     build_poset,
     check_condition_ii,
     enumerate_ideals,
+    is_direct_sum_of_chains,
     realize,
     relations_equal,
     rewrite_to_standard,
@@ -22,6 +23,7 @@ from aslattice import (
 from aslattice import straightening
 from aslattice.straightening import (
     PairMap,
+    cover_witness,
     monomial_product,
     multichains,
     realization_table,
@@ -174,6 +176,36 @@ class TestRelationsEqual:
         for kind in RealizationKind:
             assert relations_equal(lat, kind, kind) == (True, None)
 
+
+
+class TestCoverWitness:
+    def test_lambda_two_upper_covers(self, lam_poset):
+        # q has the upper covers p and p': the pair (↓p, ↓p'), ORDER against CHAIN
+        p = lam_poset
+        down_p, down_p2 = p.mask_of(["q", "p"]), p.mask_of(["q", "p'"])
+        assert cover_witness(p) == (
+            (ORDER, CHAIN), (down_p, down_p2), (p.mask_of(["q"]), p.full_mask), (0, p.full_mask)
+        )
+
+    def test_v_two_lower_covers(self, v_poset):
+        # no element has two upper covers; q has the lower covers p and p':
+        # the pair (P∖↑p, P∖↑p'), ORDER against CHAIN_DUAL
+        p = v_poset
+        assert cover_witness(p) == (
+            (ORDER, CHAIN_DUAL),
+            (p.mask_of(["p"]), p.mask_of(["p'"])),
+            (0, p.mask_of(["p", "p'"])),
+            (0, p.full_mask),
+        )
+
+    def test_none_exactly_on_sums_of_chains(self):
+        for p in corpus(6):
+            assert (cover_witness(p) is None) == is_direct_sum_of_chains(p), p
+
+    def test_sides_agreeing_give_none(self, monkeypatch, lam_poset):
+        # the witness is checked, not presumed: equal sides are no witness
+        monkeypatch.setattr(straightening, "_relation_rhs", lambda p, kind, a, b: (a & b, a | b))
+        assert cover_witness(lam_poset) is None
 
 class TestRewrite:
     def test_singleton(self, v_poset):
