@@ -10,9 +10,7 @@ early (quietly), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import gc
 import json
 import os
 import re
@@ -92,13 +90,14 @@ class _Chunks:
             raise _WholeDocument
         self.pos += 1
 
-    def skip(self, text: str) -> bool:
-        """Step past ``text`` if the file holds it at the cursor, as it is:
-        whitespace is not skipped.  Whether it did."""
-        while len(self.buf) - self.pos < len(text) and not self.eof:
+    def skip(self, sep: str, text: str) -> bool:
+        """Step past ``sep`` and ``text`` if the file holds them at the
+        cursor, as they are: whitespace is not skipped.  Whether it did."""
+        while len(self.buf) - self.pos < len(sep) + len(text) and not self.eof:
             self._more()
-        if self.buf.startswith(text, self.pos):
-            self.pos += len(text)
+        start = self.pos + len(sep)
+        if self.buf.startswith(sep, self.pos) and self.buf.startswith(text, start):
+            self.pos = start + len(text)
             return True
         return False
 
@@ -141,86 +140,78 @@ def _certificate_stream(fh):
     raise _WholeDocument
 
 
-def _steps(src: _Chunks):
-    """The rest of the steps array, entry by entry, then ``_end``."""
-    if src.peek() != "]":
-        yield src.value()
-        while src.peek() == ",":
-            src.pos += 1
-            yield src.value()
-    _end(src)
+def _verdict(doc: dict, p: posets.Poset, text=None) -> tuple[bool, str]:
+    """The verdict on a certificate document: the fault that parsing it
+    raises, or replay's (``validate_certificate`` with ``text``)."""
+    try:
+        cert = uniqueness.certificate_from_json(doc, p)
+    except AslatticeError as exc:
+        return False, str(exc)
+    return uniqueness.validate_certificate(p, cert, text=text)
 
 
-def _end(src: _Chunks) -> None:
-    """The end of the file after the steps: the array's and the object's
-    closing brackets and nothing after them but whitespace, or
-    _WholeDocument."""
-    src.take("]")
-    src.take("}")
-    if src.peek():
-        raise _WholeDocument
+def _validate_file(path: str, p: posets.Poset) -> tuple[bool, str]:
+    """The verdict of a certificate file, read once.  Its header keys are
+    decoded and parsed with ``certificate_from_json``.  Then replay
+    (``validate_certificate`` with ``text``) takes each step it expects
+    while the file holds exactly the writer's text of it, and reads every
+    later entry of the ``"steps"`` array as it comes: decoded, parsed,
+    replayed and dropped before the next is decoded.  A parse fault in a
+    header key or a step comes before any replay fault, so after one the
+    rest of the file is still decoded, step by step.  Where the stream
+    gives way, the whole document is read with ``_read_json`` and judged
+    as it is, so every verdict and message is the one that path gives.
 
-
-def _accepted_as_text(path: str, p: posets.Poset) -> bool:
-    """Whether a certificate file is valid as text: its header parses with
-    ``certificate_from_json``, and after it the file holds exactly the
-    writer's text of the steps replay expects (``validate_certificate``
-    with ``text``), then ends.  No step is decoded or parsed, and nothing
-    is held but the step being compared.  False says nothing about the
-    file's verdict.  Logs one DEBUG record on the ``aslattice`` logger:
-    the steps whose text matched, and where the text first differed."""
+    Logs one DEBUG record on the ``aslattice`` logger: the steps whose
+    text matched, and the step where decoding began, if any."""
     import logging  # here, not at the top: it adds about 5 ms to importing the package
 
-    matched = 0
-    note = "the header was not read"
+    matched = decoded = 0
+    note = "an error ended the replay"
     try:
         with open(path, encoding="utf-8") as fh:
             header, src = _certificate_stream(fh)
-            note = "the header did not parse"
-            cert = uniqueness.certificate_from_json({**header, "steps": []}, p)
 
             def match(text: str) -> bool:
                 nonlocal matched
-                if (matched and not src.skip(",")) or not src.skip(text):
+                if not src.skip("," if matched else "", text):
                     return False
                 matched += 1
                 return True
 
-            ok, note = uniqueness.validate_certificate(p, cert, text=match)
-            if ok:
-                note = "the file did not end after them"
-                _end(src)
-                note = "ACCEPTED without parsing"
-    except (OSError, AslatticeError, _WholeDocument):
-        ok = False
-    logging.getLogger("aslattice").debug(
-        "validate-cert text: %d steps matched; %s%s",
-        matched, note, "" if ok else "; the parsed path ran",
-    )
-    return ok
+            def entries():
+                """The entries after the matched steps, then the end of the
+                file: the array's and the object's closing brackets and
+                nothing after them but whitespace."""
+                nonlocal decoded
+                if not matched and src.peek() != "]":
+                    decoded += 1
+                    yield src.value()
+                while src.peek() == ",":
+                    src.pos += 1
+                    decoded += 1
+                    yield src.value()
+                src.take("]")
+                src.take("}")
+                if src.peek():
+                    raise _WholeDocument
 
-
-def _read_certificate(path: str, p: posets.Poset) -> uniqueness.UniquenessCertificate:
-    """Parse a certificate file against a poset, decoding, parsing and
-    freeing one step at a time, so that only the parsed certificate is
-    kept.  Where the stream gives way, the whole document is read with
-    ``_read_json`` and parsed as it was, so every verdict and message is
-    the one that path gives; that includes a file whose parse fails early:
-    its rest is still decoded, step by step, before the fault is
-    reported."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header, src = _certificate_stream(fh)
-            steps = _steps(src)
-            try:
-                return uniqueness.certificate_from_json({**header, "steps": steps}, p)
-            except AslatticeError:
-                for _ in steps:
-                    pass
-                raise
+            rest = entries()
+            ok, reason = _verdict({**header, "steps": rest}, p, text=match)
+            for _ in rest:  # what a parse fault left: a decode failure there comes first
+                pass
+        if decoded:
+            note = f"decoding began at step {matched}"
+        else:
+            note = ("ACCEPTED" if ok else "REJECTED") + " without parsing"
     except (OSError, _WholeDocument):
-        pass
-    return uniqueness.certificate_from_json(_read_json(path, "certificate"), p)
+        note = "the stream gave way"
+        ok, reason = _verdict(_read_json(path, "certificate"), p)
+    finally:
+        logging.getLogger("aslattice").debug(
+            "validate-cert text: %d steps matched; %s", matched, note
+        )
+    return ok, reason
 
 
 def _load(path: str) -> posets.Poset:
@@ -235,23 +226,6 @@ def _witness_json(p: posets.Poset, kinds, pair, rhs_a, rhs_b) -> dict:
         "pair": [p.labels_of(m) for m in pair],
         "rhs": [[p.labels_of(m) for m in rhs] for rhs in (rhs_a, rhs_b)],
     }
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic collector while ``validate-cert`` parses and
-    replays a certificate it holds whole, which a file that is not valid
-    as text needs.  Certificate records hold no reference cycles, so
-    reference counting frees them all the same; with the collector on, the
-    millions of containers kept set off full passes that find nothing.
-    The text path holds one step at a time and needs no pause."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def cmd_analyze(args) -> int:
@@ -358,26 +332,9 @@ def cmd_unique(args) -> int:
     return 0
 
 
-@_gc_paused()
-def _validate_parsed(path: str, p: posets.Poset) -> tuple[bool, str]:
-    """The verdict of a certificate file read from its first byte, parsed
-    and replayed; the certificate is freed before the collector resumes."""
-    try:
-        cert = _read_certificate(path, p)
-    except AslatticeError as exc:
-        return False, str(exc)
-    return uniqueness.validate_certificate(p, cert)
-
-
 def cmd_validate_cert(args) -> int:
-    """ACCEPTED for a file valid as text (``_accepted_as_text``); any other
-    file gets the parsed path's verdict, which gives every rejection and
-    its reason."""
     p = _load(args.poset)
-    if _accepted_as_text(args.certificate, p):
-        ok, reason = True, "ok"
-    else:
-        ok, reason = _validate_parsed(args.certificate, p)
+    ok, reason = _validate_file(args.certificate, p)
     doc = {"valid": ok, "reason": reason}
     _emit(args, doc, ["ACCEPTED" if ok else f"REJECTED: {reason}"])
     return 0 if ok else 1

@@ -28,7 +28,7 @@ products coincide under the hypothetical system.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations, compress
 from math import gcd
@@ -36,6 +36,7 @@ from operator import add, eq, itemgetter
 from typing import NamedTuple
 
 from aslattice.errors import (
+    AslatticeError,
     BudgetExceeded,
     CapacityExceeded,
     InvalidCertificate,
@@ -520,10 +521,12 @@ class CertificateStep(NamedTuple):
 @dataclass(frozen=True)
 class UniquenessCertificate:
     """A certificate's poset and steps.  A parsed certificate holds its
-    steps as a tuple; a built one builds them when they are read."""
+    steps as a tuple, or, parsed from an iterator, as an iterator that
+    parses each when it is read; a built one builds them when they are
+    read."""
 
     poset: Poset
-    steps: Sequence[CertificateStep]
+    steps: Iterable[CertificateStep]
 
 
 class _Side:
@@ -758,19 +761,20 @@ def validate_certificate(p: Poset, cert: UniquenessCertificate, text=None) -> tu
     (``swapped=1``, a float ``q``) is accepted.
 
     With ``text``, a function that consumes a string if the certificate
-    file holds it next and returns whether it did, replay reads the file's
-    steps as text, not ``cert.steps``: the text of each step it expects,
-    its checks passed, is written without building its records
-    (``_step_texts``, which ``certificate_to_json`` writes a built
-    certificate with) and passed to ``text``.  (True, "ok") then means the
-    steps are exactly a valid certificate's; (False, reason) says only
-    where they are not, and the verdict needs the parsed steps.
+    file holds it next and returns whether it did, replay first reads the
+    file's steps as text: the text of each step it expects, its checks
+    passed, is written without building its records (``_step_texts``,
+    which ``certificate_to_json`` writes a built certificate with) and
+    passed to ``text``, until one is refused.  A step taken as text is a
+    valid one.  ``cert.steps`` then holds the steps from the refused one
+    on, and replay reads them as records, with its index set to that step.
+
+    A fault raised while ``cert.steps`` is read, such as a parse fault of
+    steps parsed as they are read, comes first: every fault of replay
+    waits until the steps have been read to their end.
     """
     try:
-        if text is None:
-            _validate(p, cert)
-        else:
-            _validate_text(p, cert, text)
+        _validate(p, cert, text)
     except InvalidCertificate as exc:
         return False, str(exc)
     return True, "ok"
@@ -792,30 +796,42 @@ def _pair_index(lat: IdealLattice) -> dict[tuple[int, int], int]:
     return {pair: i for i, pair in enumerate(lat.induction_pairs)}
 
 
-def _validate(p: Poset, cert: UniquenessCertificate):
-    """Replay in one pass over the steps, which may be built as they are
-    read.  Each step's pair must be the replay lattice's induction pair of
-    its index, so a prior pair's index is its position in that order.  The
-    first fault in a step's content is kept while later steps are checked
-    for their pairs only, and is raised at the end: a wrong, missing or
-    extra pair anywhere takes precedence, as when all pairs were compared
-    before any content.
+def _validate(p: Poset, cert: UniquenessCertificate, text=None):
+    """Replay in one pass over the steps, the first ones as text when
+    ``text`` is given (see ``validate_certificate``), the rest as records,
+    which may be built or parsed as they are read.  Each step's pair must
+    be the replay lattice's induction pair of its index, so a prior pair's
+    index is its position in that order.  The first fault in a step's
+    content is kept while later steps are checked for their pairs only,
+    and is raised at the end: a wrong, missing or extra pair anywhere
+    takes precedence, as when all pairs were compared before any content.
+    A fault of the poset or a wrong pair is raised once the steps are
+    read to their end, so that a fault in reading them comes first.
 
     A replay that reads every step logs one DEBUG record on the
-    ``aslattice`` logger: its steps, the refutations of the steps whose
-    content was checked, the witness groups checked and the records
-    checked field by field (0 on a valid certificate)."""
+    ``aslattice`` logger: its steps, and of the steps read as records the
+    refutations, the witness groups checked and the records checked field
+    by field (0 on a valid certificate)."""
     import logging  # here, not at the top: it adds about 5 ms to importing the package
 
-    lat, sides, index_of_pair = _replay_views(p, cert)
+    steps = iter(cert.steps)
+    try:
+        lat, sides, index_of_pair = _replay_views(p, cert)
+    except AslatticeError:  # a poset fault or a capacity bound
+        for _ in steps:
+            pass
+        raise
+    start = 0 if text is None else _matched_as_text(lat, sides, index_of_pair, text)
     views = [(side, _group_checks(lat, side, index_of_pair)) for side in sides]
     pairs = lat.induction_pairs
     order = "steps do not list the incomparable pairs in certificate order"
     fault = None
-    count = 0
+    count = start
     tally = [0, 0, 0]  # refutations, witness groups, records checked field by field
-    for idx, step in enumerate(cert.steps):
+    for idx, step in enumerate(steps, start):
         if idx == len(pairs) or step.pair != pairs[idx]:
+            for _ in steps:
+                pass
             _fail(order)
         count += 1
         if fault is None:
@@ -833,14 +849,20 @@ def _validate(p: Poset, cert: UniquenessCertificate):
         raise fault
 
 
-def _validate_text(p: Poset, cert: UniquenessCertificate, text):
-    """Replay against a certificate's text (see ``validate_certificate``):
-    the text of each step replay expects (``_step_texts``, from the replay
-    views) must be the next text.  The first step whose checks fail or
-    whose text differs raises."""
-    for idx, step in enumerate(_step_texts(*_replay_views(p, cert))):
-        if not text(step):
-            _fail(f"step {idx}: the text differs from the replayed step")
+def _matched_as_text(lat: IdealLattice, sides, index_of_pair, text) -> int:
+    """How many steps, from the first, ``text`` takes as the text of the
+    steps replay expects (``_step_texts``).  A step that fails replay's
+    checks is offered no text: it and the steps after it are read as
+    records, which gives every such step its reason."""
+    matched = 0
+    try:
+        for step in _step_texts(lat, sides, index_of_pair):
+            if not text(step):
+                break
+            matched += 1
+    except InvalidCertificate:
+        pass
+    return matched
 
 
 def _validate_step(lat, views, index_of_pair, idx: int, step: CertificateStep, tally: list):
@@ -872,23 +894,9 @@ def _validate_step(lat, views, index_of_pair, idx: int, step: CertificateStep, t
             records, groups = _expected_records(checks(idx, sa, sb, alts), side, sa, sb, alts)
             tally[1] += groups
             if not all(records) or refs != tuple(records):
-                _validate_side(lat, index_of_pair, idx, step, refs, side, sa, sb, alts, records,
-                               tally)
+                _validate_fields(lat, index_of_pair, idx, step, refs, side, sa, sb, alts, records,
+                                 tally)
         start = stop
-
-
-def _validate_side(lat, index_of_pair, idx, step, refs, side: _Side, sa, sb, alts, records, tally):
-    """Replay one step's refutations on one side one at a time, in the
-    order of the side's alternatives ``alts`` to the pair (sa, sb), where
-    they do not all equal the ``records`` replay expects.  A record that
-    differs from its expected one, or has none, goes through
-    ``_validate_fields``, the one definition of the field-by-field checks'
-    order and messages, and is counted in ``tally``."""
-    for ref, record, alt_wit in zip(refs, records, alts):
-        if record is not None and ref == record:
-            continue
-        tally[2] += 1
-        _validate_fields(lat, index_of_pair, idx, step, (ref,), side, sa, sb, (alt_wit,))
 
 
 def _expected_records(groups: dict, side: _Side, sa: int, sb: int, alts):
@@ -991,9 +999,14 @@ def _group_checks(lat: IdealLattice, side: _Side, index_of_pair):
     return groups
 
 
-def _validate_fields(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, sb: int, alts):
+def _validate_fields(lat, index_of_pair, idx, step, refs, side: _Side, sa, sb, alts, records,
+                     tally):
     """Check one step's refutations on one side field by field, in the
-    order of the side's alternatives ``alts`` to the pair (sa, sb).
+    order of the side's alternatives ``alts`` to the pair (sa, sb), where
+    they do not all equal the ``records`` replay expects: the one
+    definition of the field-by-field checks' order and messages.  A
+    record equal to its expected one is skipped; every other is checked
+    and counted in ``tally``.
 
     Each record is unpacked once, and what is the same for the whole side
     is read once: the side's closed sets and covers, the union's
@@ -1015,7 +1028,10 @@ def _validate_fields(lat, index_of_pair, idx, step, refs, side: _Side, sa: int, 
     def fail(msg: str):
         _fail(f"step {idx} ({r_side} side): {msg}")
 
-    for ref, (alt, wit) in zip(refs, alts):
+    for ref, record, (alt, wit) in zip(refs, records, alts):
+        if ref == record:  # a record is never None, where replay expects none
+            continue
+        tally[2] += 1
         r_side, r_alt, swapped, r_p, q, alpha1, prior_pair, collision = ref
         if r_side != name or r_alt != alt:
             fail("refutation list does not match the enumerated alternatives")
@@ -1248,12 +1264,41 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
     """Parse a certificate against a poset; structural problems raise
     InvalidCertificate.
 
+    The header is checked first, then each step is read by one
+    field-by-field reader (``_step_reader``).  Steps given as an iterator
+    are parsed one at a time as the certificate's steps are read, which
+    raise a step's fault when they reach it; any other steps are parsed at
+    once and held as a tuple."""
+    try:
+        if doc.get("format") != CERT_FORMAT:
+            _fail("unrecognized certificate format")
+        if doc["elements"] != list(p.labels):
+            _fail("certificate elements do not match the poset")
+        if not all(isinstance(c, list) for c in doc["covers"]):
+            _fail("certificate covers are not label pairs")
+        covers = {(p.index_of(a), p.index_of(b)) for a, b in doc["covers"]}
+        if covers != set(p.covers):
+            _fail("certificate covers do not match the poset")
+        steps = map(_step_reader(p), doc["steps"])
+        if not isinstance(doc["steps"], Iterator):
+            steps = tuple(steps)
+        return UniquenessCertificate(poset=p, steps=steps)
+    except InvalidCertificate:
+        raise
+    except Exception as exc:  # malformed structure, unknown labels, ...
+        raise InvalidCertificate(f"malformed certificate: {exc}") from exc
+
+
+def _step_reader(p: Poset):
+    """The function that parses one step's document against ``p``; its
+    faults raise InvalidCertificate.
+
     A certificate repeats few label arrays, so each list is looked up in
-    a mask cache, and its labels are checked only when the cache first
-    misses it.  Every refutation is read field by field with the helpers.
-    Fields are read and checked in one fixed order (a step's refutations
-    before its pair, parameter and right-hand side), and the first failed
-    check gives the message."""
+    a mask cache, kept across the steps one reader reads, and its labels
+    are checked only when the cache first misses it.  Every refutation is
+    read field by field with the helpers.  Fields are read and checked in
+    one fixed order (a step's refutations before its pair, parameter and
+    right-hand side), and the first failed check gives the message."""
 
     def checked_mask(key: tuple) -> int:
         labels = list(key)
@@ -1309,29 +1354,18 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
         collision = (masks_of(left), masks_of(right))
         return Refutation(side, alt, swapped, rp, q, alpha1, prior, collision)
 
-    try:
-        if doc.get("format") != CERT_FORMAT:
-            _fail("unrecognized certificate format")
-        if doc["elements"] != list(p.labels):
-            _fail("certificate elements do not match the poset")
-        if not all(isinstance(c, list) for c in doc["covers"]):
-            _fail("certificate covers are not label pairs")
-        covers = {(p.index_of(a), p.index_of(b)) for a, b in doc["covers"]}
-        if covers != set(p.covers):
-            _fail("certificate covers do not match the poset")
-        steps = []
-        for s in doc["steps"]:
+    def read_step(s) -> CertificateStep:
+        try:
             refs = tuple([refutation(r) for r in s["refutations"]])
-            steps.append(
-                CertificateStep(
-                    masks_of(two(s["pair"], "step pair")),
-                    typed(s["k"], int, "step parameter"),
-                    masks_of(two(s["rhs"], "step right-hand side")),
-                    refs,
-                )
+            return CertificateStep(
+                masks_of(two(s["pair"], "step pair")),
+                typed(s["k"], int, "step parameter"),
+                masks_of(two(s["rhs"], "step right-hand side")),
+                refs,
             )
-        return UniquenessCertificate(poset=p, steps=tuple(steps))
-    except InvalidCertificate:
-        raise
-    except Exception as exc:  # malformed structure, unknown labels, ...
-        raise InvalidCertificate(f"malformed certificate: {exc}") from exc
+        except InvalidCertificate:
+            raise
+        except Exception as exc:  # malformed structure, unknown labels, ...
+            raise InvalidCertificate(f"malformed certificate: {exc}") from exc
+
+    return read_step

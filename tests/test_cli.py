@@ -320,8 +320,8 @@ def gc_state():
 
 
 class TestCollectorRestored:
-    """``validate-cert`` pauses the cyclic collector; every way out of it,
-    and of ``unique``, leaves it as the caller had it."""
+    """Every way out of ``validate-cert`` and of ``unique`` leaves the
+    cyclic collector as the caller had it."""
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_state_restored(self, capsys, soc_file, tmp_path, gc_state, enabled):
@@ -389,7 +389,7 @@ def _give_way(fh):
 
 
 def _text_record(caplog) -> str:
-    """The text path's one DEBUG record."""
+    """``validate-cert``'s one DEBUG record."""
     (got,) = [r.getMessage() for r in caplog.records if r.msg.startswith("validate-cert text")]
     return got
 
@@ -532,11 +532,15 @@ class TestCertificateReader:
 
             return parse({**doc, "steps": each(doc["steps"])}, p)
 
-        def refuse(src):
-            raise AssertionError("a step decoded")
+        def refuse(text, pos):  # the header's values are strings and lists
+            obj, end = decode(text, pos)
+            if isinstance(obj, dict):
+                raise AssertionError("a step decoded")
+            return obj, end
 
+        decode = cli._decode
         monkeypatch.setattr(uniqueness, "certificate_from_json", counting)
-        monkeypatch.setattr(cli, "_steps", refuse)
+        monkeypatch.setattr(cli, "_decode", refuse)
         with caplog.at_level(logging.DEBUG, logger="aslattice"):
             assert run(capsys, "validate-cert", str(cert_path), str(poset_path)) == (
                 0, "ACCEPTED\n", "")
@@ -594,20 +598,122 @@ class TestCertificateReader:
                 assert got == whole_document(capsys, *argv), name
                 assert got[0] == 1 or name == "added-space", name
 
-    def test_peak_memory_bounded(self, capsys, tmp_path):
-        # the 6-antichain's 1.7 MB certificate: decoded whole it peaked at
-        # 22 MB of traced allocations, streamed at 3 MB, read as text at 0.5 MB
+    @pytest.mark.parametrize(
+        "first, later, want",
+        [
+            ("content", "parse", "step parameter '1' has type str, not int"),
+            ("content", "order", "steps do not list the incomparable pairs in certificate order"),
+            ("order", "parse", "step parameter '1' has type str, not int"),
+        ],
+    )
+    def test_fault_precedence(
+        self, capsys, tmp_path, cert_path, whole_document, first, later, want
+    ):
+        # two faults in one compact file, the first at step 5: a parse
+        # fault wins over an order or content fault anywhere, and an order
+        # fault over a content fault
+        p = antichain(4)
+        poset_path = tmp_path / "p.json"
+        poset_path.write_text(json.dumps(poset_to_json(p)))
+        doc = json.loads(_certificate_text(p))
+        steps = doc["steps"]
+        edits = {
+            "content": lambda s: s.update(k=s["k"] + 1),
+            "parse": lambda s: s.update(k="1"),
+            "order": lambda s: s.update(pair=s["pair"][::-1]),
+        }
+        edits[first](steps[5])
+        edits[later](steps[40])
+        cert_path.write_text(json.dumps(doc, separators=(",", ":")))
+        argv = ("validate-cert", str(cert_path), str(poset_path))
+        got = run(capsys, *argv)
+        assert got == (1, f"REJECTED: {want}\n", "")
+        assert got == whole_document(capsys, *argv)
+
+    @pytest.mark.parametrize("edit", ["last-false-flipped", "middle-k-changed"])
+    def test_file_read_once(
+        self, capsys, caplog, monkeypatch, tmp_path, cert_path, whole_document, edit
+    ):
+        # the file is opened once, the steps before the first that differs
+        # are matched as text and never decoded, and decoding begins there
+        p = antichain(4)
+        poset_path = tmp_path / "p.json"
+        poset_path.write_text(json.dumps(poset_to_json(p)))
+        head, *steps, tail = certificate_to_json(uniqueness_certificate(enumerate_ideals(p)))
+        if edit == "last-false-flipped":
+            at = max(i for i, s in enumerate(steps) if "false" in s)
+            i = steps[at].rindex("false")
+            steps[at] = steps[at][:i] + "true" + steps[at][i + 5 :]
+        else:
+            at = len(steps) // 2
+            steps[at] = re.sub(r'"k":(\d+)', lambda m: f'"k":{int(m[1]) + 1}', steps[at])
+        cert_path.write_text(head + "".join(steps) + tail)
+        argv = ("validate-cert", str(cert_path), str(poset_path))
+        want = whole_document(capsys, *argv)
+        assert want[0] == 1
+
+        opened, decoded, decode = [], [], cli._decode
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        def counting_decode(text, pos):
+            obj, end = decode(text, pos)
+            if isinstance(obj, dict):
+                decoded.append(obj)
+            return obj, end
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        monkeypatch.setattr(cli, "_decode", counting_decode)
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            assert run(capsys, *argv) == want
+        assert opened.count(str(cert_path)) == 1
+        assert decoded == [json.loads(s.removeprefix(",")) for s in steps[at:]]
+        assert _text_record(caplog) == (
+            f"validate-cert text: {at} steps matched; decoding began at step {at}")
+
+    @staticmethod
+    def _a6_peak(capsys, tmp_path, rewrite=lambda t: t):
+        """``validate-cert``'s result and peak of traced allocations on the
+        6-antichain's certificate, rewritten by ``rewrite``."""
         p = antichain(6)
         poset_path, cert_path = tmp_path / "a6.json", tmp_path / "a6-cert.json"
         poset_path.write_text(json.dumps({"elements": list(p.labels), "covers": []}))
-        cert_path.write_text(_certificate_text(p))
+        cert_path.write_text(rewrite(_certificate_text(p)))
         tracemalloc.start()
         try:
             result = run(capsys, "validate-cert", str(cert_path), str(poset_path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return result, peak
+
+    def test_peak_memory_bounded(self, capsys, tmp_path):
+        # the 6-antichain's 1.7 MB certificate: decoded whole it peaked at
+        # 22 MB of traced allocations, parsed whole at 3 MB, read as text at
+        # 0.5 MB
+        result, peak = self._a6_peak(capsys, tmp_path)
         assert result == (0, "ACCEPTED\n", "")
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize(
+        "rewrite, want",
+        [
+            (lambda t: json.dumps(json.loads(t), indent=2), (0, "ACCEPTED\n", "")),
+            (
+                lambda t: t[: t.rindex("false")] + "true" + t[t.rindex("false") + 5 :],
+                (1, "REJECTED: step 1350 (meet side): witness elements differ from the "
+                    "deterministic choice\n", ""),
+            ),
+        ],
+        ids=["indented", "last-false-flipped"],
+    )
+    def test_peak_memory_bounded_read_as_records(self, capsys, tmp_path, rewrite, want):
+        # steps read as records are decoded, parsed and replayed one at a
+        # time, under the bound of the file read as text
+        result, peak = self._a6_peak(capsys, tmp_path, rewrite)
+        assert result == want
         assert peak < 2_000_000
 
 

@@ -1196,14 +1196,16 @@ def _fault_meet_views(monkeypatch, fault):
     monkeypatch.setattr(uniqueness._Side, "__init__", faulty)
 
 
-def _read_as_text(p, take):
-    """``validate_certificate`` against a text whose steps ``take`` judges."""
-    return validate_certificate(p, UniquenessCertificate(poset=p, steps=()), text=take)
+def _read_as_text(p, take, steps=()):
+    """``validate_certificate`` against a text whose steps ``take`` judges,
+    then ``steps`` from the first step it refuses."""
+    return validate_certificate(p, UniquenessCertificate(poset=p, steps=iter(steps)), text=take)
 
 
 class TestTextReplay:
     """Replay against a certificate's text accepts exactly the writer's
-    text of the steps it expects."""
+    text of the steps it expects, and reads the certificate's steps as
+    records from the first text it refuses."""
 
     def test_steps_are_the_writers_text(self, shape_certificates):
         for parts, p, cert in shape_certificates:
@@ -1214,25 +1216,34 @@ class TestTextReplay:
 
     def test_stops_at_the_first_text_that_differs(self):
         p = sum_of_chains(2, 1, 1)
+        steps = tuple(uniqueness_certificate(enumerate_ideals(p)).steps)
         offered = []
 
         def take(text):
             offered.append(text)
             return len(offered) < 4
 
-        assert _read_as_text(p, take) == (False, "step 3: the text differs from the replayed step")
+        assert _read_as_text(p, take, steps[3:]) == (True, "ok")
         assert len(offered) == 4
+        order = "steps do not list the incomparable pairs in certificate order"
+        for rest in (steps[2:], steps[4:], ()):
+            offered.clear()
+            assert _read_as_text(p, take, rest) == (False, order)
+            assert len(offered) == 4
 
     def test_failed_checks_offer_no_text(self, monkeypatch):
-        # a witness that replay's checks refuse: no text is offered, so the
-        # text path cannot accept
+        # a witness that replay's checks refuse: no text is offered for its
+        # step, which is read as records, with the reason replay gives them
         p = sum_of_chains(2, 1)
-        first = next(i for i, s in enumerate(uniqueness_certificate(enumerate_ideals(p)).steps)
+        steps = tuple(uniqueness_certificate(enumerate_ideals(p)).steps)
+        first = next(i for i, s in enumerate(steps)
                      if s.refutations and s.refutations[0].side == "join")
         monkeypatch.setattr(uniqueness, "_witness", lambda side, j, alt: (None, 0))
         offered = []
-        assert _read_as_text(p, lambda t: offered.append(t) is None) == (
-            False, f"step {first} (join side): a replayed refutation fails its checks")
+        got = _read_as_text(p, lambda t: offered.append(t) is None, steps[first:])
+        assert got == validate_certificate(p, UniquenessCertificate(poset=p, steps=steps))
+        assert got == (False, f"step {first} (join side): witness elements differ from the "
+                              "deterministic choice")
         assert len(offered) == first
 
     def test_poset_faults_are_reasons(self, v_poset):
@@ -1304,10 +1315,10 @@ class TestCertificateShapes:
             held = UniquenessCertificate(poset=p, steps=tuple(cert.steps))
             assert chunks == list(certificate_to_json(held))
             chunks.pop()  # the closing brackets
-        else:
-            assert re.fullmatch(
-                r"step \d+ \(meet side\): a replayed refutation fails its checks", reason), reason
-            with pytest.raises(AslatticeError, match=re.escape(reason)):
+        else:  # no steps follow the text, so replay reads none as records
+            assert reason == "steps do not list the incomparable pairs in certificate order"
+            stop = f"step {len(replayed)} (meet side): a replayed refutation fails its checks"
+            with pytest.raises(AslatticeError, match=re.escape(stop)):
                 for chunk in certificate_to_json(cert):
                     chunks.append(chunk)
         assert [c.removeprefix(",") for c in chunks[1:]] == replayed  # the steps after the header
