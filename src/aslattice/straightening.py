@@ -284,13 +284,21 @@ def check_multichain_entries(lat: IdealLattice, lengths: range):
     ideal maps each length one-to-one into the next, so no shorter one has
     more), else when their entries, chains times length summed over the
     lengths, pass MAX_MULTICHAIN_ENTRIES.  The counts take one pass over
-    the lattice's ⊆-table per unit of length."""
+    the lattice's ⊆-table per unit of length, so lengths whose entries pass
+    the bound with one chain each (every lattice has one, the top ideal
+    repeated) are refused first, with no pass."""
+    longest = lengths[-1]
+    least = (lengths[0] + longest) * len(lengths) // 2
+    if least > MAX_MULTICHAIN_ENTRIES:
+        raise CapacityExceeded(
+            f"multichains of lengths {lengths[0]}..{longest} hold at least {least:,} "
+            f"entries, one chain of each length, over the bound of {MAX_MULTICHAIN_ENTRIES:,}"
+        )
     starting = dict.fromkeys(lat.ideals, 1)  # chains of the current length starting at each ideal
     counts = [1, len(starting)]  # chains of each length
-    for _ in range(lengths[-1] - 1):
+    for _ in range(longest - 1):
         starting = {a: sum(starting[b] for b in up) for a, up in lat.containing.items()}
         counts.append(sum(starting.values()))
-    longest = lengths[-1]
     if counts[longest] > MAX_MULTICHAINS:
         raise CapacityExceeded(
             f"{counts[longest]:,} multichains of length {longest} over {len(lat):,} ideals, "

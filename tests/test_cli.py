@@ -980,6 +980,28 @@ class TestErrorsAndDeterminism:
             "entries, over the bound of 4,000,000\n"
         )
 
+    @pytest.mark.parametrize(
+        "degree, least",
+        [("10000000", "50,000,004,999,999"), ("100000000", "5,000,000,049,999,999")],
+        ids=["1e7", "1e8"],
+    )
+    def test_unbounded_degree_one_line(self, capsys, tmp_path, monkeypatch, degree, least):
+        # refused before the lattice's ⊆-table is read: one pass over it per
+        # unit of length took 14 s and 401 MB at degree 10,000,000
+        def unread(lat):
+            raise AssertionError("the ⊆-table was read")
+
+        monkeypatch.setattr(ideals.IdealLattice, "containing", property(unread))
+        f = tmp_path / "a1.json"
+        f.write_text(json.dumps({"elements": ["a"], "covers": []}))
+        code, out, err = run(capsys, "search", str(f), "--max-degree", degree)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: multichains of lengths 2..{degree} hold at least {least} entries, "
+            "one chain of each length, over the bound of 4,000,000\n"
+        )
+
     def test_search_ideal_bound_one_line(self, capsys, tmp_path):
         # antichain(7): 128 ideals, refused before any multichain is listed
         f = tmp_path / "a7.json"

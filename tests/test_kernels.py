@@ -1,6 +1,7 @@
 """The bitmask kernels against independent oracles."""
 
 import random
+import sys
 
 import pytest
 
@@ -159,8 +160,9 @@ def test_canonical_key_twin_classes(n, relations):
     assert spread == any(3 <= size < n for size in sizes)
 
 
-def test_canonical_key_matches_extension_search_on_generation(monkeypatch):
-    # every input that generating the eight-point classes keys
+@pytest.fixture(scope="module")
+def generation_inputs():
+    """Every input that generating the eight-point classes keys, in order."""
     seen = []
     kernel = _kernels.canonical_key
 
@@ -168,12 +170,106 @@ def test_canonical_key_matches_extension_search_on_generation(monkeypatch):
         seen.append(list(pred))
         return kernel(pred)
 
-    monkeypatch.setattr(_kernels, "canonical_key", recording)
-    assert sum(1 for _ in generate_posets(8)) == 16999
-    assert len(seen) == 22396
-    for pred in seen:
-        lt = [sum(1 << j for j, row in enumerate(pred) if row >> i & 1) for i in range(len(pred))]
-        assert kernel(pred) == oracles.canonical_key_by_extensions(lt, pred)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "canonical_key", recording)
+        assert sum(1 for _ in generate_posets(8)) == 16999
+    return seen
+
+
+def _lt_of(pred):
+    return [sum(1 << j for j, row in enumerate(pred) if row >> i & 1) for i in range(len(pred))]
+
+
+def test_canonical_key_matches_extension_search_on_generation(generation_inputs):
+    assert len(generation_inputs) == 22396
+    for pred in generation_inputs:
+        assert _kernels.canonical_key(pred) == oracles.canonical_key_by_extensions(_lt_of(pred), pred)
+
+
+def test_canonical_key_kept_tree_cannot_change_a_key(generation_inputs):
+    # the kept tree is the last parent's; keying the same inputs backwards,
+    # and interleaved with relabellings whose last element is not maximal
+    # (so another element is hidden), must give the same keys
+    want = [oracles.canonical_key_by_extensions(_lt_of(pred), pred) for pred in generation_inputs]
+    for pred, key in zip(reversed(generation_inputs), reversed(want)):
+        assert _kernels.canonical_key(pred) == key
+    rng = random.Random(41)
+    hidden_elsewhere = 0
+    for pred, key in zip(generation_inputs, want):
+        assert _kernels.canonical_key(pred) == key
+        lt = _lt_of(pred)
+        n = len(pred)
+        below = [x for x in range(n) if lt[x]]
+        if below:
+            last = rng.choice(below)
+            perm = [x for x in range(n) if x != last]
+            rng.shuffle(perm)
+            lt2 = _relabel(lt, perm + [last])
+            _, _, pred2 = masks_from_lt(lt2)
+            assert lt2[-1]  # the last element is not maximal
+            assert _kernels.canonical_key(pred2) == key
+            assert _kernels.canonical_key(tuple(pred2)) == key
+            hidden_elsewhere += 1
+    assert hidden_elsewhere > 20000
+    # two inputs whose other rows agree but hide different elements: 0 < 2
+    # with v = 2, and 0, 2 < 1 with v = 1; the other rows are [0, 0] in both
+    a, b = [0, 0, 0b001], [0, 0b101, 0]
+    for pred in (a, b, a, tuple(a), b, tuple(b), tuple(a)):
+        assert _kernels.canonical_key(pred) == oracles.canonical_key_by_extensions(_lt_of(pred), list(pred))
+    assert _kernels.canonical_key(a) == bytes([0, 0, 1])
+    assert _kernels.canonical_key(b) == bytes([0, 0, 3])
+
+
+def test_canonical_key_work_on_generation(monkeypatch):
+    # over generate_posets(8): every node the kept trees expand once, each
+    # node below them expanded per key, and the visits to kept nodes; the
+    # old search expanded 138,167 nodes, one per visit or per-key expansion
+    monkeypatch.setattr(_kernels, "_kept", None)
+    counts = {"shared": 0, "visits": 0, "per key": 0, "keys": 0}
+    kernel = _kernels.canonical_key
+
+    def counting(pred):
+        counts["keys"] += 1
+        return kernel(pred)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "search" and frame.f_globals is vars(_kernels):
+            node = frame.f_locals["node"]
+            if node is None:
+                counts["per key"] += 1
+            else:
+                counts["visits"] += 1
+                counts["shared"] += node.lo is None
+
+    monkeypatch.setattr(_kernels, "canonical_key", counting)
+    sys.setprofile(profile)
+    try:
+        assert sum(1 for _ in generate_posets(8)) == 16999
+    finally:
+        sys.setprofile(None)
+    assert counts == {"shared": 12180, "visits": 85497, "per key": 52670, "keys": 22396}
+    assert counts["visits"] + counts["per key"] == 138167
+
+
+@pytest.mark.parametrize(
+    "pred",
+    [[1], [2, 1], [4], [0, 1, 2], [-1], [0, 0b11]],
+    ids=["self-loop", "cycle", "out-of-range", "not-transitive", "negative", "self-loop-last"],
+)
+def test_canonical_key_refuses_non_orders(pred):
+    with pytest.raises(ValueError, match="strict order"):
+        _kernels.canonical_key(pred)
+    with pytest.raises(ValueError, match="strict order"):
+        _kernels.canonical_key(tuple(pred))
+
+
+def test_canonical_key_refuses_a_bad_last_row_under_a_kept_parent():
+    # [0, 1] (0 < 1) is kept; each child below shares it and is checked
+    assert _kernels.canonical_key([0, 1, 0b11]) == bytes([0, 1, 3])
+    for last in (0b10, 0b100, 0b1000, -1):
+        with pytest.raises(ValueError, match="strict order"):
+            _kernels.canonical_key([0, 1, last])
+    assert _kernels.canonical_key([0, 1, 0]) == bytes([0, 0, 1])
 
 
 def test_canonical_key_matches_extension_search_on_random_orders():

@@ -340,6 +340,27 @@ class TestAxioms:
         with pytest.raises(CapacityExceeded, match=f"lengths 1..{degree} "):
             verify_asl_axioms(lat, ORDER, max_degree=degree)
 
+    def test_entries_bound_with_one_chain_per_length(self, monkeypatch):
+        # the one-point lattice has one chain of each length, so lengths
+        # 2..d hold d(d+1)/2 - 1 entries: d = 2,827 is within the bound and
+        # d = 2,828 is refused before the ⊆-table is read, as is any larger d
+        lat = enumerate_ideals(build_poset([], []))
+        straightening.check_multichain_entries(lat, range(2, 2828))
+
+        def unread(lat):
+            raise AssertionError("the ⊆-table was read")
+
+        monkeypatch.setattr(type(lat), "containing", property(unread))
+        for degree, least in [(2828, "4,000,205"), (10**8, "5,000,000,049,999,999")]:
+            with pytest.raises(CapacityExceeded) as exc:
+                search_compatible_asls(lat, max_degree=degree)
+            assert str(exc.value) == (
+                f"multichains of lengths 2..{degree} hold at least {least} entries, "
+                "one chain of each length, over the bound of 4,000,000"
+            )
+            with pytest.raises(CapacityExceeded, match=f"lengths 1..{degree} hold at least"):
+                verify_asl_axioms(lat, ORDER, max_degree=degree)
+
     def test_entries_bound_is_exact(self, monkeypatch):
         # antichain(2) at degree 3: 9 chains of length 2 and 16 of length 3
         lat = enumerate_ideals(antichain(2))
