@@ -868,8 +868,7 @@ def _matched_as_text(lat: IdealLattice, sides, index_of_pair, text) -> int:
 def _validate_step(lat, views, index_of_pair, idx: int, step: CertificateStep, tally: list):
     """Replay one step with ``views``, each side and its group checks
     (``_group_checks``), adding its refutations, witness groups checked and
-    records checked field by field to ``tally``.  Each side's alternatives
-    to the pair are read once."""
+    records checked field by field to ``tally``."""
     a, b = step.pair
     k = induction_parameter(lat.poset, a, b)
     if step.k != k:
@@ -878,123 +877,199 @@ def _validate_step(lat, views, index_of_pair, idx: int, step: CertificateStep, t
         _fail(f"step {idx}: right-hand side is not the canonical one")
     parts = []
     expected = 0
-    for side, checks in views:
+    for side, groups in views:
         sa, sb = a ^ side.flip, b ^ side.flip  # side.to_side
-        alts = side.alternatives(sa | sb)
-        parts.append((side, checks, sa, sb, alts))
-        expected += len(alts)
+        plan, shared = groups(idx, sa, sb)
+        parts.append((side, sa, sb, plan, shared))
+        expected += len(plan.alts)
     if len(step.refutations) != expected:
         _fail(f"step {idx}: expected {expected} refutations, found {len(step.refutations)}")
     tally[0] += expected
     start = 0
-    for side, checks, sa, sb, alts in parts:
-        stop = start + len(alts)
+    for side, sa, sb, plan, shared in parts:
+        stop = start + len(plan.alts)
         if stop > start:
             refs = step.refutations[start:stop]
-            records, groups = _expected_records(checks(idx, sa, sb, alts), side, sa, sb, alts)
-            tally[1] += groups
+            records = _expected_records(plan, shared, side.name, sa & sb)
+            tally[1] += plan.groups
             if not all(records) or refs != tuple(records):
-                _validate_fields(lat, index_of_pair, idx, step, refs, side, sa, sb, alts, records,
-                                 tally)
+                _validate_fields(lat, index_of_pair, idx, step, refs, side, sa, sb, plan.alts,
+                                 records, tally)
         start = stop
 
 
-def _expected_records(groups: dict, side: _Side, sa: int, sb: int, alts):
-    """``(records, groups)``: for each of the side's alternatives ``alts``
-    to the pair (sa, sb), the refutation replay expects, or None where its
-    checks fail or it has no witness; and the number of witness groups
-    checked.  ``groups`` holds the witness groups' shared fields, checked
-    once per group (``_group_checks``).
-
-    Per record remain the checks that involve its alternative: it is closed
-    and holds base ∪ alpha1, so it is a strict superset of the union
-    holding q and alpha1, the right chain is a chain of closed sets, and it
-    differs from the left one, as q is in alpha1 and not in ext.  A record
-    equal to the expected one passes every field-by-field check."""
-    closed = side.position  # the side's closed sets
-    name = side.name
-    sm = sa & sb
+def _expected_records(plan: _Plan, shared: list, name: str, sm: int) -> list:
+    """For each alternative of a union's ``plan``, on the side named
+    ``name``, the refutation replay expects of a step whose pair meets in
+    ``sm``, or None where its checks fail or it has no witness.
+    ``shared`` holds what each witness group of the step shares, or None
+    (``_group_checks``).  A record equal to the expected one passes every
+    field-by-field check."""
     records = []
     append = records.append
-    for alt, wit in alts:
-        expect = groups[wit]
-        if expect is not None:
+    for (alt, _), slot, usable in zip(plan.alts, plan.slots, plan.usable):
+        expect = shared[slot]
+        if usable and expect is not None:
             swapped, p, q, alpha1, prior_pair, left = expect
-            if alt in closed and not left[2] & ~alt:  # base ∪ alpha1 ⊆ alt
-                append((name, alt, swapped, p, q, alpha1, prior_pair, (left, (sm, alpha1, alt))))
-                continue
-        append(None)
-    return records, len(groups) - 1
+            append((name, alt, swapped, p, q, alpha1, prior_pair, (left, (sm, alpha1, alt))))
+        else:
+            append(None)
+    return records
 
 
-def _group_checks(lat: IdealLattice, side: _Side, index_of_pair):
+class _Plan(NamedTuple):
+    """What every step whose pair has one union shares on one side: the
+    part of the witness-group checks that depends only on the union, the
+    witness and the alternative, made when a step first reaches the union
+    (``_union_plan``)."""
+
+    alts: list  # (alternative, witness) for each alternative, ``_Side.alternatives``
+    witnesses: list  # per distinct witness: (p, q, 1 << q, union ∪ {q}), None where it fails
+    slots: tuple  # per alternative: its witness's index in ``witnesses``
+    usable: list  # per alternative: its witness passes, it is closed and holds union ∪ {q}
+    groups: int  # the witness groups: the distinct witnesses other than None
+    pieces: list | None  # the side's text around its groups' texts (``_step_texts``)
+
+
+def _union_plan(side: _Side, sj: int, arrays: dict | None = None) -> _Plan:
+    """The plan of the union ``sj`` on ``side``, with the checks that
+    depend only on the union, the witness and the alternative.  A witness
+    (p, q) passes where q covers p and p is side-maximal in the union
+    (without p, q is side-minimal), q lies outside the union, and union ∪
+    {q} is closed, so one element larger.  An alternative is usable where
+    its witness passes and it is closed and holds union ∪ {q}.  Witnesses
+    are kept in the order of their first alternative.
+
+    Given ``arrays``, each closed set's label array, a plan with
+    alternatives, all usable, carries the side's refutation text as
+    ``pieces``: its fixed text, split at each alternative's witness-group
+    text, with a None in each gap, four pieces per alternative.  The
+    pieces are the strings of ``arrays`` and three constants, so a plan
+    copies no text."""
+    closed = side.position  # the side's closed sets
+    cover_mask, minimal_mask = side.cover_mask, side.minimal_mask
+    alts = side.alternatives(sj)
+    slot_of: dict = {}
+    slots = tuple([slot_of.setdefault(wit, len(slot_of)) for _, wit in alts])
+    top = side.maxels(sj)
+    witnesses = []
+    for wit in slot_of:
+        passed = None
+        if wit is not None:
+            p, q = wit
+            qbit = 1 << q
+            if (
+                (minimal_mask & qbit if p is None else cover_mask[p] & qbit and top >> p & 1)
+                and not sj & qbit
+                and (sj | qbit) in closed
+            ):
+                passed = p, q, qbit, sj | qbit
+        witnesses.append(passed)
+    usable = [
+        w is not None and alt in closed and not w[3] & ~alt
+        for (alt, _), w in zip(alts, map(witnesses.__getitem__, slots))
+    ]
+    pieces = None
+    if arrays is not None and alts and all(usable):
+        head = '{"side":%s,"alternative":' % json.dumps(side.name)
+        between = "]]}," + head  # one refutation's end and the next one's start
+        pieces = []
+        for alt, _ in alts:
+            arr = arrays[alt]  # shared with every plan, not copied
+            pieces += [between if pieces else head, arr, None, arr]
+        pieces.append("]]}")
+    groups = len(witnesses) - (None in slot_of)
+    return _Plan(alts, witnesses, slots, usable, groups, pieces)
+
+
+# A refutation's fields from "swapped" to the right collision chain's
+# second entry, which its witness group shares.
+_GROUP = (
+    ',"swapped":%s,"p":%s,"q":%s,"alpha1":%s,"prior_pair":[%s,%s],"collision":[[%s,%s,%s],[%s,%s,'
+)
+
+
+def _group_checks(lat: IdealLattice, side: _Side, index_of_pair, arrays: dict | None = None):
     """The witness-group checks of one side of a replay on the lattice
     ``lat``, given each induction pair's index: a function ``groups(idx,
-    sa, sb, alts)`` that maps each witness (p, q) of the side's
-    alternatives ``alts`` to the pair (sa, sb) of step ``idx`` to what its
-    refutations share, ``(swapped, p, q, alpha1, prior pair, left
-    chain)``, or to None where the group's checks fail; the key None (an
-    alternative without a witness) maps to None.
+    sa, sb)`` that gives, for the pair (sa, sb) of step ``idx``, the plan
+    of its union (``_union_plan``, given ``arrays``) and, for each of the
+    plan's witnesses, what its refutations share, or None where the
+    group's checks fail or there is no witness.  What they share is
+    ``(swapped, p, q, alpha1, prior pair, left chain)``, or, given
+    ``arrays``, each closed set's label array, their text from
+    ``"swapped"`` to the right chain's second entry (``_GROUP``).
 
-    The one definition of the checks that depend only on the step, the
-    side and the witness, which replay runs once per group: q covers p, p
-    is side-maximal in the union and lies in ext (or, without p, q is
-    side-minimal), q lies outside the union, alpha1 is closed, adjoining q
-    keeps the intersection and grows the union by one, the prior pair is
-    incomparable, an earlier step and one parameter down, and the left
-    collision chain is a chain of closed sets whose first entry lies in
-    alpha1.  What is the same for the whole side is read once, here, and
-    what is the same for a union once per union."""
+    The one definition of the checks that replay runs per witness group
+    rather than per refutation, in three levels.  Once per union, when a
+    step first reaches it, its plan holds the checks that depend only on
+    the union, the witness and the alternative.  Once per step: sa, sb and
+    their meet are closed (the meet lies in both).  Once per group, the
+    checks that depend on the pair: with p in ext (``swapped`` where only
+    sa holds p), alpha1 = ext ∪ {q} is closed, base ∩ alpha1 is the meet,
+    base and alpha1 are incomparable and one parameter down, and their
+    pair is an earlier step.  With the plan's, these give every
+    field-by-field check of a record equal to the expected one: p lies in
+    ext, as it lies in the union; base ∪ alpha1 is union ∪ {q}, so each
+    alternative strictly holds the union and holds q and alpha1; both
+    collision chains are chains of closed sets, and they differ, as q lies
+    in alpha1 and not in ext."""
     closed = side.position  # the side's closed sets
-    cover_mask, minimal_mask, flip = side.cover_mask, side.minimal_mask, side.flip
+    flip = side.flip
     position = lat.position
-    # union -> its alternatives' distinct witnesses, side-maximal elements
-    # and size plus one
-    unions: dict = {}
+    plans: dict[int, _Plan] = {}
+    as_text = arrays is not None
+    if as_text:
+        elems = [json.dumps(x) for x in lat.poset.labels]
 
-    def groups(idx: int, sa: int, sb: int, alts) -> dict:
+    def groups(idx: int, sa: int, sb: int) -> tuple[_Plan, list]:
         sj, sm = sa | sb, sa & sb
-        union = unions.get(sj)
-        if union is None:
-            wits = dict.fromkeys(wit for _, wit in alts if wit is not None)
-            union = unions[sj] = list(wits), side.maxels(sj), sj.bit_count() + 1
-        wits, top, grown = union
+        plan = plans.get(sj)
+        if plan is None:
+            plan = plans[sj] = _union_plan(side, sj, arrays)
+        if not (sa in closed and sb in closed and sm in closed):
+            return plan, [None] * len(plan.witnesses)
         n_prior = (sa ^ sb).bit_count() + 1  # n minus a prior pair's parameter
-        out: dict = {None: None}
-        for wit in wits:
-            p, q = wit
-            swapped = p is not None and not sb >> p & 1
-            base, ext = (sb, sa) if swapped else (sa, sb)
-            qbit = 1 << q
-            alpha1 = ext | qbit
-            joined = base | alpha1
-            expect = None
-            if (
-                (
-                    minimal_mask & qbit
-                    if p is None
-                    else cover_mask[p] & qbit and top >> p & 1 and ext >> p & 1
-                )
-                and not sj & qbit
-                and alpha1 in closed
-                and base & alpha1 == sm
-                and joined.bit_count() == grown
-                and base & ~alpha1
-                and alpha1 & ~base
-                and (base ^ alpha1).bit_count() == n_prior
-                and not sm & ~ext
-                and not ext & ~joined
-                and not sm & ~alpha1
-                and sm in closed
-                and ext in closed
-                and joined in closed
-            ):
-                x, y = base ^ flip, alpha1 ^ flip  # ideals: base is a or b, alpha1 is closed
-                prior_idx = index_of_pair.get((x, y) if position[x] < position[y] else (y, x))
-                if prior_idx is not None and prior_idx < idx:
-                    expect = swapped, p, q, alpha1, (base, alpha1), (sm, ext, joined)
-            out[wit] = expect
-        return out
+        if as_text:
+            s0 = arrays[sm]
+        shared = []
+        append = shared.append
+        for witness in plan.witnesses:
+            if witness is not None:
+                p, q, qbit, joined = witness
+                swapped = p is not None and not sb >> p & 1
+                base, ext = (sb, sa) if swapped else (sa, sb)
+                alpha1 = ext | qbit
+                if (
+                    alpha1 in closed
+                    and base & alpha1 == sm
+                    and base & ~alpha1
+                    and alpha1 & ~base
+                    and (base ^ alpha1).bit_count() == n_prior
+                ):
+                    x, y = base ^ flip, alpha1 ^ flip  # ideals: base is a or b, alpha1 closed
+                    prior_idx = index_of_pair.get((x, y) if position[x] < position[y] else (y, x))
+                    if prior_idx is not None and prior_idx < idx:
+                        if as_text:
+                            a1 = arrays[alpha1]
+                            append(_GROUP % (
+                                "true" if swapped else "false",
+                                "null" if p is None else elems[p],
+                                elems[q],
+                                a1,
+                                arrays[base],
+                                a1,
+                                s0,
+                                arrays[ext],
+                                arrays[joined],
+                                s0,
+                                a1,
+                            ))
+                        else:
+                            append((swapped, p, q, alpha1, (base, alpha1), (sm, ext, joined)))
+                        continue
+            append(None)
+        return plan, shared
 
     return groups
 
@@ -1118,7 +1193,7 @@ def _validate_fields(lat, index_of_pair, idx, step, refs, side: _Side, sa, sb, a
 CERT_FORMAT = "uniqueness-certificate/1"
 
 
-_STEP = '{"pair":[%s,%s],"k":%d,"rhs":[%s,%s],"refutations":[%s]}'
+_STEP_HEAD = '{"pair":[%s,%s],"k":%d,"rhs":[%s,%s],"refutations":['
 
 
 def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
@@ -1149,13 +1224,6 @@ def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
     yield "]}"
 
 
-# A refutation's fields from "swapped" to the right collision chain's
-# second entry, which its witness group shares.
-_GROUP = (
-    ',"swapped":%s,"p":%s,"q":%s,"alpha1":%s,"prior_pair":[%s,%s],"collision":[[%s,%s,%s],[%s,%s,'
-)
-
-
 def _step_texts(lat: IdealLattice, sides, index_of_pair) -> Iterator[str]:
     """The compact JSON text of each step replay expects on the lattice
     ``lat``, with its join and meet views ``sides`` and each induction
@@ -1163,66 +1231,35 @@ def _step_texts(lat: IdealLattice, sides, index_of_pair) -> Iterator[str]:
     yielded, and the first step whose checks fail raises.
 
     No refutation record is built.  Every closed set's label array, an
-    ideal or its complement, is encoded once.  Per witness group the group
-    checks run once (``_group_checks``), and what its refutations share is
-    formatted with one ``%``; per refutation remain the two checks of its
-    alternative (closed, holding base ∪ alpha1) and the splice of its
-    array, which a refutation's text holds twice (the alternative and the
-    right chain's last entry).  The text equals what ``_step_text`` writes
-    for the records ``_expected_records`` gives."""
+    ideal or its complement, is encoded once.  The checks are record
+    replay's (``_group_checks``): those that depend only on a side's union
+    once per union, in its plan, which also holds the side's text around
+    its witness groups' texts (``pieces``); per step and side, each
+    group's checks and its text, formatted with one ``%``.  The groups'
+    texts go into the plan's pieces by each alternative's witness slot,
+    and a step is one ``str.join``, with no work per refutation.  The text
+    equals what ``_step_text`` writes for the records
+    ``_expected_records`` gives."""
     p = lat.poset
     arrays = {m: json.dumps(p.labels_of(m), separators=(",", ":")) for s in sides for m in s.ideals}
-    elems = [json.dumps(x) for x in p.labels]
-    views = [
-        (
-            side,
-            {m: arrays[m] for m in side.ideals},  # the side's closed sets' arrays
-            '{"side":%s,"alternative":' % json.dumps(side.name),
-            _group_checks(lat, side, index_of_pair),
-        )
-        for side in sides
-    ]
+    views = [(side.flip, side.name, _group_checks(lat, side, index_of_pair, arrays))
+             for side in sides]
     for idx, (a, b) in enumerate(lat.induction_pairs):
-        body = []
-        append = body.append
-        for side, closed, head, checks in views:
-            sa, sb = a ^ side.flip, b ^ side.flip  # side.to_side
-            alts = side.alternatives(sa | sb)
-            if not alts:
-                continue
-            groups = checks(idx, sa, sb, alts)
-            shared = {}  # witness -> (base ∪ alpha1, the group's text)
-            for alt, wit in alts:
-                group = shared.get(wit)
-                if group is None:
-                    expect = groups[wit]
-                    if expect is None:
-                        break
-                    swapped, rp, q, alpha1, (base, _), (sm, ext, joined) = expect
-                    a1, s0 = arrays[alpha1], arrays[sm]
-                    group = shared[wit] = joined, _GROUP % (
-                        "true" if swapped else "false",
-                        "null" if rp is None else elems[rp],
-                        elems[q],
-                        a1,
-                        arrays[base],
-                        a1,
-                        s0,
-                        arrays[ext],
-                        arrays[joined],
-                        s0,
-                        a1,
-                    )
-                joined, text = group
-                arr = closed.get(alt)
-                if arr is None or joined & ~alt:
-                    break
-                append(f"{head}{arr}{text}{arr}]]}}")
-            else:
-                continue
-            _fail(f"step {idx} ({side.name} side): a replayed refutation fails its checks")
         k = induction_parameter(p, a, b)
-        yield _STEP % (arrays[a], arrays[b], k, arrays[a & b], arrays[a | b], ",".join(body))
+        text = [_STEP_HEAD % (arrays[a], arrays[b], k, arrays[a & b], arrays[a | b])]
+        for flip, name, groups in views:
+            plan, shared = groups(idx, a ^ flip, b ^ flip)  # side.to_side
+            if not plan.alts:
+                continue
+            if plan.pieces is None or not all(shared):
+                _fail(f"step {idx} ({name} side): a replayed refutation fails its checks")
+            if len(text) > 1:
+                text.append(",")
+            start = len(text)
+            text += plan.pieces
+            text[start + 2::4] = map(shared.__getitem__, plan.slots)
+        text.append("]}")
+        yield "".join(text)
 
 
 def _step_text(p: Poset):
@@ -1296,9 +1333,11 @@ def _step_reader(p: Poset):
     A certificate repeats few label arrays, so each list is looked up in
     a mask cache, kept across the steps one reader reads, and its labels
     are checked only when the cache first misses it.  Every refutation is
-    read field by field with the helpers.  Fields are read and checked in
-    one fixed order (a step's refutations before its pair, parameter and
-    right-hand side), and the first failed check gives the message."""
+    read field by field with the helpers; a refutation's label arrays are
+    looked up inline, and ``mask`` runs only where the cache misses.
+    Fields are read and checked in one fixed order (a step's refutations
+    before its pair, parameter and right-hand side), and the first failed
+    check gives the message."""
 
     def checked_mask(key: tuple) -> int:
         labels = list(key)
@@ -1310,12 +1349,13 @@ def _step_reader(p: Poset):
         return m
 
     masks = {}  # label tuple -> mask, checked on first use
+    get = masks.get
 
     def mask(labels) -> int:
         if not isinstance(labels, list):
             _fail(f"label array {labels!r} is not a list")
         key = tuple(labels)
-        m = masks.get(key)
+        m = get(key)
         if m is None:
             m = masks[key] = checked_mask(key)
         return m
@@ -1333,8 +1373,15 @@ def _step_reader(p: Poset):
             _fail(f"{what} {value!r} is not a list of exactly two entries")
         return value
 
+    # Below, a label array's cache hit is read inline, and ``mask`` runs
+    # only where it misses, so every fault still gets ``mask``'s message.
+
     def masks_of(arrays) -> tuple[int, ...]:
-        return tuple([mask(a) for a in arrays])
+        out = []
+        for labels in arrays:
+            m = get(tuple(labels)) if type(labels) is list else None
+            out.append(mask(labels) if m is None else m)
+        return tuple(out)
 
     def refutation(r) -> Refutation:
         """One refutation; the helpers raise the first fault in field
@@ -1342,13 +1389,19 @@ def _step_reader(p: Poset):
         side = r["side"]
         if side not in ("join", "meet"):
             _fail(f"refutation side {side!r} is not 'join' or 'meet'")
-        alt = mask(r["alternative"])
+        labels = r["alternative"]
+        alt = get(tuple(labels)) if type(labels) is list else None
+        if alt is None:
+            alt = mask(labels)
         swapped = typed(r["swapped"], bool, "swapped flag")
         rp = r["p"]
         if rp is not None:
             rp = element(rp)
         q = element(r["q"])
-        alpha1 = mask(r["alpha1"])
+        labels = r["alpha1"]
+        alpha1 = get(tuple(labels)) if type(labels) is list else None
+        if alpha1 is None:
+            alpha1 = mask(labels)
         prior = masks_of(two(r["prior_pair"], "prior pair"))
         left, right = two(r["collision"], "collision")
         collision = (masks_of(left), masks_of(right))

@@ -29,6 +29,11 @@ ESC_DOC = {
 # labels that the certificate's JSON text escapes
 ESCAPED_DOC = {"elements": ["é", 'b"q', "c", "d"], "covers": [["é", 'b"q']]}
 LONE_SURROGATE_DOC = {"elements": ["a", "\ud800"], "covers": [["a", "\ud800"]]}
+# labels that a % template or str.format would read as fields, and JSON escapes
+HOSTILE_DOC = {
+    "elements": ["%", "%s", "%%", "{", "}", '"', "\\", "é"],
+    "covers": [["%", "%s"], ["%%", "{"], ["{", "}"], ['"', "\\"]],
+}
 
 
 def text(*lines):
@@ -672,6 +677,61 @@ class TestCertificateReader:
         assert decoded == [json.loads(s.removeprefix(",")) for s in steps[at:]]
         assert _text_record(caplog) == (
             f"validate-cert text: {at} steps matched; decoding began at step {at}")
+
+    def test_hostile_labels_accepted_as_text(self, capsys, caplog, tmp_path, cert_path):
+        # the writer's text of a built certificate is the record writer's
+        # text of its steps, and validate-cert takes all of it as text
+        p = build_poset(HOSTILE_DOC["elements"], [tuple(c) for c in HOSTILE_DOC["covers"]])
+        built = uniqueness_certificate(enumerate_ideals(p))
+        text = "".join(certificate_to_json(built))
+        held = uniqueness.UniquenessCertificate(poset=p, steps=tuple(built.steps))
+        assert text == "".join(certificate_to_json(held))
+        assert "%%" in text and "{" in text
+        poset_path = tmp_path / "hostile.json"
+        poset_path.write_text(json.dumps(HOSTILE_DOC))
+        assert run(capsys, "unique", str(poset_path), "--certificate", str(cert_path))[0] == 0
+        assert cert_path.read_text() == text
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            assert run(capsys, "validate-cert", str(cert_path), str(poset_path)) == (
+                0, "ACCEPTED\n", "")
+        steps = len(built.steps)
+        assert _text_record(caplog) == (
+            f"validate-cert text: {steps} steps matched; ACCEPTED without parsing")
+
+    @pytest.mark.parametrize(
+        "field, edit, reason",
+        [
+            ("swapped", lambda r: r.update(swapped=not r["swapped"]),
+             "witness elements differ from the deterministic choice"),
+            ("prior_pair", lambda r: r.update(prior_pair=r["prior_pair"][::-1]),
+             "stored prior pair mismatch"),
+            ("collision", lambda r: r["collision"][1].__setitem__(2, r["collision"][1][1]),
+             "collision monomials differ from the replayed ones"),
+        ],
+        ids=["swapped", "prior-pair", "collision"],
+    )
+    @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
+    def test_late_fault_in_a_planned_union(
+        self, capsys, tmp_path, cert_path, whole_document, field, edit, reason, indent
+    ):
+        # one field of a late step's join-side refutation changed, where an
+        # earlier valid step has the same union, so replay already planned
+        # it: read as text up to that step (compact) or as records from the
+        # first (indented), the step gets its field-by-field reason
+        p = antichain(4)
+        poset_path = tmp_path / "p.json"
+        poset_path.write_text(json.dumps(poset_to_json(p)))
+        doc = json.loads(_certificate_text(p))
+        unions = [frozenset(a) | frozenset(b) for a, b in (s["pair"] for s in doc["steps"])]
+        at = max(i for i, s in enumerate(doc["steps"]) if unions[i] in unions[:i]
+                 and any(r["side"] == "join" for r in s["refutations"]))
+        assert (at, len(unions)) == (48, 55)
+        edit(next(r for r in doc["steps"][at]["refutations"] if r["side"] == "join"))
+        cert_path.write_text(json.dumps(doc, indent=indent, separators=None if indent else (",", ":")))
+        argv = ("validate-cert", str(cert_path), str(poset_path))
+        got = run(capsys, *argv)
+        assert got == (1, f"REJECTED: step {at} (join side): {reason}\n", "")
+        assert got == whole_document(capsys, *argv)
 
     @staticmethod
     def _a6_peak(capsys, tmp_path, rewrite=lambda t: t):

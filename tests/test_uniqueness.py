@@ -1246,6 +1246,32 @@ class TestTextReplay:
                               "deterministic choice")
         assert len(offered) == first
 
+    def test_each_union_planned_once(self, monkeypatch):
+        # over the 15 seven-point sums of chains, the writer and the text
+        # replay each plan every (side, union) that a step reaches once:
+        # 1,128 plans for 30,094 (step, side) visits, 1,100 of them with
+        # alternatives (the other 28 are the whole set, each side's union
+        # of a pair that spans it)
+        plans = []
+        plan = uniqueness._union_plan
+
+        def counted(*args):
+            plans.append(plan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(uniqueness, "_union_plan", counted)
+        visits = 0
+        for parts in partitions(7):
+            p = sum_of_chains(*parts)
+            _, *steps, _ = certificate_to_json(uniqueness_certificate(enumerate_ideals(p)))
+            visits += 2 * len(steps)
+        assert (visits, len(plans), sum(bool(x.alts) for x in plans)) == (30_094, 1_128, 1_100)
+        plans.clear()
+        for parts in partitions(7):
+            p = sum_of_chains(*parts)
+            assert _read_as_text(p, lambda t: True) == (True, "ok"), parts
+        assert len(plans) == 1_128
+
     def test_poset_faults_are_reasons(self, v_poset):
         assert _read_as_text(v_poset, lambda t: True) == (
             False, "poset is not a direct sum of chains")
