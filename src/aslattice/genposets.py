@@ -232,7 +232,14 @@ def _decide(p: Poset, soc: bool) -> tuple[bool, UniquenessResult | None, bool]:
 
 def _verify_one(p: Poset) -> tuple[bool, bool, str | None, bool, bool, bool]:
     """Per-poset corpus checks; returns (sum_of_chains, condition_ii,
-    failure detail, unique_checked, certificate_validated, built_witness)."""
+    failure detail, unique_checked, certificate_validated, built_witness).
+
+    A sum of chains's certificate comes from ``check_unique`` as built, so
+    ``validate_certificate`` replays it with replay's checks alone, and
+    builds only the steps from the first one that fails them, if any.  A
+    built certificate is taken to be the one replay expects, which the
+    tests pin for every sum of chains with at most 8 points (see
+    ``validate_certificate``)."""
     soc = is_direct_sum_of_chains(p)
     cii, res, built = _decide(p, soc)
     if soc != cii:

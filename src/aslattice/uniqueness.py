@@ -654,7 +654,8 @@ def uniqueness_certificate(lat: IdealLattice) -> UniquenessCertificate:
     The steps are built each time they are read (see ``_Steps``), so a
     reader that streams them, such as replay, never holds the whole
     certificate; ``tuple(cert.steps)`` keeps them.  ``certificate_to_json``
-    writes a built certificate without building its steps.
+    writes a built certificate, and ``validate_certificate`` replays one,
+    without building its steps.
     """
     p = lat.poset
     _, size = certificate_size(p)
@@ -769,6 +770,20 @@ def validate_certificate(p: Poset, cert: UniquenessCertificate, text=None) -> tu
     valid one.  ``cert.steps`` then holds the steps from the refused one
     on, and replay reads them as records, with its index set to that step.
 
+    Without ``text``, a built certificate of ``p`` itself (its steps a
+    ``_Steps`` from a lattice of ``p``) is replayed with replay's checks
+    alone (``_matched_by_checks``): each pair's right-hand side in the
+    builder's canonical system must be the canonical one, and every
+    witness group's checks must pass on replay's own views, so each record
+    replay expects exists.  No record is built or compared, as a built
+    certificate is taken to be the one replay expects, just as
+    ``certificate_to_json`` writes it from replay's text.  The tests pin
+    that premise: ``test_json_roundtrip`` for every sum of chains with at
+    most 7 points, and the record path on every 8-point one.  From the
+    first step whose checks fail, the builder's records are read and
+    replayed as records, so every reason, the fault precedence and the
+    DEBUG record are those of the record path.
+
     A fault raised while ``cert.steps`` is read, such as a parse fault of
     steps parsed as they are read, comes first: every fault of replay
     waits until the steps have been read to their end.
@@ -798,22 +813,26 @@ def _pair_index(lat: IdealLattice) -> dict[tuple[int, int], int]:
 
 def _validate(p: Poset, cert: UniquenessCertificate, text=None):
     """Replay in one pass over the steps, the first ones as text when
-    ``text`` is given (see ``validate_certificate``), the rest as records,
-    which may be built or parsed as they are read.  Each step's pair must
-    be the replay lattice's induction pair of its index, so a prior pair's
-    index is its position in that order.  The first fault in a step's
-    content is kept while later steps are checked for their pairs only,
-    and is raised at the end: a wrong, missing or extra pair anywhere
+    ``text`` is given, or by replay's checks alone when the steps are a
+    built certificate's of ``p`` (see ``validate_certificate``), the rest
+    as records, which may be built or parsed as they are read.  Each step's
+    pair must be the replay lattice's induction pair of its index, so a
+    prior pair's index is its position in that order.  The first fault in
+    a step's content is kept while later steps are checked for their pairs
+    only, and is raised at the end: a wrong, missing or extra pair anywhere
     takes precedence, as when all pairs were compared before any content.
     A fault of the poset or a wrong pair is raised once the steps are
     read to their end, so that a fault in reading them comes first.
 
     A replay that reads every step logs one DEBUG record on the
-    ``aslattice`` logger: its steps, and of the steps read as records the
-    refutations, the witness groups checked and the records checked field
-    by field (0 on a valid certificate)."""
+    ``aslattice`` logger: its steps, and of the steps read as records or
+    checked alone the refutations, the witness groups checked and the
+    records checked field by field (0 on a valid certificate)."""
     import logging  # here, not at the top: it adds about 5 ms to importing the package
 
+    built = cert.steps
+    if text is not None or not isinstance(built, _Steps) or built._lat.poset != p:
+        built = None
     steps = iter(cert.steps)
     try:
         lat, sides, index_of_pair = _replay_views(p, cert)
@@ -821,13 +840,17 @@ def _validate(p: Poset, cert: UniquenessCertificate, text=None):
         for _ in steps:
             pass
         raise
-    start = 0 if text is None else _matched_as_text(lat, sides, index_of_pair, text)
     views = [(side, _group_checks(lat, side, index_of_pair)) for side in sides]
+    tally = [0, 0, 0]  # refutations, witness groups, records checked field by field
+    if built is not None:
+        start = _matched_by_checks(lat, views, built._rhs, tally)
+        steps = map(built._step, built._lat.induction_pairs[start:])
+    else:
+        start = 0 if text is None else _matched_as_text(lat, sides, index_of_pair, text)
     pairs = lat.induction_pairs
     order = "steps do not list the incomparable pairs in certificate order"
     fault = None
     count = start
-    tally = [0, 0, 0]  # refutations, witness groups, records checked field by field
     for idx, step in enumerate(steps, start):
         if idx == len(pairs) or step.pair != pairs[idx]:
             for _ in steps:
@@ -863,6 +886,31 @@ def _matched_as_text(lat: IdealLattice, sides, index_of_pair, text) -> int:
     except InvalidCertificate:
         pass
     return matched
+
+
+def _matched_by_checks(lat: IdealLattice, views, rhs: dict, tally: list) -> int:
+    """How many steps, from the first, pass replay's checks alone, given
+    ``views``, each side and its group checks (``_group_checks``), and
+    ``rhs``, a built certificate's right-hand side of each pair: it is the
+    canonical one, and on each side every plan's alternative is usable and
+    every witness group passes, so each record replay expects exists.  No
+    record is built or compared.  Each step that passes adds its
+    refutations and witness groups to ``tally``, as record replay would."""
+    for idx, pair in enumerate(lat.induction_pairs):
+        a, b = pair
+        if rhs[pair] != (a & b, a | b):
+            return idx
+        refutations = groups_checked = 0
+        for side, groups in views:
+            plan, shared = groups(idx, a ^ side.flip, b ^ side.flip)  # side.to_side
+            if plan.alts:
+                if not (all(plan.usable) and all(shared)):
+                    return idx
+                refutations += len(plan.alts)
+                groups_checked += plan.groups
+        tally[0] += refutations
+        tally[1] += groups_checked
+    return len(lat.induction_pairs)
 
 
 def _validate_step(lat, views, index_of_pair, idx: int, step: CertificateStep, tally: list):

@@ -39,7 +39,7 @@ from aslattice import (
     uniqueness_certificate,
     validate_certificate,
 )
-from aslattice import straightening, uniqueness
+from aslattice import genposets, straightening, uniqueness
 from aslattice.straightening import PairMap, multichains
 from aslattice.uniqueness import (
     MAX_CERTIFICATE_REFUTATIONS,
@@ -1495,6 +1495,91 @@ class TestCertificateShapes:
         slow = re.fullmatch(r"replay: 63 steps, \d+ refutations, \d+ witness groups, "
                             r"(\d+) records checked field by field", mutant)
         assert slow and int(slow[1]) >= 1
+
+
+def _replay_records(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.name == "aslattice" and r.getMessage().startswith("replay:")]
+
+
+class TestBuiltReplayedByChecks:
+    """A built certificate of the poset replayed is replayed with replay's
+    checks alone, no step built, until a step fails them; from that step
+    on, the builder's records are replayed field by field as before.  The
+    premise, that a built certificate is the one replay expects, is
+    pinned by the record path on the same steps."""
+
+    def test_valid_certificate_builds_no_step(self, monkeypatch, caplog):
+        def refused(self, pair):
+            raise AssertionError("a step was built")
+
+        monkeypatch.setattr(uniqueness._Steps, "_step", refused)
+        p = sum_of_chains(2, 2, 1)
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            got = validate_certificate(p, uniqueness_certificate(enumerate_ideals(p)))
+        assert got == (True, "ok")
+        # the record that record replay logs on the same steps
+        assert _replay_records(caplog) == [
+            "replay: 63 steps, 162 refutations, 114 witness groups, "
+            "0 records checked field by field"
+        ]
+
+    def test_built_steps_are_the_expected_records_at_eight_points(self, caplog):
+        # ``iter`` hands replay a map, not a ``_Steps``, so every built
+        # record is compared with the one replay expects; no step is held
+        shapes = list(partitions(8))
+        assert len(shapes) == 22
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            for parts in shapes:
+                p = sum_of_chains(*parts)
+                built = uniqueness_certificate(enumerate_ideals(p))
+                cert = UniquenessCertificate(poset=p, steps=iter(built.steps))
+                assert validate_certificate(p, cert) == (True, "ok"), parts
+        logged = _replay_records(caplog)
+        assert len(logged) == 22
+        assert all(m.endswith(", 0 records checked field by field") for m in logged)
+
+    @pytest.mark.parametrize("side", ["join", "meet"])
+    @pytest.mark.parametrize(
+        "rewrite", [_outside_union, _adjoin_non_minimal, _p_not_covered, _p_outside_union],
+        ids=["q-in-union", "q-not-minimal", "q-not-cover", "p-outside-union"],
+    )
+    def test_corpus_rejects_faked_derivation_with_record_reason(self, monkeypatch, side,
+                                                                rewrite):
+        p = sum_of_chains(3, 1)
+        TestReplayLogicalChecks.fake(monkeypatch, side, rewrite)
+        built = uniqueness_certificate(enumerate_ideals(p))
+        ok, reason = validate_certificate(p, UniquenessCertificate(poset=p, steps=iter(built.steps)))
+        assert not ok and reason.startswith("step ")
+        soc, cii, detail, checked, validated, _ = genposets._verify_one(p)
+        assert (soc, cii, checked, validated) == (True, True, True, False)
+        assert detail == f"certificate rejected: {reason}"
+
+    def test_wrong_canonical_rhs_rejected(self, monkeypatch, caplog):
+        # one pair's right-hand side moved up to the top ideal: a compatible
+        # system, so PairMap accepts it, but not the canonical one
+        p = sum_of_chains(2, 2, 1)
+        lat = enumerate_ideals(p)
+        top = lat.ideals[-1]
+        i, pair = [(i, (a, b)) for i, (a, b) in enumerate(lat.induction_pairs)
+                   if a | b != top][-1]
+        assert 0 < i < len(lat.induction_pairs) - 1
+        real = uniqueness.straightening_relations
+
+        def faulty(lat, kind):
+            pm = real(lat, kind)
+            return PairMap(lattice=lat, rhs={**pm.rhs, pair: (pm.rhs[pair][0], top)})
+
+        monkeypatch.setattr(uniqueness, "straightening_relations", faulty)
+        with caplog.at_level(logging.DEBUG, logger="aslattice"):
+            cert = uniqueness_certificate(lat)
+            got = validate_certificate(p, cert)
+            assert got == validate_certificate(
+                p, UniquenessCertificate(poset=p, steps=iter(cert.steps)))
+        assert got == (False, f"step {i}: right-hand side is not the canonical one")
+        by_checks, by_records = _replay_records(caplog)
+        assert by_checks == by_records
+        assert genposets._verify_one(p)[2] == f"certificate rejected: {got[1]}"
 
 
 def _parsed_or_message(parse, doc, p):
