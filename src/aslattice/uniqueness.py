@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, starmap
 from math import gcd
 from operator import add, eq, itemgetter
 from typing import NamedTuple
@@ -535,8 +535,8 @@ class _Side:
     order, so the same upper-alternative argument covers lower ones.  All
     per-set data comes from the lattice's tables: a filter's side-maximal
     elements are its minimal ones, the complement-minimum of its ideal.
-    The alternatives of each union, with their witnesses, are cached here,
-    so they live as long as the view and are computed once per union."""
+    Each set of group checks reads a union's alternatives, with their
+    witnesses, once, into the union's plan (``_union_plan``)."""
 
     def __init__(self, lat: IdealLattice, dual: bool):
         p = lat.poset
@@ -560,10 +560,6 @@ class _Side:
         # side-upper covers of each element, and the side-minimal elements
         self.cover_mask = tuple(sum(1 << y for y in ys) for ys in covers)
         self.minimal_mask = sum(1 << x for x in range(p.n) if below[x] == 1 << x)
-        self._alternatives: dict[int, list[tuple[int, tuple[int | None, int] | None]]] = {}
-
-    def to_side(self, ideal_mask: int) -> int:
-        return ideal_mask ^ self.flip
 
     def maxels(self, m: int) -> int:
         """Side-maximal elements of a closed set."""
@@ -573,12 +569,7 @@ class _Side:
         """``(alternative, _witness)`` for each closed set strictly
         containing ``m``, in side order: the alternatives to a pair whose
         union is ``m``."""
-        alts = self._alternatives.get(m)
-        if alts is None:
-            alts = self._alternatives[m] = [
-                (x, _witness(self, m, x)) for x in self.ideals if m & ~x == 0 and x != m
-            ]
-        return alts
+        return [(x, _witness(self, m, x)) for x in self.ideals if m & ~x == 0 and x != m]
 
 
 def _witness(side: _Side, j: int, alt: int) -> tuple[int | None, int] | None:
@@ -653,7 +644,8 @@ def uniqueness_certificate(lat: IdealLattice) -> UniquenessCertificate:
 
     The steps are built each time they are read (see ``_Steps``), so a
     reader that streams them, such as replay, never holds the whole
-    certificate; ``tuple(cert.steps)`` keeps them.  ``certificate_to_json``
+    certificate; ``tuple(cert.steps)`` keeps them.  A step's refutations
+    are the records replay's own checks expect.  ``certificate_to_json``
     writes a built certificate, and ``validate_certificate`` replays one,
     without building its steps.
     """
@@ -670,28 +662,31 @@ def uniqueness_certificate(lat: IdealLattice) -> UniquenessCertificate:
 
 class _Steps(Sequence):
     """The steps of a built certificate, one per induction pair, each built
-    from its pair when it is read: ``len`` builds nothing, iteration builds
-    one step at a time and keeps none, and an index or a slice builds only
-    the steps it names (a slice as a tuple).  Two views of the lattice, the
-    join side and the meet side, serve every step.  Compares and hashes as
-    ``tuple(self)``, so a built certificate equals its parsed copy."""
+    from its index when it is read: ``len`` builds nothing, iteration
+    builds one step at a time and keeps none, and an index or a slice
+    builds only the steps it names (a slice as a tuple).  Compares and
+    hashes as ``tuple(self)``, so a built certificate equals its parsed
+    copy.  A step's refutations are the records replay expects
+    (``_expected_records``) from its group checks on the builder's join
+    and meet views, made by the first step built; a step whose witness
+    group fails them raises InvalidCertificate."""
 
     def __init__(self, lat: IdealLattice, canonical: PairMap):
         self._lat = lat
         self._rhs = canonical.rhs
         self._sides = (_Side(lat, dual=False), _Side(lat, dual=True))
+        self._views = None  # each side and its group checks
 
     def __len__(self) -> int:
         return len(self._lat.induction_pairs)
 
     def __iter__(self) -> Iterator[CertificateStep]:
-        return map(self._step, self._lat.induction_pairs)
+        return map(self._step, range(len(self)))
 
     def __getitem__(self, i):
-        pairs = self._lat.induction_pairs
         if isinstance(i, slice):
-            return tuple(map(self._step, pairs[i]))
-        return self._step(pairs[i])
+            return tuple(map(self._step, range(len(self))[i]))
+        return self._step(range(len(self))[i])
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, _Steps)):
@@ -701,38 +696,23 @@ class _Steps(Sequence):
     def __hash__(self) -> int:
         return hash(tuple(self))
 
-    def _step(self, pair: tuple[int, int]) -> CertificateStep:
-        a, b = pair
+    def _step(self, idx: int) -> CertificateStep:
+        lat = self._lat
+        views = self._views
+        if views is None:
+            index_of_pair = _pair_index(lat)
+            views = self._views = [(side, _group_checks(lat, side, index_of_pair))
+                                   for side in self._sides]
+        a, b = pair = lat.induction_pairs[idx]
         refs = []
-        for side in self._sides:
-            sa, sb = side.to_side(a), side.to_side(b)
-            j, m = sa | sb, sa & sb
-            name = side.name
-            for alt, wit in side.alternatives(j):
-                if wit is None:
-                    raise PreconditionViolated(
-                        "no admissible adjoined element; poset is not a sum of chains"
-                    )
-                p_elem, q_elem = wit
-                swapped = p_elem is not None and not sb >> p_elem & 1
-                base, ext = (sb, sa) if swapped else (sa, sb)
-                alpha1 = ext | 1 << q_elem
-                # Fields in Refutation order: side, alternative, swapped, p,
-                # q, alpha1, prior_pair, collision.  m ⊂ ext ⊂ base ∪ alpha1
-                # and m ⊂ alpha1 ⊂ alt, and side order lists sets related by
-                # inclusion in inclusion order.
-                refs.append(
-                    Refutation(
-                        name, alt, swapped, p_elem, q_elem, alpha1, (base, alpha1),
-                        ((m, ext, base | alpha1), (m, alpha1, alt)),
-                    )
-                )
-        return CertificateStep(
-            pair=pair,
-            k=induction_parameter(self._lat.poset, a, b),
-            rhs=self._rhs[pair],
-            refutations=tuple(refs),
-        )
+        for side, groups in views:
+            sa, sb = a ^ side.flip, b ^ side.flip
+            records = _expected_records(*groups(idx, sa, sb), side.name, sa & sb)
+            if not all(records):
+                _fail(f"step {idx} ({side.name} side): a replayed refutation fails its checks")
+            refs += starmap(Refutation, records)
+        return CertificateStep(pair, induction_parameter(lat.poset, a, b), self._rhs[pair],
+                               tuple(refs))
 
 
 def _fail(msg: str):
@@ -749,8 +729,9 @@ def validate_certificate(p: Poset, cert: UniquenessCertificate, text=None) -> tu
     is an earlier step one parameter down, and the two recorded multichains
     are distinct standard monomials derived from the hypothetical relation
     and the prior canonical one, hence a basis violation.  Replay builds
-    its own lattice views, so it shares no cached value with
-    uniqueness_certificate.
+    its own lattice views and checks, so it shares no cached value with
+    uniqueness_certificate, whose steps run the same checks on the
+    builder's views.
 
     The witness choice fixes every field of a refutation, so replay
     compares each record with the one it expects (``_expected_records``),
@@ -776,17 +757,16 @@ def validate_certificate(p: Poset, cert: UniquenessCertificate, text=None) -> tu
     builder's canonical system must be the canonical one, and every
     witness group's checks must pass on replay's own views, so each record
     replay expects exists.  No record is built or compared, as a built
-    certificate is taken to be the one replay expects, just as
-    ``certificate_to_json`` writes it from replay's text.  The tests pin
-    that premise: ``test_json_roundtrip`` for every sum of chains with at
-    most 7 points, and the record path on every 8-point one.  From the
-    first step whose checks fail, the builder's records are read and
+    step's records are made by the same checks (``_Steps``).  From the
+    first step whose checks fail, the builder's steps are read and
     replayed as records, so every reason, the fault precedence and the
-    DEBUG record are those of the record path.
+    DEBUG record are those of the record path, unless the builder refuses
+    to build the step.
 
     A fault raised while ``cert.steps`` is read, such as a parse fault of
     steps parsed as they are read, comes first: every fault of replay
-    waits until the steps have been read to their end.
+    waits until the steps have been read to their end.  A built
+    certificate has no such fault, so its steps are not read for one.
     """
     try:
         _validate(p, cert, text)
@@ -822,7 +802,8 @@ def _validate(p: Poset, cert: UniquenessCertificate, text=None):
     only, and is raised at the end: a wrong, missing or extra pair anywhere
     takes precedence, as when all pairs were compared before any content.
     A fault of the poset or a wrong pair is raised once the steps are
-    read to their end, so that a fault in reading them comes first.
+    read to their end, so that a fault in reading them comes first; a
+    ``_Steps`` has none, so a fault of the poset does not read it.
 
     A replay that reads every step logs one DEBUG record on the
     ``aslattice`` logger: its steps, and of the steps read as records or
@@ -831,20 +812,21 @@ def _validate(p: Poset, cert: UniquenessCertificate, text=None):
     import logging  # here, not at the top: it adds about 5 ms to importing the package
 
     built = cert.steps
-    if text is not None or not isinstance(built, _Steps) or built._lat.poset != p:
-        built = None
-    steps = iter(cert.steps)
+    steps = iter(built)
     try:
         lat, sides, index_of_pair = _replay_views(p, cert)
     except AslatticeError:  # a poset fault or a capacity bound
-        for _ in steps:
-            pass
+        if not isinstance(built, _Steps):
+            for _ in steps:
+                pass
         raise
+    if text is not None or not isinstance(built, _Steps) or built._lat.poset != p:
+        built = None
     views = [(side, _group_checks(lat, side, index_of_pair)) for side in sides]
     tally = [0, 0, 0]  # refutations, witness groups, records checked field by field
     if built is not None:
         start = _matched_by_checks(lat, views, built._rhs, tally)
-        steps = map(built._step, built._lat.induction_pairs[start:])
+        steps = map(built._step, range(start, len(built)))
     else:
         start = 0 if text is None else _matched_as_text(lat, sides, index_of_pair, text)
     pairs = lat.induction_pairs
@@ -902,7 +884,7 @@ def _matched_by_checks(lat: IdealLattice, views, rhs: dict, tally: list) -> int:
             return idx
         refutations = groups_checked = 0
         for side, groups in views:
-            plan, shared = groups(idx, a ^ side.flip, b ^ side.flip)  # side.to_side
+            plan, shared = groups(idx, a ^ side.flip, b ^ side.flip)
             if plan.alts:
                 if not (all(plan.usable) and all(shared)):
                     return idx
@@ -926,7 +908,7 @@ def _validate_step(lat, views, index_of_pair, idx: int, step: CertificateStep, t
     parts = []
     expected = 0
     for side, groups in views:
-        sa, sb = a ^ side.flip, b ^ side.flip  # side.to_side
+        sa, sb = a ^ side.flip, b ^ side.flip
         plan, shared = groups(idx, sa, sb)
         parts.append((side, sa, sb, plan, shared))
         expected += len(plan.alts)
@@ -952,7 +934,7 @@ def _expected_records(plan: _Plan, shared: list, name: str, sm: int) -> list:
     ``sm``, or None where its checks fail or it has no witness.
     ``shared`` holds what each witness group of the step shares, or None
     (``_group_checks``).  A record equal to the expected one passes every
-    field-by-field check."""
+    field-by-field check.  A built step's records are these (``_Steps``)."""
     records = []
     append = records.append
     for (alt, _), slot, usable in zip(plan.alts, plan.slots, plan.usable):
@@ -1296,7 +1278,7 @@ def _step_texts(lat: IdealLattice, sides, index_of_pair) -> Iterator[str]:
         k = induction_parameter(p, a, b)
         text = [_STEP_HEAD % (arrays[a], arrays[b], k, arrays[a & b], arrays[a | b])]
         for flip, name, groups in views:
-            plan, shared = groups(idx, a ^ flip, b ^ flip)  # side.to_side
+            plan, shared = groups(idx, a ^ flip, b ^ flip)
             if not plan.alts:
                 continue
             if plan.pieces is None or not all(shared):

@@ -557,6 +557,43 @@ def canonical_key_by_extensions(lt, pred):
     return bytes(best)
 
 
+# --- certificate steps, written straight from the witness choice ---
+# The builder as it stood before it took its records from replay's own
+# checks: every field of a refutation is written from the deterministic
+# witness (_Side.alternatives), and nothing is checked.  Kept only as a
+# reference that the built steps must equal.
+
+
+def certificate_steps_reference(lat):
+    """The certificate steps of ``lat``'s poset, a sum of chains, yielded
+    one at a time."""
+    p = lat.poset
+    rhs = straightening_relations(lat, RealizationKind.ORDER).rhs
+    sides = (_Side(lat, dual=False), _Side(lat, dual=True))
+    for pair in lat.induction_pairs:
+        a, b = pair
+        refs = []
+        for side in sides:
+            sa, sb = a ^ side.flip, b ^ side.flip
+            j, m = sa | sb, sa & sb
+            for alt, wit in side.alternatives(j):
+                if wit is None:
+                    raise PreconditionViolated(
+                        "no admissible adjoined element; poset is not a sum of chains"
+                    )
+                p_elem, q_elem = wit
+                swapped = p_elem is not None and not sb >> p_elem & 1
+                base, ext = (sb, sa) if swapped else (sa, sb)
+                alpha1 = ext | 1 << q_elem
+                refs.append(
+                    Refutation(
+                        side.name, alt, swapped, p_elem, q_elem, alpha1, (base, alpha1),
+                        ((m, ext, base | alpha1), (m, alpha1, alt)),
+                    )
+                )
+        yield CertificateStep(pair, induction_parameter(p, a, b), rhs[pair], tuple(refs))
+
+
 # --- certificate replay, one refutation at a time ---
 # The validator as it stood before replay was organized per (step, side):
 # every refutation recomputes the pair's union and meet, the witness choice
@@ -622,7 +659,7 @@ def _validate_reference(p, cert):
             _fail(f"step {idx}: right-hand side is not the canonical one")
         expected_alts = []
         for side in sides:
-            sa, sb = side.to_side(a), side.to_side(b)
+            sa, sb = a ^ side.flip, b ^ side.flip
             j = sa | sb
             expected_alts.extend((side, x) for x in side.ideals if j & ~x == 0 and x != j)
         if len(step.refutations) != len(expected_alts):
@@ -636,7 +673,7 @@ def _validate_refutation_reference(p, lat, index_of_pair, idx, step, ref, side, 
     if ref.side != side.name or ref.alternative != alt:
         _fail(f"{where}: refutation list does not match the enumerated alternatives")
     a, b = step.pair
-    sa, sb = side.to_side(a), side.to_side(b)
+    sa, sb = a ^ side.flip, b ^ side.flip
     sj, sm = sa | sb, sa & sb
     if not _is_closed(side, alt) or sj & ~alt or alt == sj:
         _fail(f"{where}: alternative is not a closed strict superset of the union")

@@ -892,12 +892,14 @@ class TestCertificates:
         again = certificate_from_json(doc, p)
         assert again == cert
         assert validate_certificate(p, again)[0]
-        # every shape's written text parses to the built steps, and to the
-        # reference parser's certificate
+        # every shape's written text parses to the built steps, which are the
+        # reference builder's, and to the reference parser's certificate
         for parts, p, cert in shape_certificates:
             doc = certificate_doc(cert)
             again = certificate_from_json(doc, p)
             assert again.steps == tuple(cert.steps), parts
+            reference = oracles.certificate_steps_reference(enumerate_ideals(p))
+            assert again.steps == tuple(reference), parts
             assert again == oracles.certificate_from_json_reference(doc, p), parts
 
     @pytest.mark.parametrize(
@@ -999,10 +1001,13 @@ def _p_outside_union(side, j, alt, wit):
 class TestReplayLogicalChecks:
     """The logical checks of replay, each made to reject on its own.
 
-    Build and replay share ``_Side.alternatives``, the alternatives of a
-    union with their deterministic witnesses.  Faking it the same way for
-    both makes every comparison with the deterministic derivation pass, so
-    a wrong derivation is caught only by the logical check that follows.
+    The reference builder (``oracles.certificate_steps_reference``) and
+    replay share ``_Side.alternatives``, the alternatives of a union with
+    their deterministic witnesses.  Faking it the same way for both makes
+    every comparison with the deterministic derivation pass, so a wrong
+    derivation is caught only by the logical check that follows.  The
+    library's builder takes its records from replay's checks, so under
+    such a fake it refuses the step instead.
     The checks that no such fake reaches say at the check which earlier
     checks imply them."""
 
@@ -1037,7 +1042,8 @@ class TestReplayLogicalChecks:
     def test_faked_derivation_rejected(self, monkeypatch, side, rewrite, message):
         p = sum_of_chains(3, 1)
         self.fake(monkeypatch, side, rewrite)
-        cert = uniqueness_certificate(enumerate_ideals(p))
+        steps = oracles.certificate_steps_reference(enumerate_ideals(p))
+        cert = UniquenessCertificate(poset=p, steps=tuple(steps))
         ok, reason = validate_certificate(p, cert)
         assert not ok
         assert re.fullmatch(rf"step \d+ \({side} side\): {re.escape(message)}", reason), reason
@@ -1524,17 +1530,34 @@ class TestBuiltReplayedByChecks:
             "0 records checked field by field"
         ]
 
+    def test_other_poset_builds_no_step(self, monkeypatch):
+        # a built certificate has no fault in reading its steps to wait for,
+        # so a poset fault is raised without building them
+        cert = uniqueness_certificate(enumerate_ideals(antichain(4)))
+
+        def refused(self, idx):
+            raise AssertionError("a step was built")
+
+        monkeypatch.setattr(uniqueness._Steps, "_step", refused)
+        assert validate_certificate(antichain(4, prefix="b"), cert) == (
+            False, "certificate was issued for a different poset")
+
     def test_built_steps_are_the_expected_records_at_eight_points(self, caplog):
         # ``iter`` hands replay a map, not a ``_Steps``, so every built
-        # record is compared with the one replay expects; no step is held
+        # record is compared with the one replay expects, and then with the
+        # reference builder's, step by step; no step is held
         shapes = list(partitions(8))
         assert len(shapes) == 22
         with caplog.at_level(logging.DEBUG, logger="aslattice"):
             for parts in shapes:
                 p = sum_of_chains(*parts)
-                built = uniqueness_certificate(enumerate_ideals(p))
+                lat = enumerate_ideals(p)
+                built = uniqueness_certificate(lat)
                 cert = UniquenessCertificate(poset=p, steps=iter(built.steps))
                 assert validate_certificate(p, cert) == (True, "ok"), parts
+                reference = oracles.certificate_steps_reference(lat)
+                pairs = itertools.zip_longest(built.steps, reference)
+                assert all(step == ref for step, ref in pairs), parts
         logged = _replay_records(caplog)
         assert len(logged) == 22
         assert all(m.endswith(", 0 records checked field by field") for m in logged)
@@ -1544,13 +1567,22 @@ class TestBuiltReplayedByChecks:
         "rewrite", [_outside_union, _adjoin_non_minimal, _p_not_covered, _p_outside_union],
         ids=["q-in-union", "q-not-minimal", "q-not-cover", "p-outside-union"],
     )
-    def test_corpus_rejects_faked_derivation_with_record_reason(self, monkeypatch, side,
-                                                                rewrite):
+    def test_corpus_refuses_faked_build_with_checks_reason(self, monkeypatch, side, rewrite):
+        # the builder refuses the first step whose records fail replay's
+        # checks: the one where the reference builder's records are first
+        # rejected
         p = sum_of_chains(3, 1)
         TestReplayLogicalChecks.fake(monkeypatch, side, rewrite)
-        built = uniqueness_certificate(enumerate_ideals(p))
-        ok, reason = validate_certificate(p, UniquenessCertificate(poset=p, steps=iter(built.steps)))
-        assert not ok and reason.startswith("step ")
+        lat = enumerate_ideals(p)
+        trusted = tuple(oracles.certificate_steps_reference(lat))
+        rejected = oracles.validate_certificate_reference(
+            p, UniquenessCertificate(poset=p, steps=trusted))[1]
+        where = re.fullmatch(rf"(step \d+ \({side} side\)): .+", rejected)
+        reason = f"{where[1]}: a replayed refutation fails its checks"
+        built = uniqueness_certificate(lat)
+        assert validate_certificate(p, built) == (False, reason)
+        assert validate_certificate(
+            p, UniquenessCertificate(poset=p, steps=iter(built.steps))) == (False, reason)
         soc, cii, detail, checked, validated, _ = genposets._verify_one(p)
         assert (soc, cii, checked, validated) == (True, True, True, False)
         assert detail == f"certificate rejected: {reason}"
