@@ -109,6 +109,12 @@ class IdealLattice:
         as -|a △ b|."""
         return tuple(sorted(self.incomparable_pairs, key=lambda ab: -(ab[0] ^ ab[1]).bit_count()))
 
+    @cached_property
+    def induction_index(self) -> dict[tuple[int, int], int]:
+        """Each pair's position in ``induction_pairs``: the index of its
+        certificate step."""
+        return {pair: i for i, pair in enumerate(self.induction_pairs)}
+
 
 def is_ideal(p: Poset, mask: int) -> bool:
     for i in iter_bits(mask):

@@ -534,9 +534,11 @@ class _Side:
     refutations; the complement view works with filters under the reversed
     order, so the same upper-alternative argument covers lower ones.  All
     per-set data comes from the lattice's tables: a filter's side-maximal
-    elements are its minimal ones, the complement-minimum of its ideal.
-    Each set of group checks reads a union's alternatives, with their
-    witnesses, once, into the union's plan (``_union_plan``)."""
+    elements are its minimal ones, the complement-minimum of its ideal, and
+    the side-minimal elements are those of the empty ideal's complement on
+    the join side and the maximal ones of the whole ground set on the meet
+    side.  Each set of group checks reads a union's alternatives, with
+    their witnesses, once, into the union's plan (``_union_plan``)."""
 
     def __init__(self, lat: IdealLattice, dual: bool):
         p = lat.poset
@@ -548,18 +550,18 @@ class _Side:
             self._maxels = {full & ~a: m for a, m in lat.complement_min_table.items()}
             # Complementing reverses both the cardinality and, within one
             # cardinality, the mask value, so this is ideal order again.
-            masks = [full & ~a for a in reversed(lat.ideals)]
-            covers, below = p.lower_cover, p.up
+            self.ideals = [full & ~a for a in reversed(lat.ideals)]
+            self.position = {m: i for i, m in enumerate(self.ideals)}
+            self.minimal_mask = lat.max_table[full]
+            covers = p.lower_cover
         else:
             self._maxels = lat.max_table
-            masks = list(lat.ideals)
-            covers, below = p.upper_cover, p.down
-        self.ideals = masks
-        self.position = {m: i for i, m in enumerate(masks)}
+            self.ideals, self.position = lat.ideals, lat.position
+            self.minimal_mask = lat.complement_min_table[0]
+            covers = p.upper_cover
         self.name = "meet" if dual else "join"
-        # side-upper covers of each element, and the side-minimal elements
+        # side-upper covers of each element
         self.cover_mask = tuple(sum(1 << y for y in ys) for ys in covers)
-        self.minimal_mask = sum(1 << x for x in range(p.n) if below[x] == 1 << x)
 
     def maxels(self, m: int) -> int:
         """Side-maximal elements of a closed set."""
@@ -700,9 +702,7 @@ class _Steps(Sequence):
         lat = self._lat
         views = self._views
         if views is None:
-            index_of_pair = _pair_index(lat)
-            views = self._views = [(side, _group_checks(lat, side, index_of_pair))
-                                   for side in self._sides]
+            views = self._views = [(side, _group_checks(lat, side)) for side in self._sides]
         a, b = pair = lat.induction_pairs[idx]
         refs = []
         for side, groups in views:
@@ -775,22 +775,6 @@ def validate_certificate(p: Poset, cert: UniquenessCertificate, text=None) -> tu
     return True, "ok"
 
 
-def _replay_views(p: Poset, cert: UniquenessCertificate):
-    """``(lat, sides, index_of_pair)`` of a replay: the poset's lattice,
-    its join and meet views, and each induction pair's index."""
-    if cert.poset != p:
-        _fail("certificate was issued for a different poset")
-    if not is_direct_sum_of_chains(p):
-        _fail("poset is not a direct sum of chains")
-    lat = enumerate_ideals(p)
-    return lat, (_Side(lat, dual=False), _Side(lat, dual=True)), _pair_index(lat)
-
-
-def _pair_index(lat: IdealLattice) -> dict[tuple[int, int], int]:
-    """Each induction pair's index: its step's in a certificate."""
-    return {pair: i for i, pair in enumerate(lat.induction_pairs)}
-
-
 def _validate(p: Poset, cert: UniquenessCertificate, text=None):
     """Replay in one pass over the steps, the first ones as text when
     ``text`` is given, or by replay's checks alone when the steps are a
@@ -814,7 +798,13 @@ def _validate(p: Poset, cert: UniquenessCertificate, text=None):
     built = cert.steps
     steps = iter(built)
     try:
-        lat, sides, index_of_pair = _replay_views(p, cert)
+        if cert.poset != p:
+            _fail("certificate was issued for a different poset")
+        if not is_direct_sum_of_chains(p):
+            _fail("poset is not a direct sum of chains")
+        lat = enumerate_ideals(p)
+        sides = (_Side(lat, dual=False), _Side(lat, dual=True))
+        views = [(side, _group_checks(lat, side)) for side in sides]
     except AslatticeError:  # a poset fault or a capacity bound
         if not isinstance(built, _Steps):
             for _ in steps:
@@ -822,13 +812,12 @@ def _validate(p: Poset, cert: UniquenessCertificate, text=None):
         raise
     if text is not None or not isinstance(built, _Steps) or built._lat.poset != p:
         built = None
-    views = [(side, _group_checks(lat, side, index_of_pair)) for side in sides]
     tally = [0, 0, 0]  # refutations, witness groups, records checked field by field
     if built is not None:
         start = _matched_by_checks(lat, views, built._rhs, tally)
         steps = map(built._step, range(start, len(built)))
     else:
-        start = 0 if text is None else _matched_as_text(lat, sides, index_of_pair, text)
+        start = 0 if text is None else _matched_as_text(lat, sides, text)
     pairs = lat.induction_pairs
     order = "steps do not list the incomparable pairs in certificate order"
     fault = None
@@ -841,7 +830,7 @@ def _validate(p: Poset, cert: UniquenessCertificate, text=None):
         count += 1
         if fault is None:
             try:
-                _validate_step(lat, views, index_of_pair, idx, step, tally)
+                _validate_step(lat, views, idx, step, tally)
             except Exception as exc:  # any: raised below unless a later pair's fault wins
                 fault = exc
     if count != len(pairs):
@@ -854,14 +843,14 @@ def _validate(p: Poset, cert: UniquenessCertificate, text=None):
         raise fault
 
 
-def _matched_as_text(lat: IdealLattice, sides, index_of_pair, text) -> int:
+def _matched_as_text(lat: IdealLattice, sides, text) -> int:
     """How many steps, from the first, ``text`` takes as the text of the
     steps replay expects (``_step_texts``).  A step that fails replay's
     checks is offered no text: it and the steps after it are read as
     records, which gives every such step its reason."""
     matched = 0
     try:
-        for step in _step_texts(lat, sides, index_of_pair):
+        for step in _step_texts(lat, sides):
             if not text(step):
                 break
             matched += 1
@@ -895,7 +884,7 @@ def _matched_by_checks(lat: IdealLattice, views, rhs: dict, tally: list) -> int:
     return len(lat.induction_pairs)
 
 
-def _validate_step(lat, views, index_of_pair, idx: int, step: CertificateStep, tally: list):
+def _validate_step(lat, views, idx: int, step: CertificateStep, tally: list):
     """Replay one step with ``views``, each side and its group checks
     (``_group_checks``), adding its refutations, witness groups checked and
     records checked field by field to ``tally``."""
@@ -923,8 +912,7 @@ def _validate_step(lat, views, index_of_pair, idx: int, step: CertificateStep, t
             records = _expected_records(plan, shared, side.name, sa & sb)
             tally[1] += plan.groups
             if not all(records) or refs != tuple(records):
-                _validate_fields(lat, index_of_pair, idx, step, refs, side, sa, sb, plan.alts,
-                                 records, tally)
+                _validate_fields(lat, idx, step, refs, side, sa, sb, plan.alts, records, tally)
         start = stop
 
 
@@ -1019,13 +1007,13 @@ _GROUP = (
 )
 
 
-def _group_checks(lat: IdealLattice, side: _Side, index_of_pair, arrays: dict | None = None):
+def _group_checks(lat: IdealLattice, side: _Side, arrays: dict | None = None):
     """The witness-group checks of one side of a replay on the lattice
-    ``lat``, given each induction pair's index: a function ``groups(idx,
-    sa, sb)`` that gives, for the pair (sa, sb) of step ``idx``, the plan
-    of its union (``_union_plan``, given ``arrays``) and, for each of the
-    plan's witnesses, what its refutations share, or None where the
-    group's checks fail or there is no witness.  What they share is
+    ``lat``: a function ``groups(idx, sa, sb)`` that gives, for the pair
+    (sa, sb) of step ``idx``, the plan of its union (``_union_plan``,
+    given ``arrays``) and, for each of the plan's witnesses, what its
+    refutations share, or None where the group's checks fail or there is
+    no witness.  What they share is
     ``(swapped, p, q, alpha1, prior pair, left chain)``, or, given
     ``arrays``, each closed set's label array, their text from
     ``"swapped"`` to the right chain's second entry (``_GROUP``).
@@ -1038,15 +1026,15 @@ def _group_checks(lat: IdealLattice, side: _Side, index_of_pair, arrays: dict | 
     checks that depend on the pair: with p in ext (``swapped`` where only
     sa holds p), alpha1 = ext ∪ {q} is closed, base ∩ alpha1 is the meet,
     base and alpha1 are incomparable and one parameter down, and their
-    pair is an earlier step.  With the plan's, these give every
-    field-by-field check of a record equal to the expected one: p lies in
-    ext, as it lies in the union; base ∪ alpha1 is union ∪ {q}, so each
-    alternative strictly holds the union and holds q and alpha1; both
-    collision chains are chains of closed sets, and they differ, as q lies
-    in alpha1 and not in ext."""
+    pair is an earlier step (``lat.induction_index``).  With the plan's,
+    these give every field-by-field check of a record equal to the
+    expected one: p lies in ext, as it lies in the union; base ∪ alpha1 is
+    union ∪ {q}, so each alternative strictly holds the union and holds q
+    and alpha1; both collision chains are chains of closed sets, and they
+    differ, as q lies in alpha1 and not in ext."""
     closed = side.position  # the side's closed sets
     flip = side.flip
-    position = lat.position
+    position, index_of_pair = lat.position, lat.induction_index
     plans: dict[int, _Plan] = {}
     as_text = arrays is not None
     if as_text:
@@ -1104,8 +1092,7 @@ def _group_checks(lat: IdealLattice, side: _Side, index_of_pair, arrays: dict | 
     return groups
 
 
-def _validate_fields(lat, index_of_pair, idx, step, refs, side: _Side, sa, sb, alts, records,
-                     tally):
+def _validate_fields(lat, idx, step, refs, side: _Side, sa, sb, alts, records, tally):
     """Check one step's refutations on one side field by field, in the
     order of the side's alternatives ``alts`` to the pair (sa, sb), where
     they do not all equal the ``records`` replay expects: the one
@@ -1183,7 +1170,7 @@ def _validate_fields(lat, index_of_pair, idx, step, refs, side: _Side, sa, sb, a
         if prior_pair != (base, alpha1):
             fail("stored prior pair mismatch")
         x, y = base ^ flip, alpha1 ^ flip
-        prior_idx = index_of_pair.get((x, y) if position[x] < position[y] else (y, x))
+        prior_idx = lat.induction_index.get((x, y) if position[x] < position[y] else (y, x))
         if prior_idx is None or prior_idx >= idx:  # a step pair, one parameter down
             fail("prior pair is not certified earlier")
         if n - (base ^ alpha1).bit_count() != prior_k:  # base ^ alpha1 = sa ^ sb + q
@@ -1244,7 +1231,7 @@ def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
     yield head[:-1] + ',"steps":['
     steps = cert.steps
     if isinstance(steps, _Steps):
-        texts = _step_texts(steps._lat, steps._sides, _pair_index(steps._lat))
+        texts = _step_texts(steps._lat, steps._sides)
     else:
         texts = map(_step_text(p), steps)
     sep = ""
@@ -1254,11 +1241,11 @@ def certificate_to_json(cert: UniquenessCertificate) -> Iterator[str]:
     yield "]}"
 
 
-def _step_texts(lat: IdealLattice, sides, index_of_pair) -> Iterator[str]:
+def _step_texts(lat: IdealLattice, sides) -> Iterator[str]:
     """The compact JSON text of each step replay expects on the lattice
-    ``lat``, with its join and meet views ``sides`` and each induction
-    pair's index, in induction order; each step's checks run before it is
-    yielded, and the first step whose checks fail raises.
+    ``lat``, with its join and meet views ``sides``, in induction order;
+    each step's checks run before it is yielded, and the first step whose
+    checks fail raises.
 
     No refutation record is built.  Every closed set's label array, an
     ideal or its complement, is encoded once.  The checks are record
@@ -1272,8 +1259,7 @@ def _step_texts(lat: IdealLattice, sides, index_of_pair) -> Iterator[str]:
     ``_expected_records`` gives."""
     p = lat.poset
     arrays = {m: json.dumps(p.labels_of(m), separators=(",", ":")) for s in sides for m in s.ideals}
-    views = [(side.flip, side.name, _group_checks(lat, side, index_of_pair, arrays))
-             for side in sides]
+    views = [(side.flip, side.name, _group_checks(lat, side, arrays)) for side in sides]
     for idx, (a, b) in enumerate(lat.induction_pairs):
         k = induction_parameter(p, a, b)
         text = [_STEP_HEAD % (arrays[a], arrays[b], k, arrays[a & b], arrays[a | b])]
@@ -1360,34 +1346,28 @@ def _step_reader(p: Poset):
     """The function that parses one step's document against ``p``; its
     faults raise InvalidCertificate.
 
-    A certificate repeats few label arrays, so each list is looked up in
-    a mask cache, kept across the steps one reader reads, and its labels
-    are checked only when the cache first misses it.  Every refutation is
-    read field by field with the helpers; a refutation's label arrays are
-    looked up inline, and ``mask`` runs only where the cache misses.
-    Fields are read and checked in one fixed order (a step's refutations
-    before its pair, parameter and right-hand side), and the first failed
-    check gives the message."""
-
-    def checked_mask(key: tuple) -> int:
-        labels = list(key)
-        if not all(isinstance(x, str) for x in key):
-            _fail(f"label array {labels!r} holds a non-string")
-        m = p.mask_of(key)
-        if p.labels_of(m) != labels:
-            _fail(f"label array {labels!r} is not in canonical index order")
-        return m
+    A certificate repeats few label arrays, so every one is looked up by
+    ``mask`` in a cache kept across the steps one reader reads, and its
+    labels are checked only when the cache first misses it.  Every
+    refutation is read field by field with the helpers.  Fields are read
+    and checked in one fixed order (a step's refutations before its pair,
+    parameter and right-hand side), and the first failed check gives the
+    message."""
 
     masks = {}  # label tuple -> mask, checked on first use
-    get = masks.get
 
     def mask(labels) -> int:
         if not isinstance(labels, list):
             _fail(f"label array {labels!r} is not a list")
         key = tuple(labels)
-        m = get(key)
+        m = masks.get(key)
         if m is None:
-            m = masks[key] = checked_mask(key)
+            if not all(isinstance(x, str) for x in key):
+                _fail(f"label array {labels!r} holds a non-string")
+            m = p.mask_of(key)
+            if p.labels_of(m) != labels:
+                _fail(f"label array {labels!r} is not in canonical index order")
+            masks[key] = m
         return m
 
     def element(value) -> int:
@@ -1403,15 +1383,8 @@ def _step_reader(p: Poset):
             _fail(f"{what} {value!r} is not a list of exactly two entries")
         return value
 
-    # Below, a label array's cache hit is read inline, and ``mask`` runs
-    # only where it misses, so every fault still gets ``mask``'s message.
-
     def masks_of(arrays) -> tuple[int, ...]:
-        out = []
-        for labels in arrays:
-            m = get(tuple(labels)) if type(labels) is list else None
-            out.append(mask(labels) if m is None else m)
-        return tuple(out)
+        return tuple(map(mask, arrays))
 
     def refutation(r) -> Refutation:
         """One refutation; the helpers raise the first fault in field
@@ -1419,19 +1392,13 @@ def _step_reader(p: Poset):
         side = r["side"]
         if side not in ("join", "meet"):
             _fail(f"refutation side {side!r} is not 'join' or 'meet'")
-        labels = r["alternative"]
-        alt = get(tuple(labels)) if type(labels) is list else None
-        if alt is None:
-            alt = mask(labels)
+        alt = mask(r["alternative"])
         swapped = typed(r["swapped"], bool, "swapped flag")
         rp = r["p"]
         if rp is not None:
             rp = element(rp)
         q = element(r["q"])
-        labels = r["alpha1"]
-        alpha1 = get(tuple(labels)) if type(labels) is list else None
-        if alpha1 is None:
-            alpha1 = mask(labels)
+        alpha1 = mask(r["alpha1"])
         prior = masks_of(two(r["prior_pair"], "prior pair"))
         left, right = two(r["collision"], "collision")
         collision = (masks_of(left), masks_of(right))

@@ -140,6 +140,14 @@ class TestTables:
             )
             assert list(lat.induction_pairs) == expected
 
+    def test_induction_index(self):
+        # each induction pair's position, one dict per lattice
+        for p in corpus(5):
+            lat = enumerate_ideals(p)
+            index = lat.induction_index
+            assert index == {pair: i for i, pair in enumerate(lat.induction_pairs)}
+            assert lat.induction_index is index
+
 
 class TestBasicOps:
     def test_max_elements(self, v_poset):

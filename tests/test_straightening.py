@@ -58,6 +58,14 @@ class TestRealize:
                 assert len(set(table.values())) == len(lat)
                 assert all(m[-1] == 1 for m in table.values())
 
+    def test_table_is_realize_of_each_ideal(self):
+        for p in corpus(5):
+            lat = enumerate_ideals(p)
+            for kind in RealizationKind:
+                table = realization_table(lat, kind)
+                assert list(table) == list(lat.ideals)
+                assert all(table[a] == realize(p, kind, a) for a in lat.ideals)
+
 
 class TestRelationTables:
     def test_v_order(self, v_poset):

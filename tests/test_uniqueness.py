@@ -22,6 +22,7 @@ from aslattice import (
     CapacityExceeded,
     IdealLattice,
     InvalidCertificate,
+    Poset,
     PreconditionViolated,
     RealizationKind,
     UniquenessCertificate,
@@ -998,6 +999,17 @@ def _p_outside_union(side, j, alt, wit):
     return (alt, pairs[0]) if pairs else None
 
 
+def test_side_minimal_elements():
+    # side-minimal: the poset's minimal elements on the join side, its
+    # maximal ones on the meet side
+    for p in corpus(5):
+        lat = enumerate_ideals(p)
+        minimal = sum(1 << x for x in range(p.n) if p.down[x] == 1 << x)
+        maximal = sum(1 << x for x in range(p.n) if p.up[x] == 1 << x)
+        assert uniqueness._Side(lat, dual=False).minimal_mask == minimal
+        assert uniqueness._Side(lat, dual=True).minimal_mask == maximal
+
+
 class TestReplayLogicalChecks:
     """The logical checks of replay, each made to reject on its own.
 
@@ -1161,6 +1173,28 @@ class TestLazySteps:
         assert cert == uniqueness_certificate(enumerate_ideals(p))
         assert cert != UniquenessCertificate(poset=p, steps=parsed.steps[:-1])
         assert cert.steps != list(parsed.steps)  # compares as a tuple does
+
+    def test_writer_and_builder_read_the_lattice_pair_index(self):
+        """The writer and the builder look prior pairs up in the one
+        ``induction_index`` of the certificate's lattice."""
+        reads = []
+
+        class Counted(dict):
+            def get(self, *args):
+                reads.append(args[0])
+                return dict.get(self, *args)
+
+        p = sum_of_chains(2, 1, 1)
+        lat = enumerate_ideals(p)
+        index = vars(lat)["induction_index"] = Counted(lat.induction_index)
+        cert = uniqueness_certificate(lat)
+        written = "".join(certificate_to_json(cert))
+        assert reads
+        reads.clear()
+        steps = tuple(cert.steps)
+        assert reads
+        assert lat.induction_index is index
+        assert steps == certificate_from_json(json.loads(written), p).steps
 
 
 def partitions(n: int, top: int | None = None):
@@ -1840,6 +1874,30 @@ class TestParserOffShape:
         want = _parsed_or_message(oracles.certificate_from_json_reference, bad, p)
         assert isinstance(want, str)
         assert _parsed_or_message(certificate_from_json, bad, p) == want
+
+
+    def test_each_label_array_checked_once(self, monkeypatch):
+        p = sum_of_chains(2, 1, 1)
+        doc = certificate_doc(uniqueness_certificate(enumerate_ideals(p)))
+        arrays = set()
+        for step in doc["steps"]:
+            arrays.update(map(tuple, step["pair"] + step["rhs"]))
+            for r in step["refutations"]:
+                left, right = r["collision"]
+                arrays.update(map(tuple, [r["alternative"], r["alpha1"], *r["prior_pair"],
+                                          *left, *right]))
+        calls = []
+        mask_of = Poset.mask_of
+
+        def counted(self, labels):
+            calls.append(tuple(labels))
+            return mask_of(self, labels)
+
+        monkeypatch.setattr(Poset, "mask_of", counted)
+        parsed = certificate_from_json(doc, p)
+        assert len(calls) == len(set(calls)) == len(arrays)
+        assert set(calls) == arrays
+        assert validate_certificate(p, parsed) == (True, "ok")
 
 
 class TestWriterOffShape:
