@@ -82,7 +82,8 @@ def enumerate_ideal_masks(down, cap):
                 if len(out) >= cap:
                     raise ValueError(over)
                 out.append(m | bit)
-    out.sort(key=lambda m: (m.bit_count(), m))
+    out.sort()
+    out.sort(key=int.bit_count)  # stable: by mask value within a size
     return out
 
 

@@ -77,21 +77,14 @@ _LABELS = tuple(tuple(f"p{i}" for i in range(n)) for n in range(MAX_CANONICAL_N 
 def _poset_from_key(key: bytes) -> Poset:
     """The canonically labeled poset of a key.  A key lists, for each j,
     the i < j below it: a closed order whose indices are already a linear
-    extension, so the rows are read off, and the covers below j are the
-    elements of ``key[j]`` below none of the others."""
+    extension, so the rows are read off."""
     n = len(key)
     up = [1 << i for i in range(n)]
-    covers = []
     for j, code in enumerate(key):
         bit = 1 << j
-        above = 0
         for i in _BITS[code]:
             up[i] |= bit
-            above |= key[i]
-        for i in _BITS[code & ~above]:
-            covers.append((i, j))
-    covers.sort()
-    return Poset(labels=_LABELS[n], up=tuple(up), covers=tuple(covers))
+    return Poset(labels=_LABELS[n], up=tuple(up))
 
 
 def _deletion_table(lt: list[int], pred: list[int]) -> list[int]:

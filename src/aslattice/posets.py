@@ -27,17 +27,17 @@ MAX_ELEMENTS = 64
 class Poset:
     """Immutable finite poset.
 
-    ``up[i]`` is the bitmask of indices j with p_i <= p_j (reflexive), and
-    ``covers`` is the transitive reduction of that order.  Instances are
-    produced by :func:`build_poset`, which validates acyclicity and fixes the
-    linear-extension indexing (generation reads already closed and indexed
-    orders off canonical keys directly); all operations may assume a valid
-    order.
+    ``up[i]`` is the bitmask of indices j with p_i <= p_j (reflexive); the
+    labels and this order are the whole poset.  Every other table (``down``,
+    the cover lists, ``covers``) is derived from ``up`` on first read.
+    Instances are produced by :func:`build_poset`, which validates
+    acyclicity and fixes the linear-extension indexing (generation reads
+    already closed and indexed orders off canonical keys directly); all
+    operations may assume a valid order.
     """
 
     labels: tuple[str, ...]
     up: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
 
     @property
     def n(self) -> int:
@@ -61,17 +61,16 @@ class Poset:
 
     @cached_property
     def upper_cover(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.covers:
-            out[i].append(j)
-        return tuple(tuple(sorted(js)) for js in out)
+        return _cover_lists(self.up)
 
     @cached_property
     def lower_cover(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.covers:
-            out[j].append(i)
-        return tuple(tuple(sorted(js)) for js in out)
+        return _cover_lists(self.down)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The transitive reduction as (i, j) pairs, ascending."""
+        return tuple((i, j) for i, js in enumerate(self.upper_cover) for j in js)
 
     @cached_property
     def label_index(self) -> dict[str, int]:
@@ -109,6 +108,23 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask &= mask - 1
+
+
+def _cover_lists(rows) -> tuple[tuple[int, ...], ...]:
+    """For each element, its strict row less the strict rows of its
+    members, as ascending indices: the upper covers when ``rows`` is
+    ``up``, the lower covers when it is ``down``."""
+    strict = [row & ~(1 << i) for i, row in enumerate(rows)]
+    out = []
+    for row in strict:
+        beyond = 0
+        m = row
+        while m:
+            low = m & -m
+            beyond |= strict[low.bit_length() - 1]
+            m ^= low
+        out.append(tuple(iter_bits(row & ~beyond)))
+    return tuple(out)
 
 
 def build_poset(labels, covers) -> Poset:
@@ -169,28 +185,7 @@ def build_poset(labels, covers) -> Poset:
         rows[new_pos[i]] |= 1 << new_pos[j]
     closed = _kernels.transitive_closure(rows)
     new_labels = tuple(labels[i] for i in order)
-    return Poset(labels=new_labels, up=tuple(closed), covers=_reduction(closed))
-
-
-def _reduction(up) -> tuple[tuple[int, int], ...]:
-    """Transitive reduction (cover pairs) of a closed order given as rows:
-    the covers of i are its strict successors lying above none of the
-    others.  Pairs come out in ascending (i, j) order."""
-    strict = [row & ~(1 << i) for i, row in enumerate(up)]
-    covers = []
-    for i, succ in enumerate(strict):
-        above = 0
-        m = succ
-        while m:
-            low = m & -m
-            above |= strict[low.bit_length() - 1]
-            m ^= low
-        m = succ & ~above
-        while m:
-            low = m & -m
-            covers.append((i, low.bit_length() - 1))
-            m ^= low
-    return tuple(covers)
+    return Poset(labels=new_labels, up=tuple(closed))
 
 
 def dual(p: Poset) -> Poset:

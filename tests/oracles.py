@@ -137,6 +137,40 @@ def multichain_count(p, ideals, d):
     return sum(count(s, d - 1) for s in ideals)
 
 
+# --- transitive reduction, pair by pair ---
+# The reference for the cover tables that a Poset derives from its order.
+
+
+def transitive_reduction(up) -> tuple[tuple[int, int], ...]:
+    """Transitive reduction (cover pairs) of a closed order given as rows:
+    the covers of i are its strict successors lying above none of the
+    others.  Pairs come out in ascending (i, j) order."""
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
+    covers = []
+    for i, succ in enumerate(strict):
+        above = 0
+        m = succ
+        while m:
+            low = m & -m
+            above |= strict[low.bit_length() - 1]
+            m ^= low
+        m = succ & ~above
+        while m:
+            low = m & -m
+            covers.append((i, low.bit_length() - 1))
+            m ^= low
+    return tuple(covers)
+
+
+def cover_tables(up):
+    """``(covers, upper_cover, lower_cover)`` of a closed order, all read
+    off the reference reduction."""
+    covers = transitive_reduction(up)
+    upper = tuple(tuple(j for i, j in covers if i == k) for k in range(len(up)))
+    lower = tuple(tuple(i for i, j in covers if j == k) for k in range(len(up)))
+    return covers, upper, lower
+
+
 # --- condition (ii) from full relation tables ---
 # Unlike the rest of this module this reuses the library: it builds all
 # three systems with straightening_relations (per-pair star/circ calls) and

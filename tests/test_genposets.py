@@ -131,12 +131,14 @@ class TestGeneration:
         assert got == want
 
     def test_poset_from_key_matches_build_poset(self):
-        # a key is read off directly; build_poset sorts and closes its relations
+        # a key is read off directly; build_poset sorts and closes its
+        # relations.  Equality reads labels and order only, so the cover
+        # tables are checked against the reference reduction as well.
         for n in range(1, 8):
             for cp in generate_posets(n):
-                assert _poset_from_key(cp.canonical_key) == oracles.poset_from_key_by_build(
-                    cp.canonical_key
-                )
+                p = _poset_from_key(cp.canonical_key)
+                assert p == oracles.poset_from_key_by_build(cp.canonical_key)
+                assert (p.covers, p.upper_cover, p.lower_cover) == oracles.cover_tables(p.up)
 
     def test_keys_computed_at_seven(self, monkeypatch):
         calls = 0
@@ -185,16 +187,29 @@ class TestGeneration:
     def test_eight_points(self):
         classes = sums_of_chains = 0
         digest = hashlib.sha256()
+        tables = hashlib.sha256()
         for cp in generate_posets(8):
+            p = cp.poset
             classes += 1
-            sums_of_chains += is_direct_sum_of_chains(cp.poset)
+            sums_of_chains += is_direct_sum_of_chains(p)
             digest.update(cp.canonical_key)
+            tables.update(repr((p.up, p.covers, p.upper_cover, p.lower_cover)).encode())
         assert classes == 16999  # OEIS A000112
         assert sums_of_chains == oracles.partition_count(8) == 22
         # the keys themselves, concatenated in yield order
         assert digest.hexdigest() == (
             "33153a7211ba42fc1d9a962ab48f9f5cebd8ff7b474e5d115ae51469bca9f8ac"
         )
+        # the order and the cover tables of every class, as they were when
+        # the covers were built with each poset
+        assert tables.hexdigest() == (
+            "a6724949a853689a490f4f834401b8f433c2d6b408dedcae78f7fc3463ef331c"
+        )
+
+    def test_classes_read_for_keys_build_no_cover_table(self):
+        for cp in generate_posets(8):
+            assert cp.canonical_key
+            assert not {"covers", "upper_cover", "lower_cover"} & vars(cp.poset).keys()
 
     def test_one_debug_record_per_level(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="aslattice"):

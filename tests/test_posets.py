@@ -107,7 +107,9 @@ class TestBuild:
     def test_closure_reduction_roundtrip(self, p):
         rebuilt = build_poset(p.labels, [(p.labels[i], p.labels[j]) for i, j in p.covers])
         assert rebuilt.up == p.up
-        assert rebuilt.covers == p.covers
+        want = oracles.cover_tables(p.up)
+        assert (p.covers, p.upper_cover, p.lower_cover) == want
+        assert (rebuilt.covers, rebuilt.upper_cover, rebuilt.lower_cover) == want
 
 
 class TestDual:
