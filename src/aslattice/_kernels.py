@@ -31,14 +31,18 @@ parent it saw and caches the expansion of each such node in it.
 # The only implementation; kept as a constant for code that records it.
 BACKEND = "pure"
 
+# The most elements a canonical key covers; the tables below are sized by it.
+MAX_KEY_N = 8
+
 # _BITS[m]: the indices of the set bits of m, ascending, for every mask of
-# at most 8 elements; the masks with bit i are those without it, plus i.
+# at most MAX_KEY_N elements; the masks with bit i are those without it,
+# plus i.
 _BITS = [()]
-for _i in range(8):
+for _i in range(MAX_KEY_N):
     _BITS += [_b + (_i,) for _b in _BITS]
 _BITS = tuple(_BITS)
 del _i
-_LOW = tuple((1 << k) - 1 for k in range(9))  # the k lowest bits
+_LOW = tuple((1 << k) - 1 for k in range(MAX_KEY_N + 1))  # the k lowest bits
 
 
 def transitive_closure(up):
@@ -87,7 +91,8 @@ def enumerate_ideal_masks(down, cap):
     return out
 
 
-_REP = tuple(sum(1 << 8 * i for i in range(k)) for k in range(9))  # k bytes of 1
+# _REP[k]: k bytes of 1
+_REP = tuple(sum(1 << 8 * i for i in range(k)) for k in range(MAX_KEY_N + 1))
 _NOT_STRICT = "canonical_key needs the rows of a strict order on range(n)"
 
 
@@ -130,11 +135,12 @@ def canonical_key(pred):
     """Lexicographically minimal adjacency encoding over linear extensions.
 
     ``pred[i]`` is the strict predecessor bitmask of element i; rows that
-    are not a strict order on ``range(n)`` raise ValueError, as does n > 8.
-    The key is one byte per position: the j-th byte encodes which earlier
-    elements of the chosen linear extension lie below the j-th one.  The
-    minimum over all linear extensions is a relabeling invariant, so two
-    posets get equal keys exactly when they are isomorphic.
+    are not a strict order on ``range(n)`` raise ValueError, as does
+    n > MAX_KEY_N.  The key is one byte per position: the j-th byte encodes
+    which earlier elements of the chosen linear extension lie below the
+    j-th one.  The minimum over all linear extensions is a relabeling
+    invariant, so two posets get equal keys exactly when they are
+    isomorphic.
 
     A search node holds the placed elements as ``cells``, ``(start, mask)``
     pairs: ``mask`` fills the positions from ``start`` in an order not
@@ -168,8 +174,8 @@ def canonical_key(pred):
     """
     global _kept
     n = len(pred)
-    if n > 8:
-        raise ValueError("canonical_key supports at most 8 elements")
+    if n > MAX_KEY_N:
+        raise ValueError(f"canonical_key supports at most {MAX_KEY_N} elements")
     if not n:
         return b""
     v = n - 1

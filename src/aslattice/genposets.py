@@ -38,14 +38,14 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain, groupby
 
 from aslattice import _kernels
-from aslattice._kernels import _BITS
+from aslattice._kernels import _BITS, MAX_KEY_N
 from aslattice.errors import CapacityExceeded
 from aslattice.ideals import enumerate_ideals
 from aslattice.posets import Poset, build_poset, is_direct_sum_of_chains, poset_to_json
-from aslattice.straightening import check_condition_ii, condition_ii_witnesses, cover_witness
+from aslattice.straightening import check_condition_ii, cover_witness
 from aslattice.uniqueness import UniquenessResult, check_unique, not_unique, validate_certificate
 
-MAX_CANONICAL_N = 8
+MAX_CANONICAL_N = MAX_KEY_N
 DEFAULT_CORPUS_MAX_N = 6
 MAX_CORPUS_N = MAX_CANONICAL_N  # every size generation supports
 
@@ -203,24 +203,20 @@ def _decide(p: Poset, soc: bool) -> tuple[bool, UniquenessResult | None, bool]:
     """Condition (ii) and the uniqueness verdict of one class, given its
     sum-of-chains flag, and whether a witness built from covers decided
     them; the verdict is None when condition (ii) disagrees with the flag.
-    A sum of chains builds its lattice and runs ``check_condition_ii`` and
-    ``check_unique``.  Any other class is decided by ``cover_witness``
+    A class that is not a sum of chains is decided by ``cover_witness``
     without a lattice.  That witness differs in general from the first in
     pair order, which ``check_unique`` reports; only the verdict is the
-    same.  If no witness is built (no class with n <= 8 comes to this),
-    the class builds its lattice and the ``relations_equal`` scans decide,
-    so no verdict is presumed."""
-    if soc:
-        lat = enumerate_ideals(p)
-        cii = check_condition_ii(lat).equal
-        return cii, check_unique(lat) if cii else None, False
-    witness = cover_witness(p)
+    same.  Every other class, a sum of chains or a non-sum without a
+    witness (no class with n <= 8 is one), takes the sum-of-chains path:
+    it builds its lattice, runs ``check_condition_ii``, and runs
+    ``check_unique`` when that agrees with the flag, so no verdict is
+    presumed."""
+    witness = None if soc else cover_witness(p)
     if witness is not None:
         return False, not_unique(witness), True
-    witness = next(condition_ii_witnesses(enumerate_ideals(p)), None)
-    if witness is None:
-        return True, None, False
-    return False, not_unique(witness), False
+    lat = enumerate_ideals(p)
+    cii = check_condition_ii(lat).equal
+    return cii, check_unique(lat) if cii == soc else None, False
 
 
 def _verify_one(p: Poset) -> tuple[bool, bool, str | None, bool, bool, bool]:
@@ -280,7 +276,7 @@ def corpus_verify(
     non_sums = classes - sum(t.sums_of_chains for t in report.tallies)
     logging.getLogger("aslattice").debug(
         "corpus max-n %d: %d classes, %d non-sums decided by a built witness, "
-        "%d by the scan fallback, %d ideal lattices built to decide, mode %s",
+        "%d by their lattice, %d ideal lattices built to decide, mode %s",
         max_n, classes, built, non_sums - built, classes - built, mode,
     )
     return report

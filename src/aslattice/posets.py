@@ -146,8 +146,7 @@ def build_poset(labels, covers) -> Poset:
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     succ: list[set[int]] = [set() for _ in range(n)]
-    pred_count = [0] * n
-    edges = set()
+    below = [0] * n  # distinct lower covers not yet placed
     for a, b in covers:
         if a not in index:
             raise UnknownLabel(f"unknown element {a!r} in cover")
@@ -156,33 +155,30 @@ def build_poset(labels, covers) -> Poset:
         i, j = index[a], index[b]
         if i == j:
             raise CycleDetected(f"cover {a!r} < {b!r} relates an element to itself")
-        if (i, j) not in edges:
-            edges.add((i, j))
+        if j not in succ[i]:
             succ[i].add(j)
-            pred_count[j] += 1
+            below[j] += 1
 
-    # Kahn topological sort, always taking the smallest available input index.
+    # Kahn topological sort, always taking the smallest available input
+    # index: the start list is ascending, so already a heap, and a heap pops
+    # its least entry whatever order the entries were pushed in.
     order: list[int] = []
-    counts = list(pred_count)
-    heap = [i for i in range(n) if pred_count[i] == 0]
-    heapq.heapify(heap)
+    heap = [i for i in range(n) if not below[i]]
     while heap:
         i = heapq.heappop(heap)
         order.append(i)
-        for j in sorted(succ[i]):
-            counts[j] -= 1
-            if counts[j] == 0:
+        for j in succ[i]:
+            below[j] -= 1
+            if not below[j]:
                 heapq.heappush(heap, j)
     if len(order) != n:
         raise CycleDetected("cover relation contains a cycle")
 
     new_pos = {old: new for new, old in enumerate(order)}
-    up = [1 << new_pos[i] for i in range(n)]
-    rows = [0] * n
-    for i in range(n):
-        rows[new_pos[i]] = up[i]
-    for i, j in edges:
-        rows[new_pos[i]] |= 1 << new_pos[j]
+    rows = [1 << k for k in range(n)]
+    for k, i in enumerate(order):
+        for j in succ[i]:
+            rows[k] |= 1 << new_pos[j]
     closed = _kernels.transitive_closure(rows)
     new_labels = tuple(labels[i] for i in order)
     return Poset(labels=new_labels, up=tuple(closed))
@@ -223,24 +219,17 @@ def is_direct_sum_of_chains(p: Poset) -> bool:
 
 def maximal_chains(p: Poset) -> list[tuple[int, ...]]:
     """All inclusion-maximal chains as ascending index tuples, in
-    lexicographic order."""
-    minimal = [i for i in range(p.n) if not p.lower_cover[i]]
+    lexicographic order: a depth-first walk along the upper covers from the
+    minimal elements, smallest index first."""
     out: list[tuple[int, ...]] = []
-
-    def extend(chain):
-        tip = chain[-1]
-        ups = p.upper_cover[tip]
-        if not ups:
-            out.append(tuple(chain))
-            return
-        for j in ups:
-            chain.append(j)
-            extend(chain)
-            chain.pop()
-
-    for i in minimal:
-        extend([i])
-    out.sort()
+    stack = [(i,) for i in reversed(range(p.n)) if not p.lower_cover[i]]
+    while stack:
+        chain = stack.pop()
+        ups = p.upper_cover[chain[-1]]
+        if ups:
+            stack += [chain + (j,) for j in reversed(ups)]
+        else:
+            out.append(chain)
     return out
 
 

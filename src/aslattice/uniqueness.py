@@ -1320,22 +1320,23 @@ def certificate_from_json(doc: dict, p: Poset) -> UniquenessCertificate:
     The header is checked first, then each step is read by one
     field-by-field reader (``_step_reader``).  Steps given as an iterator
     are parsed one at a time as the certificate's steps are read, which
-    raise a step's fault when they reach it; any other steps are parsed at
-    once and held as a tuple."""
+    raise a step's fault when they reach it; any other steps must be a
+    list, parsed at once and held as a tuple."""
     try:
         if doc.get("format") != CERT_FORMAT:
             _fail("unrecognized certificate format")
         if doc["elements"] != list(p.labels):
             _fail("certificate elements do not match the poset")
-        if not all(isinstance(c, list) for c in doc["covers"]):
+        covers = doc["covers"]
+        if not isinstance(covers, list) or not all(isinstance(c, list) for c in covers):
             _fail("certificate covers are not label pairs")
-        covers = {(p.index_of(a), p.index_of(b)) for a, b in doc["covers"]}
-        if covers != set(p.covers):
+        if {(p.index_of(a), p.index_of(b)) for a, b in covers} != set(p.covers):
             _fail("certificate covers do not match the poset")
-        steps = map(_step_reader(p), doc["steps"])
-        if not isinstance(doc["steps"], Iterator):
-            steps = tuple(steps)
-        return UniquenessCertificate(poset=p, steps=steps)
+        steps = doc["steps"]
+        if not isinstance(steps, (list, Iterator)):
+            _fail("certificate steps are not a list")
+        read = map(_step_reader(p), steps)
+        return UniquenessCertificate(p, read if isinstance(steps, Iterator) else tuple(read))
     except InvalidCertificate:
         raise
     except Exception as exc:  # malformed structure, unknown labels, ...
@@ -1406,7 +1407,7 @@ def _step_reader(p: Poset):
 
     def read_step(s) -> CertificateStep:
         try:
-            refs = tuple([refutation(r) for r in s["refutations"]])
+            refs = tuple([refutation(r) for r in typed(s["refutations"], list, "step refutations")])
             return CertificateStep(
                 masks_of(two(s["pair"], "step pair")),
                 typed(s["k"], int, "step parameter"),

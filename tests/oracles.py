@@ -891,15 +891,17 @@ def certificate_from_json_reference(doc: dict, p: Poset) -> UniquenessCertificat
             _fail("unrecognized certificate format")
         if doc["elements"] != list(p.labels):
             _fail("certificate elements do not match the poset")
-        if not all(isinstance(c, list) for c in doc["covers"]):
+        if not isinstance(doc["covers"], list) or not all(isinstance(c, list) for c in doc["covers"]):
             _fail("certificate covers are not label pairs")
         covers = {(p.index_of(a), p.index_of(b)) for a, b in doc["covers"]}
         if covers != set(p.covers):
             _fail("certificate covers do not match the poset")
+        if not isinstance(doc["steps"], list):
+            _fail("certificate steps are not a list")
         steps = []
         for s in doc["steps"]:
             refs = []
-            for r in s["refutations"]:
+            for r in typed(s["refutations"], list, "step refutations"):
                 side = r["side"]
                 if side not in ("join", "meet"):
                     _fail(f"refutation side {side!r} is not 'join' or 'meet'")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -92,6 +93,17 @@ class TestMembership:
                 assert point_in_order_polytope(p, v)
             for v in chain_polytope_vertices(lat):
                 assert point_in_chain_polytope(p, v)
+
+    def test_order_membership_matches_every_comparable_pair(self):
+        # the cover test against the definition, on a grid that puts points
+        # outside the box and on both sides of every order inequality
+        grid = [Fraction(k, 2) for k in range(-1, 4)]
+        for p in corpus(4):
+            for x in itertools.product(grid, repeat=p.n):
+                want = all(0 <= c <= 1 for c in x) and all(
+                    x[i] >= x[j] for i in range(p.n) for j in range(p.n) if p.leq(i, j)
+                )
+                assert point_in_order_polytope(p, x) == want, (p, x)
 
     def test_chain_membership_matches_chain_enumeration(self):
         # the heaviest-chain pass against a sum over every listed chain,

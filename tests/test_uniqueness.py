@@ -970,6 +970,32 @@ class TestCertificates:
         with pytest.raises(InvalidCertificate):
             certificate_from_json({"format": "uniqueness-certificate/1", "elements": ["zz"]}, p)
 
+    @pytest.mark.parametrize(
+        "make, path, value, reason",
+        [
+            (antichain, ("steps", 0, "refutations"), {},
+             "step refutations {} has type dict, not list"),
+            (antichain, ("steps", 0, "refutations"), "",
+             "step refutations '' has type str, not list"),
+            (antichain, ("covers",), {}, "certificate covers are not label pairs"),
+            (chain, ("steps",), {}, "certificate steps are not a list"),
+        ],
+        ids=["refutations-object", "refutations-string", "covers-object", "steps-object"],
+    )
+    def test_non_arrays_rejected(self, make, path, value, reason):
+        # an object or a string iterates like an empty array, which the
+        # 2-antichain's one step and the 2-chain's steps would pass as
+        p = make(2)
+        doc = certificate_doc(uniqueness_certificate(enumerate_ideals(p)))
+        *outer, last = path
+        site = doc
+        for key in outer:
+            site = site[key]
+        site[last] = value
+        with pytest.raises(InvalidCertificate) as info:
+            certificate_from_json(doc, p)
+        assert str(info.value) == reason
+
 
 def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
